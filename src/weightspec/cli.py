@@ -11,7 +11,6 @@ import argparse
 import sys
 
 from . import report
-from .frobenius import initial_data
 from .reflexive import DimensionTooLarge, enumerate_reflexive
 from .verify import ALL_SUITES, verify_all
 from .weights import WeightSystem, WeightSystemError, make_weight_system
@@ -30,7 +29,7 @@ class _UsageError(Exception):
 
 def _parse_weights(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise _UsageError(f"bad weight list {text!r}: {exc}") from None
 
@@ -84,68 +83,41 @@ def _weight_system(args) -> WeightSystem:
     )
 
 
-def _emit(args, kind: str, w: WeightSystem, payload, headers_rows) -> None:
+_REPORTS = {
+    "spectrum": (report.spectrum_payload, report.spectrum_rows),
+    "frobenius": (report.frobenius_payload, report.frobenius_rows),
+    "jordan": (report.jordan_payload, report.jordan_rows),
+    "filtrations": (report.filtrations_payload, report.filtration_rows),
+}
+
+
+def _emit(args, w: WeightSystem) -> None:
+    """Write the report for ``args.command``, building only what ``--format`` needs."""
+    payload, rows = _REPORTS[args.command]
     if args.format == "json":
-        sys.stdout.write(
-            report.to_json(report.envelope(kind, payload, w, list(w.warnings)))
-        )
+        doc = report.envelope(args.command, payload(w), w, list(w.warnings))
+        sys.stdout.write(report.to_json(doc))
     elif args.format == "csv":
-        headers, rows = headers_rows
-        sys.stdout.write(report.render_csv(headers, rows))
+        sys.stdout.write(report.render_csv(*rows(w)))
     else:
-        headers, rows = headers_rows
-        sys.stdout.write(report.render_table(headers, rows))
+        sys.stdout.write(report.render_table(*rows(w)))
 
 
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "spectrum":
-            w = _weight_system(args)
-            _emit(args, "spectrum", w, report.spectrum_payload(w), report.spectrum_rows(w))
-        elif args.command == "frobenius":
-            w = _weight_system(args)
-            data = initial_data(w)
-            headers = ["k", "sigma", "pairs_with"]
-            rows = [
-                [
-                    str(k),
-                    report.rational_text(data.a_inf[k][k]),
-                    str(data.metric[k].index(1)),
-                ]
-                for k in range(w.mu)
-            ]
-            _emit(args, "frobenius", w, report.frobenius_payload(w), (headers, rows))
-        elif args.command == "jordan":
-            w = _weight_system(args)
-            _emit(args, "jordan", w, report.jordan_payload(w), report.jordan_rows(w))
-        elif args.command == "filtrations":
-            w = _weight_system(args)
-            _emit(
-                args,
-                "filtrations",
-                w,
-                report.filtrations_payload(w),
-                report.filtration_rows(w),
-            )
+        if args.command in _REPORTS:
+            _emit(args, _weight_system(args))
         elif args.command == "reflexive":
-            return _run_reflexive(args)
+            records = enumerate_reflexive(args.dimension, max_dimension=args.max_dimension)
+            emit_reflexive_table(args.dimension, args.format, records=records)
         elif args.command == "verify":
             return _run_verify(args)
         return 0
-    except _UsageError as exc:
+    except (_UsageError, WeightSystemError, DimensionTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (WeightSystemError, DimensionTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-def _run_reflexive(args) -> int:
-    records = enumerate_reflexive(args.dimension, max_dimension=args.max_dimension)
-    emit_reflexive_table(args.dimension, args.format, records=records)
-    return 0
 
 
 def emit_reflexive_table(n: int, fmt: str = "table", records=None) -> None:

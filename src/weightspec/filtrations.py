@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .frobenius import metric_partner
 from .spectrum import Spectrum, spectrum_direct
@@ -27,6 +29,10 @@ class UnknownEigenvalueClass(ValueError):
 
 class IndexOutOfRange(IndexError):
     """Basis index outside 0..mu-1."""
+
+
+class FiltrationViolation(ValueError):
+    """Internal self-check failure: a block bound or filtration property fails."""
 
 
 @dataclass(frozen=True)
@@ -115,27 +121,28 @@ def jordan_blocks(w: WeightSystem) -> JordanData:
     for block in blocks:
         if block.value == 0:
             if block.size != n + 1:
-                raise AssertionError(f"zero block has size {block.size} != {n + 1}")
+                raise FiltrationViolation(f"zero block has size {block.size} != {n + 1}")
         elif block.value.denominator == 1:
             if block.size > n - 1:
-                raise AssertionError(
+                raise FiltrationViolation(
                     f"integer-value block at {block.start} has size {block.size} > {n - 1}"
                 )
         elif block.size > n:
-            raise AssertionError(
+            raise FiltrationViolation(
                 f"noninteger-value block at {block.start} has size {block.size} > {n}"
             )
-    assert sum(b.size for b in blocks) == mu
+    if sum(b.size for b in blocks) != mu:
+        raise FiltrationViolation(f"block sizes do not sum to {mu}")
     return JordanData(tuple(blocks), tuple(nu), tuple(offset))
 
 
-def eigenvalue_classes(w: WeightSystem) -> dict[Fraction, list[int]]:
-    """Indices grouped by fractional part, each list in canonical order."""
-    spec = _spectrum(w)
+@lru_cache(maxsize=1024)
+def eigenvalue_classes(w: WeightSystem) -> Mapping[Fraction, tuple[int, ...]]:
+    """Indices grouped by fractional part, in canonical order; cached, read-only."""
     classes: dict[Fraction, list[int]] = {}
-    for k, alpha in enumerate(spec.fractional_parts):
+    for k, alpha in enumerate(_spectrum(w).fractional_parts):
         classes.setdefault(alpha, []).append(k)
-    return classes
+    return MappingProxyType({a: tuple(ks) for a, ks in classes.items()})
 
 
 def nilpotent_matrix(w: WeightSystem, alpha: Fraction | int) -> list[list[Fraction]]:
@@ -168,7 +175,7 @@ def primitive_indices(w: WeightSystem) -> frozenset[int]:
     }
     starts = {block.start for block in jordan_blocks(w).blocks}
     if direct != starts:
-        raise AssertionError(f"primitive characterization {direct} != block starts {starts}")
+        raise FiltrationViolation(f"primitive characterization {direct} != block starts {starts}")
     return frozenset(starts)
 
 
@@ -228,23 +235,23 @@ def saito_filtration(w: WeightSystem) -> FiltrationReport:
 
 def _validate_report(report: FiltrationReport, floors: list[int], n: int, mu: int) -> None:
     if report.hp[0] != frozenset(range(mu)) or report.hp[n + 1]:
-        raise AssertionError("hp endpoints wrong")
+        raise FiltrationViolation("hp endpoints wrong")
     for p in range(n + 1):
         if not report.hp[p + 1] <= report.hp[p]:
-            raise AssertionError(f"hp not decreasing at {p}")
+            raise FiltrationViolation(f"hp not decreasing at {p}")
         if p < n and not report.gp[p] <= report.gp[p + 1]:
-            raise AssertionError(f"gp not increasing at {p}")
+            raise FiltrationViolation(f"gp not increasing at {p}")
     levels = sorted(report.m)
     for lo, hi in zip(levels, levels[1:]):
         if not report.m[lo] <= report.m[hi]:
-            raise AssertionError(f"m not increasing at {lo}")
+            raise FiltrationViolation(f"m not increasing at {lo}")
     for k in range(mu):
         if k not in report.hp[floors[k]] or k not in report.gp[floors[k]]:
-            raise AssertionError(f"index {k} missing at its own level")
+            raise FiltrationViolation(f"index {k} missing at its own level")
         if floors[k] + 1 <= n + 1 and k in report.hp[floors[k] + 1]:
-            raise AssertionError(f"index {k} too deep in hp")
+            raise FiltrationViolation(f"index {k} too deep in hp")
         if floors[k] - 1 >= 0 and k in report.gp[floors[k] - 1]:
-            raise AssertionError(f"index {k} too deep in gp")
+            raise FiltrationViolation(f"index {k} too deep in gp")
 
 
 def saito_identity_check(w: WeightSystem, p: int) -> bool:
@@ -282,7 +289,7 @@ def orthogonality_check(w: WeightSystem, alpha: Fraction | int, p: int) -> bool:
     if alpha not in classes:
         raise UnknownEigenvalueClass(f"no eigenvalue class for alpha = {alpha}")
     partner_alpha = Fraction(0) if alpha == 0 else 1 - alpha
-    partner_class = classes.get(partner_alpha, [])
+    partner_class = classes.get(partner_alpha, ())
     sigma = spec.spectral_numbers
 
     def floor_sigma(k: int) -> int:

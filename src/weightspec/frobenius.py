@@ -1,12 +1,13 @@
 """Initial data of the associated semisimple Frobenius structure.
 
-The exact rational data attached to a weight system: the cyclic matrix
-A0 (mu times a cyclic permutation), the diagonal matrix A_inf of spectral
-numbers, the 0/1 metric g pairing index k with n-k (k <= n) or mu+n-k
-(k >= n+1), the unit basis index 0, and the residue-pairing coefficient
-matrix which coincides with g.  The characteristic polynomial of A0 is
-T^mu - mu^mu, so its eigenvalues are the mu critical values of the
-defining linear form.
+Stored in structured form: A0 is mu times the cyclic shift k -> k+1 mod
+mu, A_inf the diagonal of spectral numbers, the 0/1 metric g the
+involution pairing k with n-k (k <= n) or mu+n-k (k >= n+1), the unit is
+basis index 0, and the residue-pairing matrix coincides with g.  Their
+identities are checked in O(mu); dense mu x mu tuples are built only on
+access, for the JSON report and test oracles.  The characteristic
+polynomial of A0 is T^mu - mu^mu, so its eigenvalues are the mu critical
+values of the defining linear form.
 """
 
 from __future__ import annotations
@@ -14,29 +15,83 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .spectrum import spectrum_direct
 from .weights import WeightSystem
 
 
-@dataclass(frozen=True)
-class FrobeniusInitialData:
-    a0: tuple[tuple[Fraction, ...], ...]
-    a_inf: tuple[tuple[Fraction, ...], ...]
-    metric: tuple[tuple[int, ...], ...]
-    unit_index: int
+class InitialDataViolation(ValueError):
+    """The metric identities fail on the structured initial data."""
 
-    @property
-    def mu(self) -> int:
-        return len(self.metric)
+
+def _dense(entries: dict, mu: int, zero=Fraction(0)) -> tuple:
+    rows = [[zero] * mu for _ in range(mu)]
+    for (j, k), c in entries.items():
+        rows[j][k] = c
+    return tuple(tuple(row) for row in rows)
 
 
 @dataclass(frozen=True)
 class PairingMatrix:
-    """Coefficients c[k][l] of the residue pairing against the basis, in
-    units of the normalized value at (0, n) times tau^(-n)."""
+    """The residue pairing: coefficient 1 at (k, partner[k]), in units of
+    the normalized value at (0, n) times tau^(-n), and 0 elsewhere."""
 
-    coefficients: tuple[tuple[int, ...], ...]
+    partner: tuple[int, ...]
+
+    @property
+    def coefficients(self) -> tuple[tuple[int, ...], ...]:
+        entries = {(k, p): 1 for k, p in enumerate(self.partner)}
+        return _dense(entries, len(self.partner), 0)
+
+
+@dataclass(frozen=True)
+class FrobeniusInitialData:
+    """A0 = mu * cyclic shift, A_inf = diag(sigma), g = permutation matrix
+    of ``partner``.  ``*_entries`` map (row, column) to nonzero entries;
+    ``a0``, ``a_inf`` and ``metric`` build dense tuples on each access."""
+
+    sigma: tuple[Fraction, ...]
+    partner: tuple[int, ...]
+    unit_index: int
+
+    @property
+    def mu(self) -> int:
+        return len(self.sigma)
+
+    @property
+    def a0_entries(self) -> dict[tuple[int, int], Fraction]:
+        return {((k + 1) % self.mu, k): Fraction(self.mu) for k in range(self.mu)}
+
+    @property
+    def a_inf_entries(self) -> dict[tuple[int, int], Fraction]:
+        return {(k, k): s for k, s in enumerate(self.sigma) if s}
+
+    @property
+    def a0(self) -> tuple[tuple[Fraction, ...], ...]:
+        return _dense(self.a0_entries, self.mu)
+
+    @property
+    def a_inf(self) -> tuple[tuple[Fraction, ...], ...]:
+        return _dense(self.a_inf_entries, self.mu)
+
+    @property
+    def metric(self) -> tuple[tuple[int, ...], ...]:
+        return PairingMatrix(self.partner).coefficients
+
+    def charpoly(self) -> list[Fraction]:
+        """det(T*I - A0), leading coefficient first.  A0 is monomial, so
+        this is the product over the cycles C of its permutation of
+        (T^|C| - product of the entries on C)."""
+        image = {k: (j, c) for (j, k), c in self.a0_entries.items()}
+        poly = [Fraction(1)]
+        while image:
+            start, (k, product) = image.popitem()
+            length = 1
+            while k != start:
+                k, c = image.pop(k)
+                product, length = product * c, length + 1
+            pad = [0] * length
+            poly = [a - product * b for a, b in zip(poly + pad, pad + poly)]
+        return poly
 
 
 def metric_partner(k: int, w: WeightSystem) -> int:
@@ -46,59 +101,36 @@ def metric_partner(k: int, w: WeightSystem) -> int:
     return w.n - k if k <= w.n else w.mu + w.n - k
 
 
-def _pairing_pattern(w: WeightSystem) -> tuple[tuple[int, ...], ...]:
-    mu = w.mu
-    rows = []
-    for k in range(mu):
-        row = [0] * mu
-        row[metric_partner(k, w)] = 1
-        rows.append(tuple(row))
-    return tuple(rows)
+def metric_violations(n: int, sigma: tuple, partner: tuple[int, ...]) -> list[str]:
+    """The metric identities in O(mu), one message per failing index: g is
+    symmetric and involutive iff partner[partner[k]] = k, and
+    g*A_inf + A_inf^T*g = n*g iff sigma[k] + sigma[partner[k]] = n."""
+    bad = []
+    for k, p in enumerate(partner):
+        if not 0 <= p < len(partner) or partner[p] != k:
+            bad.append(f"g is not a symmetric involution at k = {k}")
+        elif sigma[k] + sigma[p] != n:
+            bad.append(f"g*A_inf + A_inf^T*g != n*g at k = {k}")
+    return bad
 
 
 def initial_data(w: WeightSystem) -> FrobeniusInitialData:
-    """Construct (A0, A_inf, g, unit index) and verify the type invariants:
-    g is a symmetric involutive permutation matrix and
-    g*A_inf + A_inf^T*g = n*g."""
-    mu = w.mu
+    """Construct (A0, A_inf, g, unit index); raise
+    :class:`InitialDataViolation` if the metric identities fail."""
     sigma = spectrum_direct(w).spectral_numbers
-    a0 = [[Fraction(0)] * mu for _ in range(mu)]
-    for k in range(mu):
-        a0[(k + 1) % mu][k] = Fraction(mu)
-    a_inf = [
-        [sigma[k] if j == k else Fraction(0) for k in range(mu)]
-        for j in range(mu)
-    ]
-    metric = _pairing_pattern(w)
-
-    g = [list(row) for row in metric]
-    if not linalg.mat_eq(linalg.transpose(g), g):
-        raise AssertionError("metric is not symmetric")
-    if not linalg.mat_eq(linalg.matmul(g, g), linalg.identity(mu)):
-        raise AssertionError("metric is not involutive")
-    adjoint = linalg.mat_add(
-        linalg.matmul(g, a_inf), linalg.matmul(linalg.transpose(a_inf), g)
-    )
-    if not linalg.mat_eq(adjoint, linalg.mat_scale(g, w.n)):
-        raise AssertionError("g*A_inf + A_inf^T*g != n*g")
-
-    return FrobeniusInitialData(
-        tuple(tuple(row) for row in a0),
-        tuple(tuple(row) for row in a_inf),
-        metric,
-        0,
-    )
+    partner = pairing_matrix(w).partner
+    bad = metric_violations(w.n, sigma, partner)
+    if bad:
+        raise InitialDataViolation(bad[0])
+    return FrobeniusInitialData(sigma, partner, 0)
 
 
 def pairing_matrix(w: WeightSystem) -> PairingMatrix:
-    """The residue-pairing coefficients: 1 exactly where the metric is 1
-    (value at (0, n) normalized to 1), 0 elsewhere."""
-    return PairingMatrix(_pairing_pattern(w))
+    """The residue pairing, read from the metric involution."""
+    return PairingMatrix(tuple(metric_partner(k, w) for k in range(w.mu)))
 
 
 def charpoly_A0(w: WeightSystem) -> list[Fraction]:
     """Characteristic polynomial of A0, leading coefficient first
     (mu + 1 exact coefficients); equals T^mu - mu^mu."""
-    data = initial_data(w)
-    coeffs = linalg.char_poly([list(row) for row in data.a0])
-    return [Fraction(c) for c in coeffs]
+    return initial_data(w).charpoly()

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
 from .spectrum import spectrum_direct
@@ -229,17 +228,12 @@ class ExponentVector:
         return ExponentVector(tuple(lifted))
 
 
-@lru_cache(maxsize=1024)
-def _sigma(w: WeightSystem) -> tuple[Fraction, ...]:
-    return spectrum_direct(w).spectral_numbers
-
-
 def tau_dtau(x: GElement, w: WeightSystem) -> GElement:
     """Apply the logarithmic derivative tau * d/dtau."""
     mu = w.mu
     if x.mu != mu:
         raise DimensionMismatch(f"element has {x.mu} entries, mu = {mu}")
-    sigma = _sigma(w)
+    sigma = spectrum_direct(w).spectral_numbers
     out = [LaurentPoly.zero()] * mu
     for k, p in enumerate(x.entries):
         if not p:
@@ -266,21 +260,19 @@ def bernstein_check(w: WeightSystem) -> GElement:
 
 def birkhoff_matrices(
     w: WeightSystem,
-) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """Matrices (A0, A_inf) of theta^2 d_theta = -tau^(-1) tau_dtau on the
-    basis: column k of A0 is the tau^0 part, column k of A_inf the theta
-    part.  Any other tau-power raises :class:`DecompositionFailure`."""
+) -> tuple[dict[tuple[int, int], Fraction], dict[tuple[int, int], Fraction]]:
+    """Nonzero entries (row, column) -> coefficient of A0 and A_inf in
+    theta^2 d_theta = -tau^(-1) tau_dtau: column k of A0 is the tau^0 part,
+    of A_inf the theta part.  Other tau-powers raise DecompositionFailure."""
     mu = w.mu
-    zero = Fraction(0)
-    a0 = [[zero] * mu for _ in range(mu)]
-    ainf = [[zero] * mu for _ in range(mu)]
+    a0, ainf = {}, {}
     for k in range(mu):
         image = tau_dtau(GElement.basis(mu, k), w).shift(-1).scale(-1)
         for j, m, c in image.terms():
             if m == 0:
-                a0[j][k] = c
+                a0[j, k] = c
             elif m == -1:
-                ainf[j][k] = c
+                ainf[j, k] = c
             else:
                 raise DecompositionFailure(
                     f"tau^{m} term in theta^2 d_theta omega_{k}"
@@ -328,7 +320,7 @@ def reduce_monomial(
     # integer bookkeeping: coefficients are stored scaled by (lcm(w)*mu)^steps,
     # so the hot loop is gcd-free; the true rationals are restored at the end
     scale = math.lcm(*weights)
-    sigma_scaled = [int(s * scale) for s in _sigma(w)]
+    sigma_scaled = [int(s * scale) for s in spectrum_direct(w).spectral_numbers]
     step_denom = scale * mu
     flat: dict[tuple[int, int], int] = {(0, 0): 1}
     current = [0] * (w.n + 1)
@@ -373,7 +365,7 @@ def f_action(
         mu = w.mu
         if x.mu != mu:
             raise DimensionMismatch(f"element has {x.mu} entries, mu = {mu}")
-        sigma = _sigma(w)
+        sigma = spectrum_direct(w).spectral_numbers
         out = [LaurentPoly.zero()] * mu
         for k, p in enumerate(x.entries):
             if not p:
@@ -398,5 +390,5 @@ def v_order(x: GElement, w: WeightSystem) -> Fraction | float:
         raise DimensionMismatch(f"element has {x.mu} entries, mu = {w.mu}")
     if x.is_zero():
         return math.inf
-    sigma = _sigma(w)
+    sigma = spectrum_direct(w).spectral_numbers
     return max(sigma[k] + m for k, m, _ in x.terms())

@@ -24,6 +24,10 @@ class DimensionTooLarge(ValueError):
     """Requested dimension exceeds the enumeration bound."""
 
 
+class InconsistentRecord(ValueError):
+    """A record whose q does not satisfy q_i * w_i = mu and sum 1/q_i = 1."""
+
+
 @dataclass(frozen=True)
 class ReflexiveRecord:
     weights: WeightSystem
@@ -31,8 +35,9 @@ class ReflexiveRecord:
     q: tuple[int, ...]
 
     def __post_init__(self):
-        assert all(qi * wi == self.mu for qi, wi in zip(self.q, self.weights.weights))
-        assert sum(Fraction(1, qi) for qi in self.q) == 1
+        divides = all(qi * wi == self.mu for qi, wi in zip(self.q, self.weights.weights))
+        if not divides or sum(Fraction(1, qi) for qi in self.q) != 1:
+            raise InconsistentRecord(f"q = {self.q} is not mu / w_i with sum 1/q_i = 1")
 
 
 def is_reflexive(w: WeightSystem) -> bool:

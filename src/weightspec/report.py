@@ -13,7 +13,7 @@ from typing import Any
 
 from . import __version__
 from .filtrations import jordan_blocks, saito_filtration
-from .frobenius import charpoly_A0, initial_data, pairing_matrix
+from .frobenius import initial_data, pairing_matrix
 from .reflexive import ReflexiveRecord
 from .spectrum import spectral_polynomial, spectrum_direct
 from .weights import WeightSystem
@@ -69,13 +69,11 @@ def frobenius_payload(w: WeightSystem) -> dict[str, Any]:
     data = initial_data(w)
     return {
         "a0": [[encode_rational(x) for x in row] for row in data.a0],
-        "ainf_diagonal": [
-            encode_rational(data.a_inf[k][k]) for k in range(data.mu)
-        ],
+        "ainf_diagonal": [encode_rational(s) for s in data.sigma],
         "g": [list(row) for row in data.metric],
         "e0": data.unit_index,
         "pairing": [list(row) for row in pairing_matrix(w).coefficients],
-        "charpoly": [encode_rational(c) for c in charpoly_A0(w)],
+        "charpoly": [encode_rational(c) for c in data.charpoly()],
     }
 
 
@@ -171,6 +169,16 @@ def spectrum_rows(w: WeightSystem) -> tuple[list[str], list[list[str]]]:
             rational_text(spec.fractional_parts[k]),
         ]
         for k in range(spec.mu)
+    ]
+    return headers, rows
+
+
+def frobenius_rows(w: WeightSystem) -> tuple[list[str], list[list[str]]]:
+    data = initial_data(w)
+    headers = ["k", "sigma", "pairs_with"]
+    rows = [
+        [str(k), rational_text(data.sigma[k]), str(data.partner[k])]
+        for k in range(data.mu)
     ]
     return headers, rows
 

@@ -2,23 +2,23 @@
 
 Each suite returns a list of human-readable failure strings (empty on
 success), so the CLI, CI and the acceptance tests share one entry point.
-All comparisons are exact.
+All comparisons are exact and run on structured data (sparse entries, the
+metric involution, chains of the nilpotent shift), never on dense matrices.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
-from . import linalg
 from .filtrations import (
     eigenvalue_classes,
     jordan_blocks,
-    nilpotent_matrix,
     orthogonality_check,
     saito_filtration,
     saito_identity_check,
 )
-from .frobenius import charpoly_A0, initial_data, pairing_matrix
+from .frobenius import charpoly_A0, initial_data, metric_violations, pairing_matrix
 from .gaussmanin import (
     GElement,
     bernstein_check,
@@ -30,6 +30,7 @@ from .gaussmanin import (
 )
 from .reflexive import has_integral_spectrum, is_reflexive
 from .spectrum import (
+    BijectionViolation,
     check_symmetry,
     index_bijection,
     merged_ladder,
@@ -68,7 +69,7 @@ def verify_spectrum(w: WeightSystem) -> list[str]:
             failures.append(f"steps: ratio chain broken at k = {k}")
     try:
         index_bijection(seq, w)
-    except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
+    except BijectionViolation as exc:
         failures.append(f"steps: {exc}")
     failures.extend(check_symmetry(direct, w))
     return failures
@@ -99,29 +100,21 @@ def verify_bernstein(w: WeightSystem) -> list[str]:
 def verify_birkhoff(w: WeightSystem) -> list[str]:
     failures = []
     mu = w.mu
+    data = initial_data(w)
     a0, ainf = birkhoff_matrices(w)
-    sigma = spectrum_direct(w).spectral_numbers
-    expected_a0 = [
-        [Fraction(mu) if j == (k + 1) % mu else Fraction(0) for k in range(mu)]
-        for j in range(mu)
-    ]
-    expected_ainf = [
-        [sigma[k] if j == k else Fraction(0) for k in range(mu)]
-        for j in range(mu)
-    ]
-    if not linalg.mat_eq(a0, expected_a0):
+    if a0 != data.a0_entries:
         failures.append("birkhoff: A0 is not mu * cyclic shift")
-    if not linalg.mat_eq(ainf, expected_ainf):
+    if ainf != data.a_inf_entries:
         failures.append("birkhoff: A_inf is not diag(sigma)")
-    f_mod_theta = [[Fraction(0)] * mu for _ in range(mu)]
+    f_mod_theta = {}
     for k in range(mu):
         image = f_action(GElement.basis(mu, k), w)
         for j, m, c in image.terms():
             if m == 0:
-                f_mod_theta[j][k] = c
+                f_mod_theta[j, k] = c
             elif m > 0:
                 failures.append(f"birkhoff: positive tau power in f*omega_{k}")
-    if not linalg.mat_eq(f_mod_theta, expected_a0):
+    if f_mod_theta != data.a0_entries:
         failures.append("birkhoff: f-multiplication matrix mod theta != A0")
     return failures
 
@@ -135,47 +128,35 @@ def verify_charpoly(w: WeightSystem) -> list[str]:
 
 
 def verify_pairing(w: WeightSystem) -> list[str]:
-    failures = []
-    data = initial_data(w)
-    g = [list(row) for row in data.metric]
-    mu, n = w.mu, w.n
-    if pairing_matrix(w).coefficients != data.metric:
-        failures.append("pairing: residue coefficients != metric")
-    if not linalg.mat_eq(linalg.matmul(g, g), linalg.identity(mu)):
-        failures.append("pairing: g*g != identity")
-    a_inf = [list(row) for row in data.a_inf]
-    lhs = linalg.mat_add(
-        linalg.matmul(g, a_inf), linalg.matmul(linalg.transpose(a_inf), g)
-    )
-    if not linalg.mat_eq(lhs, linalg.mat_scale(g, n)):
-        failures.append("pairing: g*A_inf + A_inf^T*g != n*g")
-    return failures
+    partner = pairing_matrix(w).partner
+    sigma = spectrum_direct(w).spectral_numbers
+    return [f"pairing: {msg}" for msg in metric_violations(w.n, sigma, partner)]
+
+
+def _longest_chain(indices: tuple[int, ...], values: tuple[Fraction, ...]) -> int:
+    """Nilpotency index of N on a class: the longest chain k, k+1, ... in
+    ``indices`` along which the shift k -> k+1 (equal values) is nonzero."""
+    longest = run = 0
+    for pos, k in enumerate(indices):
+        chained = pos and indices[pos - 1] == k - 1 and values[k - 1] == values[k]
+        run = run + 1 if chained else 1
+        longest = max(longest, run)
+    return longest
 
 
 def verify_jordan(w: WeightSystem) -> list[str]:
     failures = []
     data = jordan_blocks(w)
-    if sum(b.size for b in data.blocks) != w.mu:
-        failures.append("jordan: block sizes do not sum to mu")
     # block multiset must match value multiplicities of the direct oracle
     values = spectrum_direct(w).values
-    mult: dict[Fraction, int] = {}
-    for v in values:
-        mult[v] = mult.get(v, 0) + 1
-    sizes_by_count: dict[int, int] = {}
-    for count in mult.values():
-        sizes_by_count[count] = sizes_by_count.get(count, 0) + 1
-    if data.size_multiset() != sizes_by_count:
+    if data.size_multiset() != Counter(Counter(values).values()):
         failures.append("jordan: block sizes != value multiplicities")
+    classes = eigenvalue_classes(w)
     for alpha, blocks in data.classes().items():
-        matrix = nilpotent_matrix(w, alpha)
         largest = max(b.size for b in blocks)
-        if not linalg.is_zero_matrix(linalg.mat_pow(matrix, largest)):
-            failures.append(f"jordan: N^{largest} != 0 on class {alpha}")
-        if largest > 1 and linalg.is_zero_matrix(
-            linalg.mat_pow(matrix, largest - 1)
-        ):
-            failures.append(f"jordan: N^{largest - 1} == 0 on class {alpha}")
+        chain = _longest_chain(classes.get(alpha, ()), values)
+        if chain != largest:
+            failures.append(f"jordan: N has index {chain} != {largest} on class {alpha}")
     return failures
 
 

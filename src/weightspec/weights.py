@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class WeightSystemError(ValueError):
@@ -96,9 +96,3 @@ def make_weight_system(
         warnings.append(TWO_WEIGHT_WARNING)
     return WeightSystem(weights, tuple(order), tuple(warnings))
 
-
-def as_weight_system(w: "WeightSystem | Sequence[int]") -> WeightSystem:
-    """Coerce a tuple of integers to a validated :class:`WeightSystem`."""
-    if isinstance(w, WeightSystem):
-        return w
-    return make_weight_system(w)

@@ -53,9 +53,10 @@ def test_unknown_subcommand_exits_1(capsys):
 
 
 def test_bad_weight_text_exits_1(capsys):
-    code, _, err = invoke(capsys, "spectrum", "-w", "1,x,3")
-    assert code == 1
-    assert "error:" in err
+    for text in ("1,x,3", "1,,2", ",1,2", "1,2,"):
+        code, out, err = invoke(capsys, "spectrum", "-w", text)
+        assert code == 1 and out == ""
+        assert "error:" in err
 
 
 def test_verify_ok(capsys):

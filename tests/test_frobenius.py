@@ -10,6 +10,7 @@ from weightspec import (
     pairing_matrix,
 )
 from weightspec import linalg
+from weightspec.frobenius import metric_violations
 
 from conftest import exhaustive_mu, random_systems, weight_systems_up_to
 
@@ -142,6 +143,11 @@ def test_charpoly_against_oracle_small_mu():
         assert coeffs[0] == 1
         assert coeffs[-1] == -(w.mu**w.mu)
         assert all(c == 0 for c in coeffs[1:-1])
+    # structured cycle route against the dense Hessenberg oracle
+    for mu in range(2, 41):
+        w = WeightSystem(tuple([1] * mu))
+        dense = [F(c) for c in linalg.char_poly(initial_data(w).a0)]
+        assert charpoly_A0(w) == dense
 
 
 def test_metric_identities_small_corpus():
@@ -162,3 +168,16 @@ def test_metric_partner_involution():
     for w in random_systems(seed=7, count=25, mu_max=40):
         for k in range(w.mu):
             assert metric_partner(metric_partner(k, w), w) == k
+
+
+def test_metric_violations_reported():
+    sigma = (F(0), F(1), F(2))
+    assert metric_violations(2, sigma, (2, 1, 0)) == []
+    assert metric_violations(2, sigma, (1, 1, 0)) == [
+        "g is not a symmetric involution at k = 0",
+        "g is not a symmetric involution at k = 2",
+    ]
+    assert metric_violations(2, sigma, (0, 1, 2)) == [
+        "g*A_inf + A_inf^T*g != n*g at k = 0",
+        "g*A_inf + A_inf^T*g != n*g at k = 2",
+    ]

@@ -1,0 +1,49 @@
+"""Design guard: the dense matrix helpers are a test oracle only.
+
+The runtime stores A0, A_inf, g and N in structured form; ``linalg`` is
+kept as the dense exact reference that tests compare against, so no
+other package module may import it.
+"""
+
+import ast
+from pathlib import Path
+
+import weightspec
+
+PACKAGE = Path(weightspec.__file__).parent
+
+
+def _imports_linalg(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if "linalg" in module or any(a.name == "linalg" for a in node.names):
+                return True
+        elif isinstance(node, ast.Import):
+            if any("linalg" in a.name.split(".") for a in node.names):
+                return True
+    return False
+
+
+def test_guard_detects_every_import_form():
+    for source in (
+        "from . import linalg",
+        "from .linalg import char_poly",
+        "from weightspec import linalg",
+        "from weightspec.linalg import matmul",
+        "import weightspec.linalg",
+    ):
+        assert _imports_linalg(ast.parse(source)), source
+    assert not _imports_linalg(ast.parse("from . import report"))
+
+
+def test_runtime_does_not_import_linalg():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 1
+    offenders = [
+        path.name
+        for path in modules
+        if path.name != "linalg.py"
+        and _imports_linalg(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert offenders == []

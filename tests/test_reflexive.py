@@ -5,6 +5,8 @@ import pytest
 
 from weightspec import (
     DimensionTooLarge,
+    InconsistentRecord,
+    ReflexiveRecord,
     WeightSystem,
     enumerate_reflexive,
     is_reflexive,
@@ -143,6 +145,15 @@ def test_record_invariants():
             assert is_reflexive(r.weights)
             assert has_integral_spectrum(r.weights)
             assert math.gcd(*r.weights.weights) == 1
+
+
+def test_inconsistent_record_raises():
+    w = make_weight_system([1, 1, 1])
+    with pytest.raises(InconsistentRecord):
+        ReflexiveRecord(w, 3, (3, 3, 2))
+    # q_i * w_i = mu holds, but mu is not sum(w), so sum 1/q_i = 1/2
+    with pytest.raises(InconsistentRecord):
+        ReflexiveRecord(w, 6, (6, 6, 6))
 
 
 def test_dimension_bounds():
