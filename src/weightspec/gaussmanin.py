@@ -1,8 +1,10 @@
 """Symbolic model of the rank-mu connection module in its canonical basis.
 
-Elements are length-mu vectors of Laurent polynomials in tau with exact
-rational coefficients, written in the basis omega_0, ..., omega_{mu-1}.
-The logarithmic derivative acts on basis elements by
+An element is a finite sum of terms c * tau^m * omega_k over the basis
+omega_0, ..., omega_{mu-1}, stored sparsely as the map (k, m) -> c of its
+nonzero exact rational coefficients, so every operation costs time in the
+number of terms, not in mu.  The logarithmic derivative acts on basis
+elements by
 
     tau_dtau(omega_k) = -sigma(k) * omega_k - mu * tau * omega_{k+1 mod mu}
 
@@ -27,180 +29,124 @@ Scalar = Union[int, Fraction]
 
 
 class DimensionMismatch(ValueError):
-    """Element length does not match mu of the weight system."""
+    """An element's mu or basis index does not fit the weight system."""
 
 
 class DecompositionFailure(RuntimeError):
     """A tau-power outside {0, -1} appeared while extracting A0 / A_inf."""
 
 
-class LaurentPoly:
-    """A Laurent polynomial in tau: finite map exponent -> nonzero Fraction."""
+def _add_term(out: dict, key: tuple[int, int], c: Scalar) -> None:
+    """out[key] += c, dropping the key when the sum vanishes."""
+    s = out.get(key, 0) + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, Scalar] | None = None):
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for m, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    clean[m] = c
+class GElement:
+    """An element of the rank-mu module: the sparse map (k, m) -> nonzero
+    Fraction giving the coefficient of tau**m * omega_k, 0 <= k < mu."""
+
+    __slots__ = ("mu", "coeffs")
+
+    def __init__(
+        self, mu: int, coeffs: Mapping[tuple[int, int], Scalar] | None = None
+    ):
+        clean: dict[tuple[int, int], Fraction] = {}
+        for (k, m), c in (coeffs or {}).items():
+            if not 0 <= k < mu:
+                raise DimensionMismatch(f"basis index {k} outside 0..{mu - 1}")
+            if c:
+                clean[k, m] = Fraction(c)
+        self.mu = mu
         self.coeffs = clean
 
     @classmethod
-    def _raw(cls, coeffs: dict[int, Fraction]) -> "LaurentPoly":
+    def _raw(cls, mu: int, coeffs: dict[tuple[int, int], Fraction]) -> "GElement":
+        """Wrap in-range keys with nonzero Fraction values, unchecked."""
         out = cls.__new__(cls)
+        out.mu = mu
         out.coeffs = coeffs
         return out
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def term(cls, exponent: int, coefficient: Scalar = 1) -> "LaurentPoly":
-        return cls({exponent: coefficient})
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not other.coeffs:
-            return self
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return LaurentPoly._raw(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw({m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def scale(self, factor: Scalar) -> "LaurentPoly":
-        if not factor:
-            return LaurentPoly.zero()
-        return LaurentPoly._raw({m: c * factor for m, c in self.coeffs.items()})
-
-    def shift(self, power: int) -> "LaurentPoly":
-        """Multiply by tau**power."""
-        return LaurentPoly._raw({m + power: c for m, c in self.coeffs.items()})
-
-    def tau_ddtau(self) -> "LaurentPoly":
-        """tau * d/dtau: sends tau^m to m * tau^m."""
-        return LaurentPoly({m: m * c for m, c in self.coeffs.items()})
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for m in sorted(self.coeffs):
-            c = self.coeffs[m]
-            if m == 0:
-                parts.append(f"{c}")
-            elif m == 1:
-                parts.append(f"{c}*tau")
-            else:
-                parts.append(f"{c}*tau^{m}")
-        return " + ".join(parts)
-
-
-class GElement:
-    """A vector of mu Laurent polynomials: coordinates in omega_0..omega_{mu-1}."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Iterable[LaurentPoly]):
-        self.entries = tuple(entries)
-
-    @property
-    def mu(self) -> int:
-        return len(self.entries)
-
-    @classmethod
     def zero(cls, mu: int) -> "GElement":
-        return cls(LaurentPoly.zero() for _ in range(mu))
+        return cls(mu)
 
     @classmethod
     def basis(
         cls, mu: int, k: int, tau_power: int = 0, coefficient: Scalar = 1
     ) -> "GElement":
         """coefficient * tau**tau_power * omega_k."""
-        entries = [LaurentPoly.zero()] * mu
-        entries[k] = LaurentPoly.term(tau_power, coefficient)
-        return cls(entries)
+        return cls(mu, {(k, tau_power): coefficient})
 
     @classmethod
     def from_terms(
         cls, mu: int, terms: Iterable[tuple[int, int, Scalar]]
     ) -> "GElement":
         """Build from (basis index k, tau power m, coefficient) triples."""
-        entries: list[dict[int, Fraction]] = [{} for _ in range(mu)]
+        out: dict[tuple[int, int], Fraction] = {}
         for k, m, c in terms:
-            c = Fraction(c)
-            s = entries[k].get(m, 0) + c
-            if s:
-                entries[k][m] = s
-            else:
-                entries[k].pop(m, None)
-        return cls(LaurentPoly._raw(d) for d in entries)
+            _add_term(out, (k, m), Fraction(c))
+        return cls(mu, out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GElement):
             return NotImplemented
-        return self.entries == other.entries
+        return self.mu == other.mu and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.mu, frozenset(self.coeffs.items())))
+
+    def _plus(self, other: "GElement", sign: int) -> "GElement":
+        if self.mu != other.mu:
+            raise DimensionMismatch(f"{self.mu} != {other.mu}")
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            _add_term(out, key, sign * c)
+        return GElement._raw(self.mu, out)
 
     def __add__(self, other: "GElement") -> "GElement":
-        if self.mu != other.mu:
-            raise DimensionMismatch(f"{self.mu} != {other.mu}")
-        return GElement(a + b for a, b in zip(self.entries, other.entries))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "GElement") -> "GElement":
-        if self.mu != other.mu:
-            raise DimensionMismatch(f"{self.mu} != {other.mu}")
-        return GElement(a - b for a, b in zip(self.entries, other.entries))
+        return self._plus(other, -1)
 
     def __neg__(self) -> "GElement":
-        return GElement(-p for p in self.entries)
+        return self.scale(-1)
 
     def scale(self, factor: Scalar) -> "GElement":
-        return GElement(p.scale(factor) for p in self.entries)
+        if not factor:
+            return GElement.zero(self.mu)
+        return GElement._raw(
+            self.mu, {key: c * factor for key, c in self.coeffs.items()}
+        )
 
     def shift(self, power: int) -> "GElement":
         """Multiply by tau**power."""
-        return GElement(p.shift(power) for p in self.entries)
+        return GElement._raw(
+            self.mu, {(k, m + power): c for (k, m), c in self.coeffs.items()}
+        )
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not self.coeffs
 
     def terms(self) -> list[tuple[int, int, Fraction]]:
-        """All stored terms as (basis index k, tau power m, coefficient)."""
-        return [
-            (k, m, c)
-            for k, p in enumerate(self.entries)
-            for m, c in p.coeffs.items()
-        ]
+        """All stored terms as (basis index k, tau power m, coefficient),
+        sorted by (k, m)."""
+        return [(k, m, c) for (k, m), c in sorted(self.coeffs.items())]
 
     def __repr__(self) -> str:
-        parts = [f"({p!r})*w{k}" for k, p in enumerate(self.entries) if p]
+        parts = [f"{c}*tau^{m}*w{k}" for k, m, c in self.terms()]
         return " + ".join(parts) if parts else "0"
+
+
+def _require_mu(x: GElement, w: WeightSystem) -> int:
+    if x.mu != w.mu:
+        raise DimensionMismatch(f"element has mu = {x.mu}, system has mu = {w.mu}")
+    return w.mu
 
 
 @dataclass(frozen=True)
@@ -230,19 +176,14 @@ class ExponentVector:
 
 def tau_dtau(x: GElement, w: WeightSystem) -> GElement:
     """Apply the logarithmic derivative tau * d/dtau."""
-    mu = w.mu
-    if x.mu != mu:
-        raise DimensionMismatch(f"element has {x.mu} entries, mu = {mu}")
+    mu = _require_mu(x, w)
     sigma = spectrum_direct(w).spectral_numbers
-    out = [LaurentPoly.zero()] * mu
-    for k, p in enumerate(x.entries):
-        if not p:
-            continue
+    out: dict[tuple[int, int], Fraction] = {}
+    for (k, m), c in x.coeffs.items():
         # Leibniz: tau d/dtau on the coefficient, then the basis action
-        out[k] = out[k] + p.tau_ddtau() + p.scale(-sigma[k])
-        nxt = (k + 1) % mu
-        out[nxt] = out[nxt] + p.shift(1).scale(-mu)
-    return GElement(out)
+        _add_term(out, (k, m), (m - sigma[k]) * c)
+        _add_term(out, ((k + 1) % mu, m + 1), -mu * c)
+    return GElement._raw(mu, out)
 
 
 def bernstein_check(w: WeightSystem) -> GElement:
@@ -268,7 +209,7 @@ def birkhoff_matrices(
     a0, ainf = {}, {}
     for k in range(mu):
         image = tau_dtau(GElement.basis(mu, k), w).shift(-1).scale(-1)
-        for j, m, c in image.terms():
+        for (j, m), c in image.coeffs.items():
             if m == 0:
                 a0[j, k] = c
             elif m == -1:
@@ -305,22 +246,20 @@ def reduce_monomial(
     if not isinstance(a, ExponentVector):
         a = ExponentVector(tuple(a))
     target = a.canonical(w).exponents
-    if path is None:
-        path = [j for j, count in enumerate(target) for _ in range(count)]
-    else:
-        path = list(path)
-        counts = [0] * (w.n + 1)
-        for j in path:
-            counts[j] += 1
-        if tuple(counts) != target:
-            raise ValueError(f"path {list(path)} does not lead to {target}")
+    steps = [j for j, count in enumerate(target) for _ in range(count)]
+    path = steps if path is None else list(path)
+    if sorted(path) != steps:
+        raise ValueError(f"path {path} does not lead to {target}")
 
     mu = w.mu
     weights = w.weights
     # integer bookkeeping: coefficients are stored scaled by (lcm(w)*mu)^steps,
     # so the hot loop is gcd-free; the true rationals are restored at the end
     scale = math.lcm(*weights)
-    sigma_scaled = [int(s * scale) for s in spectrum_direct(w).spectral_numbers]
+    sigma_scaled = [
+        k * scale - s.numerator * (scale // s.denominator)
+        for k, s in enumerate(spectrum_direct(w).values)
+    ]
     step_denom = scale * mu
     flat: dict[tuple[int, int], int] = {(0, 0): 1}
     current = [0] * (w.n + 1)
@@ -347,9 +286,7 @@ def reduce_monomial(
         current[j] += 1
         total += 1
     denom = step_denom ** len(path)
-    return GElement.from_terms(
-        mu, ((k, m, Fraction(c, denom)) for (k, m), c in flat.items())
-    )
+    return GElement._raw(mu, {key: Fraction(c, denom) for key, c in flat.items()})
 
 
 def f_action(
@@ -362,18 +299,13 @@ def f_action(
     so the matrix of f modulo theta is exactly A0.
     """
     if isinstance(x, GElement):
-        mu = w.mu
-        if x.mu != mu:
-            raise DimensionMismatch(f"element has {x.mu} entries, mu = {mu}")
+        mu = _require_mu(x, w)
         sigma = spectrum_direct(w).spectral_numbers
-        out = [LaurentPoly.zero()] * mu
-        for k, p in enumerate(x.entries):
-            if not p:
-                continue
-            nxt = (k + 1) % mu
-            out[nxt] = out[nxt] + p.scale(mu)
-            out[k] = out[k] + p.shift(-1).scale(sigma[k])
-        return GElement(out)
+        out: dict[tuple[int, int], Fraction] = {}
+        for (k, m), c in x.coeffs.items():
+            _add_term(out, ((k + 1) % mu, m), mu * c)
+            _add_term(out, (k, m - 1), sigma[k] * c)
+        return GElement._raw(mu, out)
     if not isinstance(x, ExponentVector):
         x = ExponentVector(tuple(x))
     base = x.canonical(w)
@@ -383,12 +315,9 @@ def f_action(
     return acc
 
 
-def v_order(x: GElement, w: WeightSystem) -> Fraction | float:
-    """max over stored terms tau^m * omega_k of sigma(k) + m; the zero
-    element returns +infinity (sentinel only, no float arithmetic)."""
-    if x.mu != w.mu:
-        raise DimensionMismatch(f"element has {x.mu} entries, mu = {w.mu}")
-    if x.is_zero():
-        return math.inf
+def v_order(x: GElement, w: WeightSystem) -> Fraction | None:
+    """max over stored terms tau^m * omega_k of sigma(k) + m; None for the
+    zero element, which has no order."""
+    _require_mu(x, w)
     sigma = spectrum_direct(w).spectral_numbers
-    return max(sigma[k] + m for k, m, _ in x.terms())
+    return max((sigma[k] + m for k, m in x.coeffs), default=None)

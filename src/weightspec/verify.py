@@ -241,7 +241,7 @@ def verify_v_order(w: WeightSystem) -> list[str]:
         expected = shifted if sigma[k] == 0 else max(sigma[k], shifted)
         if order != expected:
             failures.append(f"v_order: tau_dtau(omega_{k}) has order {order}")
-        if order > sigma[k] + 2:
+        if order is None or order > sigma[k] + 2:
             failures.append(f"v_order: bound exceeded at k = {k}")
     return failures
 

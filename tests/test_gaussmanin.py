@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -8,7 +7,6 @@ from weightspec import (
     DimensionMismatch,
     ExponentVector,
     GElement,
-    LaurentPoly,
     WeightSystem,
     bernstein_check,
     birkhoff_matrices,
@@ -19,6 +17,7 @@ from weightspec import (
     step_sequence,
     tau_dtau,
     v_order,
+    verify_all,
 )
 
 from conftest import random_systems, weight_systems_up_to
@@ -30,15 +29,29 @@ def basis(mu, k, tau_power=0, coefficient=1):
     return GElement.basis(mu, k, tau_power=tau_power, coefficient=coefficient)
 
 
-def test_laurent_poly_arithmetic():
-    p = LaurentPoly({2: 3, -1: F(1, 2)})
-    q = LaurentPoly({2: -3, 0: 1})
-    assert (p + q) == LaurentPoly({-1: F(1, 2), 0: 1})
-    assert p - p == LaurentPoly.zero()
-    assert not LaurentPoly({0: 0})
-    assert p.shift(2) == LaurentPoly({4: 3, 1: F(1, 2)})
-    assert p.scale(2) == LaurentPoly({2: 6, -1: 1})
-    assert p.tau_ddtau() == LaurentPoly({2: 6, -1: F(-1, 2)})
+def test_gelement_arithmetic():
+    p = GElement(4, {(1, 2): 3, (3, -1): F(1, 2)})
+    q = GElement(4, {(1, 2): -3, (0, 0): 1})
+    assert p + q == GElement(4, {(3, -1): F(1, 2), (0, 0): 1})
+    assert (p - p).is_zero() and p - p == GElement.zero(4)
+    assert GElement(4, {(2, 0): 0}).is_zero()
+    assert GElement.from_terms(4, [(2, 1, 5), (2, 1, -5)]).is_zero()
+    assert p.shift(2) == GElement(4, {(1, 4): 3, (3, 1): F(1, 2)})
+    assert p.scale(2) == GElement(4, {(1, 2): 6, (3, -1): 1})
+    assert p.scale(0) == GElement.zero(4)
+    assert hash(p + q) == hash(GElement.from_terms(4, [(0, 0, 1), (3, -1, F(1, 2))]))
+    with pytest.raises(DimensionMismatch):
+        p + GElement.zero(5)
+    with pytest.raises(DimensionMismatch):
+        p - GElement.zero(3)
+
+
+def test_basis_index_out_of_range():
+    for k in (7, -1):
+        with pytest.raises(DimensionMismatch):
+            GElement.basis(4, k)
+        with pytest.raises(DimensionMismatch):
+            GElement.from_terms(4, [(k, 0, 1)])
 
 
 def test_tau_dtau_examples():
@@ -48,6 +61,10 @@ def test_tau_dtau_examples():
     assert tau_dtau(basis(3, 1, tau_power=1), w) == basis(
         3, 2, tau_power=2, coefficient=-3
     )
+    # Leibniz: tau^2 * omega_0 picks up 2 - sigma(0) = 2 on the diagonal
+    assert tau_dtau(basis(3, 0, tau_power=2), w) == basis(
+        3, 0, tau_power=2, coefficient=2
+    ) + basis(3, 1, tau_power=3, coefficient=-3)
 
 
 def test_tau_dtau_wraps_at_top_index():
@@ -138,6 +155,9 @@ def test_reduce_monomial_bad_path_rejected():
     w = make_weight_system([1, 1, 2])
     with pytest.raises(ValueError):
         reduce_monomial([1, 0, 0], w, path=[1])
+    for path in ([-1], [5]):
+        with pytest.raises(ValueError):
+            reduce_monomial([0, 0, 1], w, path=path)
 
 
 def test_reduce_monomial_agrees_with_operator_composition():
@@ -195,7 +215,7 @@ def test_v_order_examples():
     assert v_order(basis(6, 0, tau_power=1), w) == 1
     w111 = make_weight_system([1, 1, 1])
     assert v_order(basis(3, 2) + basis(3, 0, tau_power=1), w111) == 2
-    assert v_order(GElement.zero(3), w111) == math.inf
+    assert v_order(GElement.zero(3), w111) is None
 
 
 def test_v_order_of_derivative():
@@ -209,3 +229,10 @@ def test_v_order_of_derivative():
             shifted = sigma[(k + 1) % w.mu] + 1
             assert order == (shifted if sigma[k] == 0 else max(sigma[k], shifted))
             assert order <= sigma[k] + 2
+
+
+def test_sparse_suites_beyond_corpus():
+    # mu = 600: bernstein, birkhoff and v_order touch O(1) terms per step
+    w = make_weight_system([7, 593])
+    suites = ["bernstein", "birkhoff", "v_order"]
+    assert verify_all(w, suites) == {name: [] for name in suites}
