@@ -18,17 +18,13 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .frobenius import metric_partner
-from .spectrum import Spectrum, spectrum_direct
+from .frobenius import IndexOutOfRange, metric_partner
+from .spectrum import spectrum_direct
 from .weights import WeightSystem
 
 
 class UnknownEigenvalueClass(ValueError):
     """The requested fractional class does not occur in the spectrum."""
-
-
-class IndexOutOfRange(IndexError):
-    """Basis index outside 0..mu-1."""
 
 
 class FiltrationViolation(ValueError):
@@ -86,10 +82,6 @@ class FiltrationReport:
     conj: tuple[int, ...]
 
 
-def _spectrum(w: WeightSystem) -> Spectrum:
-    return spectrum_direct(w)
-
-
 @lru_cache(maxsize=1024)
 def jordan_blocks(w: WeightSystem) -> JordanData:
     """Split 0..mu-1 into maximal runs of equal spectrum value.
@@ -98,7 +90,7 @@ def jordan_blocks(w: WeightSystem) -> JordanData:
     blocks with nonzero integer value have size <= n-1; blocks with
     noninteger value have size <= n.  Results are immutable and cached.
     """
-    spec = _spectrum(w)
+    spec = spectrum_direct(w)
     mu, n = w.mu, w.n
     values, fracs = spec.values, spec.fractional_parts
 
@@ -140,28 +132,9 @@ def jordan_blocks(w: WeightSystem) -> JordanData:
 def eigenvalue_classes(w: WeightSystem) -> Mapping[Fraction, tuple[int, ...]]:
     """Indices grouped by fractional part, in canonical order; cached, read-only."""
     classes: dict[Fraction, list[int]] = {}
-    for k, alpha in enumerate(_spectrum(w).fractional_parts):
+    for k, alpha in enumerate(spectrum_direct(w).fractional_parts):
         classes.setdefault(alpha, []).append(k)
     return MappingProxyType({a: tuple(ks) for a, ks in classes.items()})
-
-
-def nilpotent_matrix(w: WeightSystem, alpha: Fraction | int) -> list[list[Fraction]]:
-    """Matrix of the normalized nilpotent operator on the class of
-    ``alpha``: basis vector for index k maps to the one for k+1 when the
-    spectrum values agree, to zero otherwise."""
-    alpha = Fraction(alpha)
-    classes = eigenvalue_classes(w)
-    if alpha not in classes:
-        raise UnknownEigenvalueClass(f"no eigenvalue class for alpha = {alpha}")
-    indices = classes[alpha]
-    position = {k: pos for pos, k in enumerate(indices)}
-    values = _spectrum(w).values
-    size = len(indices)
-    matrix = [[Fraction(0)] * size for _ in range(size)]
-    for k in indices:
-        if k + 1 < w.mu and values[k + 1] == values[k]:
-            matrix[position[k + 1]][position[k]] = Fraction(1)
-    return matrix
 
 
 def primitive_indices(w: WeightSystem) -> frozenset[int]:
@@ -169,7 +142,7 @@ def primitive_indices(w: WeightSystem) -> frozenset[int]:
 
     Cross-validated against the block decomposition (one per block).
     """
-    values = _spectrum(w).values
+    values = spectrum_direct(w).values
     direct = {0} | {
         k for k in range(w.n + 1, w.mu) if values[k - 1] < values[k]
     }
@@ -199,7 +172,7 @@ def saito_filtration(w: WeightSystem) -> FiltrationReport:
       zero class (the shifted weight filtration),
     * primitive block starts and the conjugation involution.
     """
-    spec = _spectrum(w)
+    spec = spectrum_direct(w)
     mu, n = w.mu, w.n
     floors = [s.numerator // s.denominator for s in spec.spectral_numbers]
     data = jordan_blocks(w)
@@ -258,10 +231,8 @@ def saito_identity_check(w: WeightSystem, p: int) -> bool:
     """Combinatorial identity behind the canonical opposite filtration:
     conjugating {k : floor(sigma(k)) + nu(k) <= n - p, minus one more when
     sigma(k) is not an integer} lands exactly on hp[p]."""
-    spec = _spectrum(w)
-    sigma = spec.spectral_numbers
-    data = jordan_blocks(w)
-    nu = data.nu
+    sigma = spectrum_direct(w).spectral_numbers
+    nu = jordan_blocks(w).nu
     selected = set()
     for k in range(w.mu):
         floor_sigma = sigma[k].numerator // sigma[k].denominator
@@ -284,13 +255,12 @@ def orthogonality_check(w: WeightSystem, alpha: Fraction | int, p: int) -> bool:
     class (1-alpha for alpha != 0, the zero class itself for alpha = 0),
     must be the partner filtration piece at level n-p (resp. n+1-p)."""
     alpha = Fraction(alpha)
-    spec = _spectrum(w)
     classes = eigenvalue_classes(w)
     if alpha not in classes:
         raise UnknownEigenvalueClass(f"no eigenvalue class for alpha = {alpha}")
     partner_alpha = Fraction(0) if alpha == 0 else 1 - alpha
     partner_class = classes.get(partner_alpha, ())
-    sigma = spec.spectral_numbers
+    sigma = spectrum_direct(w).spectral_numbers
 
     def floor_sigma(k: int) -> int:
         return sigma[k].numerator // sigma[k].denominator

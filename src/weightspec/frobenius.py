@@ -2,12 +2,13 @@
 
 Stored in structured form: A0 is mu times the cyclic shift k -> k+1 mod
 mu, A_inf the diagonal of spectral numbers, the 0/1 metric g the
-involution pairing k with n-k (k <= n) or mu+n-k (k >= n+1), the unit is
-basis index 0, and the residue-pairing matrix coincides with g.  Their
-identities are checked in O(mu); dense mu x mu tuples are built only on
-access, for the JSON report and test oracles.  The characteristic
-polynomial of A0 is T^mu - mu^mu, so its eigenvalues are the mu critical
-values of the defining linear form.
+involution ``partner`` pairing k with n-k (k <= n) or mu+n-k (k >= n+1),
+and the unit is basis index 0.  The residue pairing is g itself, so it has
+no builder of its own: ``FrobeniusInitialData.metric`` is the one dense
+form of both, built only on access, for the JSON report and test oracles.
+The identities are checked in O(mu) on ``partner`` and ``sigma``.  The
+characteristic polynomial of A0 is T^mu - mu^mu, so its eigenvalues are
+the mu critical values of the defining linear form.
 """
 
 from __future__ import annotations
@@ -23,24 +24,15 @@ class InitialDataViolation(ValueError):
     """The metric identities fail on the structured initial data."""
 
 
+class IndexOutOfRange(IndexError):
+    """Basis index outside 0..mu-1."""
+
+
 def _dense(entries: dict, mu: int, zero=Fraction(0)) -> tuple:
     rows = [[zero] * mu for _ in range(mu)]
     for (j, k), c in entries.items():
         rows[j][k] = c
     return tuple(tuple(row) for row in rows)
-
-
-@dataclass(frozen=True)
-class PairingMatrix:
-    """The residue pairing: coefficient 1 at (k, partner[k]), in units of
-    the normalized value at (0, n) times tau^(-n), and 0 elsewhere."""
-
-    partner: tuple[int, ...]
-
-    @property
-    def coefficients(self) -> tuple[tuple[int, ...], ...]:
-        entries = {(k, p): 1 for k, p in enumerate(self.partner)}
-        return _dense(entries, len(self.partner), 0)
 
 
 @dataclass(frozen=True)
@@ -75,7 +67,10 @@ class FrobeniusInitialData:
 
     @property
     def metric(self) -> tuple[tuple[int, ...], ...]:
-        return PairingMatrix(self.partner).coefficients
+        """g, which is also the residue pairing: 1 at (k, partner[k]), in
+        units of the normalized value at (0, n) times tau^(-n), else 0."""
+        entries = {(k, p): 1 for k, p in enumerate(self.partner)}
+        return _dense(entries, self.mu, 0)
 
     def charpoly(self) -> list[Fraction]:
         """det(T*I - A0), leading coefficient first.  A0 is monomial, so
@@ -97,7 +92,7 @@ class FrobeniusInitialData:
 def metric_partner(k: int, w: WeightSystem) -> int:
     """The unique index paired with k by the metric."""
     if not 0 <= k <= w.mu - 1:
-        raise IndexError(f"index {k} outside 0..{w.mu - 1}")
+        raise IndexOutOfRange(f"index {k} outside 0..{w.mu - 1}")
     return w.n - k if k <= w.n else w.mu + w.n - k
 
 
@@ -118,16 +113,11 @@ def initial_data(w: WeightSystem) -> FrobeniusInitialData:
     """Construct (A0, A_inf, g, unit index); raise
     :class:`InitialDataViolation` if the metric identities fail."""
     sigma = spectrum_direct(w).spectral_numbers
-    partner = pairing_matrix(w).partner
+    partner = tuple(metric_partner(k, w) for k in range(w.mu))
     bad = metric_violations(w.n, sigma, partner)
     if bad:
         raise InitialDataViolation(bad[0])
     return FrobeniusInitialData(sigma, partner, 0)
-
-
-def pairing_matrix(w: WeightSystem) -> PairingMatrix:
-    """The residue pairing, read from the metric involution."""
-    return PairingMatrix(tuple(metric_partner(k, w) for k in range(w.mu)))
 
 
 def charpoly_A0(w: WeightSystem) -> list[Fraction]:

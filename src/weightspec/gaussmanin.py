@@ -18,8 +18,8 @@ by the defining linear form f = sum_i w_i u_i, and the V-order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from .spectrum import spectrum_direct
@@ -47,7 +47,8 @@ def _add_term(out: dict, key: tuple[int, int], c: Scalar) -> None:
 
 class GElement:
     """An element of the rank-mu module: the sparse map (k, m) -> nonzero
-    Fraction giving the coefficient of tau**m * omega_k, 0 <= k < mu."""
+    Fraction giving the coefficient of tau**m * omega_k, 0 <= k < mu.
+    ``coeffs`` is a read-only view, so the hash cannot change."""
 
     __slots__ = ("mu", "coeffs")
 
@@ -61,14 +62,14 @@ class GElement:
             if c:
                 clean[k, m] = Fraction(c)
         self.mu = mu
-        self.coeffs = clean
+        self.coeffs = MappingProxyType(clean)
 
     @classmethod
     def _raw(cls, mu: int, coeffs: dict[tuple[int, int], Fraction]) -> "GElement":
         """Wrap in-range keys with nonzero Fraction values, unchecked."""
         out = cls.__new__(cls)
         out.mu = mu
-        out.coeffs = coeffs
+        out.coeffs = MappingProxyType(coeffs)
         return out
 
     @classmethod
@@ -103,7 +104,7 @@ class GElement:
     def _plus(self, other: "GElement", sign: int) -> "GElement":
         if self.mu != other.mu:
             raise DimensionMismatch(f"{self.mu} != {other.mu}")
-        out = dict(self.coeffs)
+        out = self.coeffs.copy()
         for key, c in other.coeffs.items():
             _add_term(out, key, sign * c)
         return GElement._raw(self.mu, out)
@@ -149,29 +150,14 @@ def _require_mu(x: GElement, w: WeightSystem) -> int:
     return w.mu
 
 
-@dataclass(frozen=True)
-class ExponentVector:
-    """Integer exponents of the torus coordinates u_0..u_n, up to the
-    relation u^w = 1 (adding any integer multiple of w)."""
-
-    exponents: tuple[int, ...]
-
-    def canonical(self, w: WeightSystem) -> "ExponentVector":
-        """The representative with all entries >= 0 and some entry < w_i,
-        obtained by adding the single minimal multiple of w."""
-        if len(self.exponents) != w.n + 1:
-            raise DimensionMismatch(
-                f"{len(self.exponents)} exponents for {w.n + 1} weights"
-            )
-        shift = -min(a // wi for a, wi in zip(self.exponents, w.weights))
-        return ExponentVector(
-            tuple(a + shift * wi for a, wi in zip(self.exponents, w.weights))
-        )
-
-    def bump(self, j: int) -> "ExponentVector":
-        lifted = list(self.exponents)
-        lifted[j] += 1
-        return ExponentVector(tuple(lifted))
+def canonical_exponents(a: Sequence[int], w: WeightSystem) -> tuple[int, ...]:
+    """The representative of the torus exponents u^a modulo u^w = 1 with
+    all entries >= 0 and some entry < w_i, obtained by adding the single
+    minimal multiple of w."""
+    if len(a) != w.n + 1:
+        raise DimensionMismatch(f"{len(a)} exponents for {w.n + 1} weights")
+    shift = -min(ai // wi for ai, wi in zip(a, w.weights))
+    return tuple(ai + shift * wi for ai, wi in zip(a, w.weights))
 
 
 def tau_dtau(x: GElement, w: WeightSystem) -> GElement:
@@ -222,7 +208,7 @@ def birkhoff_matrices(
 
 
 def reduce_monomial(
-    a: ExponentVector | Sequence[int],
+    a: Sequence[int],
     w: WeightSystem,
     path: Sequence[int] | None = None,
 ) -> GElement:
@@ -243,9 +229,7 @@ def reduce_monomial(
     rearrangement of the canonical exponents); the result is independent
     of the chosen path, which tests verify.
     """
-    if not isinstance(a, ExponentVector):
-        a = ExponentVector(tuple(a))
-    target = a.canonical(w).exponents
+    target = canonical_exponents(a, w)
     steps = [j for j, count in enumerate(target) for _ in range(count)]
     path = steps if path is None else list(path)
     if sorted(path) != steps:
@@ -289,9 +273,7 @@ def reduce_monomial(
     return GElement._raw(mu, {key: Fraction(c, denom) for key, c in flat.items()})
 
 
-def f_action(
-    x: GElement | ExponentVector | Sequence[int], w: WeightSystem
-) -> GElement:
+def f_action(x: GElement | Sequence[int], w: WeightSystem) -> GElement:
     """Multiply by the defining linear form f = sum_i w_i u_i.
 
     For a monomial class this is sum_i w_i * reduce_monomial(a + 1_i); on a
@@ -306,12 +288,12 @@ def f_action(
             _add_term(out, ((k + 1) % mu, m), mu * c)
             _add_term(out, (k, m - 1), sigma[k] * c)
         return GElement._raw(mu, out)
-    if not isinstance(x, ExponentVector):
-        x = ExponentVector(tuple(x))
-    base = x.canonical(w)
+    base = canonical_exponents(x, w)
     acc = GElement.zero(w.mu)
     for i, wi in enumerate(w.weights):
-        acc = acc + reduce_monomial(base.bump(i), w).scale(wi)
+        bumped = list(base)
+        bumped[i] += 1
+        acc = acc + reduce_monomial(bumped, w).scale(wi)
     return acc
 
 

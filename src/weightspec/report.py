@@ -13,7 +13,7 @@ from typing import Any
 
 from . import __version__
 from .filtrations import jordan_blocks, saito_filtration
-from .frobenius import initial_data, pairing_matrix
+from .frobenius import initial_data
 from .reflexive import ReflexiveRecord
 from .spectrum import spectral_polynomial, spectrum_direct
 from .weights import WeightSystem
@@ -67,12 +67,13 @@ def spectrum_payload(w: WeightSystem) -> dict[str, Any]:
 
 def frobenius_payload(w: WeightSystem) -> dict[str, Any]:
     data = initial_data(w)
+    g = [list(row) for row in data.metric]  # the residue pairing is g
     return {
         "a0": [[encode_rational(x) for x in row] for row in data.a0],
         "ainf_diagonal": [encode_rational(s) for s in data.sigma],
-        "g": [list(row) for row in data.metric],
+        "g": g,
         "e0": data.unit_index,
-        "pairing": [list(row) for row in pairing_matrix(w).coefficients],
+        "pairing": g,
         "charpoly": [encode_rational(c) for c in data.charpoly()],
     }
 

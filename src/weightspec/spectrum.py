@@ -5,11 +5,13 @@ mu-element multiset obtained as the disjoint union of the arithmetic
 ladders {l*mu/w_i : l = 0, ..., w_i - 1}.  Sorting it nondecreasingly
 gives the values s(0) <= ... <= s(mu-1); the spectral numbers are
 sigma(k) = k - s(k) and the spectral polynomial is prod_k (S + sigma(k)).
+One sort, of the integers l*(L/w_i)*(n+1) + i with L = lcm(w), orders
+by value and then by ladder i; ``Spectrum.ladders`` keeps each i(k).
 
 The same data is generated by an integer step recursion: starting from
 the zero exponent vector, repeatedly increment the coordinate whose
 current ratio a_i/w_i is minimal (smallest index on ties).  Both routes
-must agree exactly; tests enforce this.
+must agree exactly, in values and in ladders i(k); tests enforce this.
 """
 
 from __future__ import annotations
@@ -47,12 +49,14 @@ class StepSequence:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Exact spectral data: values s(k), sigma(k) = k - s(k), and the
-    fractional parts alpha(k) = ceil(s(k)) - s(k) in [0, 1)."""
+    """Exact spectral data: values s(k), sigma(k) = k - s(k), the
+    fractional parts alpha(k) = ceil(s(k)) - s(k) in [0, 1), and the
+    ladder i(k) that s(k) belongs to."""
 
     values: tuple[Fraction, ...]
     spectral_numbers: tuple[Fraction, ...]
     fractional_parts: tuple[Fraction, ...]
+    ladders: tuple[int, ...]
 
     @property
     def mu(self) -> int:
@@ -100,7 +104,7 @@ def spectrum_from_steps(seq: StepSequence, w: WeightSystem) -> Spectrum:
         Fraction(mu * seq.exponents[k][seq.indices[k]], w.weights[seq.indices[k]])
         for k in range(mu)
     )
-    return _finish(values)
+    return _finish(values, seq.indices[:mu])
 
 
 @lru_cache(maxsize=4096)
@@ -111,33 +115,36 @@ def spectrum_direct(w: WeightSystem) -> Spectrum:
     ladder index i, which reproduces the recursion's emission order.
     Results are immutable and cached.
     """
-    mu = w.mu
-    entries = [
-        Fraction(l * mu, wi)
-        for i, wi in enumerate(w.weights)
-        for l in range(wi)
-    ]
-    entries.sort()
-    return _finish(tuple(entries))
+    mu, base = w.mu, w.n + 1
+    lcm = math.lcm(*w.weights)
+    # l*mu/w_i is ordered as the integer l*(lcm/w_i); with the ladder index
+    # as the lowest digit in base n+1, one int per entry carries both keys
+    keys = sorted(
+        l * (lcm // wi) * base + i for i, wi in enumerate(w.weights) for l in range(wi)
+    )
+    values = tuple(Fraction(key // base * mu, lcm) for key in keys)
+    ladders = tuple(key % base for key in keys)
+    del keys  # free mu ints before _finish builds two more mu-long tuples
+    return _finish(values, ladders)
 
 
 def merged_ladder(w: WeightSystem) -> list[tuple[Fraction, int, int]]:
     """The multiset as (value, ladder index i, rung l) triples in canonical
-    order; matches [(s(k), i(k), a(k)_{i(k)})] from the recursion."""
-    mu = w.mu
-    triples = [
-        (Fraction(l * mu, wi), i, l)
-        for i, wi in enumerate(w.weights)
-        for l in range(wi)
-    ]
-    triples.sort(key=lambda t: (t[0], t[1]))
+    order; matches [(s(k), i(k), a(k)_{i(k)})] from the recursion.  The
+    rung of s(k) counts the earlier values of its (increasing) ladder."""
+    spec = spectrum_direct(w)
+    rungs = [0] * (w.n + 1)
+    triples = []
+    for value, i in zip(spec.values, spec.ladders):
+        triples.append((value, i, rungs[i]))
+        rungs[i] += 1
     return triples
 
 
-def _finish(values: tuple[Fraction, ...]) -> Spectrum:
+def _finish(values: tuple[Fraction, ...], ladders: tuple[int, ...]) -> Spectrum:
     k_minus = tuple(k - s for k, s in enumerate(values))
     frac = tuple(Fraction(math.ceil(s)) - s for s in values)
-    return Spectrum(values, k_minus, frac)
+    return Spectrum(values, k_minus, frac, ladders)
 
 
 def spectral_polynomial(w: WeightSystem) -> list[tuple[Fraction, int]]:

@@ -18,7 +18,7 @@ from .filtrations import (
     saito_filtration,
     saito_identity_check,
 )
-from .frobenius import charpoly_A0, initial_data, metric_violations, pairing_matrix
+from .frobenius import charpoly_A0, initial_data, metric_partner, metric_violations
 from .gaussmanin import (
     GElement,
     bernstein_check,
@@ -33,7 +33,6 @@ from .spectrum import (
     BijectionViolation,
     check_symmetry,
     index_bijection,
-    merged_ladder,
     spectrum_direct,
     spectrum_from_steps,
     step_sequence,
@@ -47,13 +46,10 @@ def verify_spectrum(w: WeightSystem) -> list[str]:
     seq = step_sequence(w)
     by_steps = spectrum_from_steps(seq, w)
     direct = spectrum_direct(w)
-    if by_steps != direct:
+    if by_steps.values != direct.values:
         failures.append("spectrum: recursion and multiset merge disagree")
-    recursion_pairs = [
-        (by_steps.values[k], seq.indices[k], seq.exponents[k][seq.indices[k]])
-        for k in range(w.mu)
-    ]
-    if recursion_pairs != merged_ladder(w):
+    # with equal values, equal ladders also give equal rungs l = s*w_i/mu
+    if by_steps.ladders != direct.ladders:
         failures.append("spectrum: canonical tie order violated")
     mu = w.mu
     for k in range(mu):
@@ -128,7 +124,7 @@ def verify_charpoly(w: WeightSystem) -> list[str]:
 
 
 def verify_pairing(w: WeightSystem) -> list[str]:
-    partner = pairing_matrix(w).partner
+    partner = tuple(metric_partner(k, w) for k in range(w.mu))
     sigma = spectrum_direct(w).spectral_numbers
     return [f"pairing: {msg}" for msg in metric_violations(w.n, sigma, partner)]
 

@@ -10,7 +10,6 @@ from weightspec import (
     eigenvalue_classes,
     jordan_blocks,
     make_weight_system,
-    nilpotent_matrix,
     orthogonality_check,
     primitive_indices,
     saito_filtration,
@@ -18,10 +17,25 @@ from weightspec import (
     spectrum_direct,
 )
 from weightspec import linalg
+from weightspec.verify import verify_jordan
 
 from conftest import exhaustive_mu, random_systems, weight_systems_up_to
 
 F = Fraction
+
+
+def nilpotent_matrix(w: WeightSystem, alpha) -> list[list[Fraction]]:
+    """Dense oracle for the normalized nilpotent operator N on the class of
+    ``alpha``: the basis vector of index k maps to that of k+1 when the
+    spectrum values agree, to zero otherwise."""
+    indices = eigenvalue_classes(w)[F(alpha)]
+    position = {k: pos for pos, k in enumerate(indices)}
+    values = spectrum_direct(w).values
+    matrix = [[F(0)] * len(indices) for _ in indices]
+    for k in indices:
+        if k + 1 < w.mu and values[k + 1] == values[k]:
+            matrix[position[k + 1]][position[k]] = F(1)
+    return matrix
 
 
 def test_jordan_examples():
@@ -75,8 +89,7 @@ def test_nilpotent_matrix_examples():
     m = nilpotent_matrix(make_weight_system([1, 1, 3]), F(1, 3))
     assert m == [[0]]
 
-    with pytest.raises(UnknownEigenvalueClass):
-        nilpotent_matrix(make_weight_system([1, 1, 1]), F(1, 2))
+    assert F(1, 2) not in eigenvalue_classes(make_weight_system([1, 1, 1]))
 
 
 def test_nilpotency_index_property():
@@ -88,6 +101,8 @@ def test_nilpotency_index_property():
             assert linalg.is_zero_matrix(linalg.mat_pow(m, largest))
             if largest > 1:
                 assert not linalg.is_zero_matrix(linalg.mat_pow(m, largest - 1))
+        # verify_jordan's chain check agrees with the dense nilpotency index
+        assert verify_jordan(w) == []
 
 
 def test_primitive_examples():

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from weightspec import (
+    IndexOutOfRange,
     WeightSystem,
     charpoly_A0,
     initial_data,
     make_weight_system,
     metric_partner,
-    pairing_matrix,
 )
 from weightspec import linalg
 from weightspec.frobenius import metric_violations
@@ -111,17 +113,17 @@ def test_a0_shape():
 
 
 def test_pairing_examples():
-    c = pairing_matrix(make_weight_system([1, 1, 1])).coefficients
+    c = initial_data(make_weight_system([1, 1, 1])).metric
     expected = {(0, 2), (1, 1), (2, 0)}
     assert {(k, l) for k in range(3) for l in range(3) if c[k][l]} == expected
 
-    c = pairing_matrix(make_weight_system([1, 2, 3])).coefficients
+    c = initial_data(make_weight_system([1, 2, 3])).metric
     high = {(k, l) for k in range(3, 6) for l in range(6) if c[k][l]}
     assert high == {(3, 5), (4, 4), (5, 3)}
 
     for tup in [(1, 1, 2), (2, 3, 7), (1, 1, 4, 6)]:
         w = make_weight_system(list(tup))
-        assert pairing_matrix(w).coefficients[0][w.n] == 1
+        assert initial_data(w).metric[0][w.n] == 1
 
 
 def test_charpoly_examples():
@@ -156,7 +158,6 @@ def test_metric_identities_small_corpus():
         data = initial_data(w)
         g = [list(row) for row in data.metric]
         a_inf = [list(row) for row in data.a_inf]
-        assert pairing_matrix(w).coefficients == data.metric
         assert linalg.mat_eq(linalg.matmul(g, g), linalg.identity(w.mu))
         lhs = linalg.mat_add(
             linalg.matmul(g, a_inf), linalg.matmul(linalg.transpose(a_inf), g)
@@ -168,6 +169,9 @@ def test_metric_partner_involution():
     for w in random_systems(seed=7, count=25, mu_max=40):
         for k in range(w.mu):
             assert metric_partner(metric_partner(k, w), w) == k
+        for k in (-1, w.mu):
+            with pytest.raises(IndexOutOfRange):
+                metric_partner(k, w)
 
 
 def test_metric_violations_reported():

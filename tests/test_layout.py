@@ -1,4 +1,5 @@
-"""Design guard: the dense matrix helpers are a test oracle only.
+"""Design guards: the dense matrix helpers are a test oracle only, and the
+package exports exactly what its `__init__` imports.
 
 The runtime stores A0, A_inf, g and N in structured form; ``linalg`` is
 kept as the dense exact reference that tests compare against, so no
@@ -47,3 +48,23 @@ def test_runtime_does_not_import_linalg():
         and _imports_linalg(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert offenders == []
+
+
+def _init_imports() -> set[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+
+
+def test_exports_match_imports():
+    for name in weightspec.__all__:
+        assert hasattr(weightspec, name), name
+    assert set(weightspec.__all__) - {"__version__"} == _init_imports()
+    assert len(weightspec.__all__) == len(set(weightspec.__all__))
+    for gone in ("PairingMatrix", "pairing_matrix", "ExponentVector", "nilpotent_matrix"):
+        assert not hasattr(weightspec, gone), gone

@@ -98,6 +98,18 @@ def test_check_symmetry_examples():
         assert check_symmetry(spectrum_direct(w), w) == []
 
 
+def test_ladders_examples():
+    # the ladder i(k) of each value; equals the recursion's indices i(k)
+    w = make_weight_system([1, 1, 2])
+    assert spectrum_direct(w).ladders == (0, 1, 2, 2)
+    # (2, 3, 4): 9/2 lies on ladders 0 and 2, and the smaller index comes first
+    w = make_weight_system([2, 3, 4])
+    spec = spectrum_direct(w)
+    assert spec.values[5:7] == (F(9, 2), F(9, 2))
+    assert spec.ladders == (0, 1, 2, 2, 1, 0, 2, 1, 2)
+    assert spec.ladders == step_sequence(w).indices[: w.mu]
+
+
 def test_index_bijection_examples():
     w = make_weight_system([1, 1, 2])
     seq = step_sequence(w)
