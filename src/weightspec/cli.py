@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 invalid input (bad weights, unknown flags),
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import report
@@ -28,10 +29,12 @@ class _UsageError(Exception):
 
 
 def _parse_weights(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise _UsageError(f"bad weight list {text!r}: {exc}") from None
+    # int() alone also takes "1_0" and non-ASCII digits
+    fields = [part.strip() for part in text.split(",")]
+    for part in fields:
+        if not re.fullmatch(r"[+-]?[0-9]+", part):
+            raise _UsageError(f"bad weight list {text!r}: {part!r} is not a decimal integer")
+    return [int(part) for part in fields]
 
 
 def _build_parser() -> _Parser:

@@ -92,37 +92,33 @@ def jordan_blocks(w: WeightSystem) -> JordanData:
     """
     spec = spectrum_direct(w)
     mu, n = w.mu, w.n
-    values, fracs = spec.values, spec.fractional_parts
+    d, scaled = spec.denominator, spec.scaled
 
     blocks: list[JordanBlock] = []
-    start = 0
-    for k in range(1, mu + 1):
-        if k == mu or values[k] != values[start]:
-            blocks.append(
-                JordanBlock(fracs[start], values[start], start, k - start)
-            )
-            start = k
-
     nu = [0] * mu
     offset = [0] * mu
-    for block in blocks:
-        for j in range(block.size):
-            nu[block.start + j] = block.size - 1 - 2 * j
-            offset[block.start + j] = j
-
-    for block in blocks:
-        if block.value == 0:
-            if block.size != n + 1:
-                raise FiltrationViolation(f"zero block has size {block.size} != {n + 1}")
-        elif block.value.denominator == 1:
-            if block.size > n - 1:
+    start = 0
+    for k in range(1, mu + 1):
+        if k < mu and scaled[k] == scaled[start]:
+            continue
+        v, size = scaled[start], k - start
+        if v == 0:
+            if size != n + 1:
+                raise FiltrationViolation(f"zero block has size {size} != {n + 1}")
+        elif v % d == 0:
+            if size > n - 1:
                 raise FiltrationViolation(
-                    f"integer-value block at {block.start} has size {block.size} > {n - 1}"
+                    f"integer-value block at {start} has size {size} > {n - 1}"
                 )
-        elif block.size > n:
+        elif size > n:
             raise FiltrationViolation(
-                f"noninteger-value block at {block.start} has size {block.size} > {n}"
+                f"noninteger-value block at {start} has size {size} > {n}"
             )
+        blocks.append(JordanBlock(Fraction(-v % d, d), Fraction(v, d), start, size))
+        for j in range(size):
+            nu[start + j] = size - 1 - 2 * j
+            offset[start + j] = j
+        start = k
     if sum(b.size for b in blocks) != mu:
         raise FiltrationViolation(f"block sizes do not sum to {mu}")
     return JordanData(tuple(blocks), tuple(nu), tuple(offset))
@@ -142,9 +138,9 @@ def primitive_indices(w: WeightSystem) -> frozenset[int]:
 
     Cross-validated against the block decomposition (one per block).
     """
-    values = spectrum_direct(w).values
+    scaled = spectrum_direct(w).scaled
     direct = {0} | {
-        k for k in range(w.n + 1, w.mu) if values[k - 1] < values[k]
+        k for k in range(w.n + 1, w.mu) if scaled[k - 1] < scaled[k]
     }
     starts = {block.start for block in jordan_blocks(w).blocks}
     if direct != starts:
@@ -174,7 +170,7 @@ def saito_filtration(w: WeightSystem) -> FiltrationReport:
     """
     spec = spectrum_direct(w)
     mu, n = w.mu, w.n
-    floors = [s.numerator // s.denominator for s in spec.spectral_numbers]
+    floors = spec.floors
     data = jordan_blocks(w)
     nu = data.nu
 
@@ -190,12 +186,12 @@ def saito_filtration(w: WeightSystem) -> FiltrationReport:
         j: frozenset(k for k in range(mu) if nu[k] <= j)
         for j in range(-n - 1, n + 2)
     }
-    fracs = spec.fractional_parts
+    d, scaled = spec.denominator, spec.scaled
     w_filt = {}
     for j in range(-1, 2 * n + 2):
         members = set()
         for k in range(mu):
-            bound = j - n if fracs[k] == 0 else j - n - 1
+            bound = j - n if scaled[k] % d == 0 else j - n - 1
             if nu[k] <= bound:
                 members.add(k)
         w_filt[j] = frozenset(members)
@@ -206,7 +202,7 @@ def saito_filtration(w: WeightSystem) -> FiltrationReport:
     return report
 
 
-def _validate_report(report: FiltrationReport, floors: list[int], n: int, mu: int) -> None:
+def _validate_report(report: FiltrationReport, floors: tuple[int, ...], n: int, mu: int) -> None:
     if report.hp[0] != frozenset(range(mu)) or report.hp[n + 1]:
         raise FiltrationViolation("hp endpoints wrong")
     for p in range(n + 1):
@@ -231,20 +227,16 @@ def saito_identity_check(w: WeightSystem, p: int) -> bool:
     """Combinatorial identity behind the canonical opposite filtration:
     conjugating {k : floor(sigma(k)) + nu(k) <= n - p, minus one more when
     sigma(k) is not an integer} lands exactly on hp[p]."""
-    sigma = spectrum_direct(w).spectral_numbers
+    spec = spectrum_direct(w)
+    d, floors = spec.denominator, spec.floors
     nu = jordan_blocks(w).nu
     selected = set()
     for k in range(w.mu):
-        floor_sigma = sigma[k].numerator // sigma[k].denominator
-        bound = w.n - p - (0 if sigma[k].denominator == 1 else 1)
-        if floor_sigma + nu[k] <= bound:
+        bound = w.n - p - (0 if spec.scaled[k] % d == 0 else 1)
+        if floors[k] + nu[k] <= bound:
             selected.add(k)
     image = {conjugate_index(w, k) for k in selected}
-    target = {
-        k
-        for k in range(w.mu)
-        if sigma[k].numerator // sigma[k].denominator >= p
-    }
+    target = {k for k in range(w.mu) if floors[k] >= p}
     return image == target
 
 
@@ -260,15 +252,11 @@ def orthogonality_check(w: WeightSystem, alpha: Fraction | int, p: int) -> bool:
         raise UnknownEigenvalueClass(f"no eigenvalue class for alpha = {alpha}")
     partner_alpha = Fraction(0) if alpha == 0 else 1 - alpha
     partner_class = classes.get(partner_alpha, ())
-    sigma = spectrum_direct(w).spectral_numbers
-
-    def floor_sigma(k: int) -> int:
-        return sigma[k].numerator // sigma[k].denominator
-
-    span = {k for k in classes[alpha] if floor_sigma(k) >= p}
+    floors = spectrum_direct(w).floors
+    span = {k for k in classes[alpha] if floors[k] >= p}
     complement = {
         j for j in partner_class if metric_partner(j, w) not in span
     }
     level = w.n + 1 - p if alpha == 0 else w.n - p
-    expected = {j for j in partner_class if floor_sigma(j) >= level}
+    expected = {j for j in partner_class if floors[j] >= level}
     return complement == expected

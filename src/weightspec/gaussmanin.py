@@ -17,10 +17,9 @@ by the defining linear form f = sum_i w_i u_i, and the V-order.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .spectrum import spectrum_direct
 from .weights import WeightSystem
@@ -82,16 +81,6 @@ class GElement:
     ) -> "GElement":
         """coefficient * tau**tau_power * omega_k."""
         return cls(mu, {(k, tau_power): coefficient})
-
-    @classmethod
-    def from_terms(
-        cls, mu: int, terms: Iterable[tuple[int, int, Scalar]]
-    ) -> "GElement":
-        """Build from (basis index k, tau power m, coefficient) triples."""
-        out: dict[tuple[int, int], Fraction] = {}
-        for k, m, c in terms:
-            _add_term(out, (k, m), Fraction(c))
-        return cls(mu, out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GElement):
@@ -239,11 +228,9 @@ def reduce_monomial(
     weights = w.weights
     # integer bookkeeping: coefficients are stored scaled by (lcm(w)*mu)^steps,
     # so the hot loop is gcd-free; the true rationals are restored at the end
-    scale = math.lcm(*weights)
-    sigma_scaled = [
-        k * scale - s.numerator * (scale // s.denominator)
-        for k, s in enumerate(spectrum_direct(w).values)
-    ]
+    spec = spectrum_direct(w)
+    scale = spec.denominator
+    sigma_scaled = [k * scale - v for k, v in enumerate(spec.scaled)]
     step_denom = scale * mu
     flat: dict[tuple[int, int], int] = {(0, 0): 1}
     current = [0] * (w.n + 1)

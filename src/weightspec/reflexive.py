@@ -5,14 +5,16 @@ when the whole spectrum is integral.  Writing q_i = mu / w_i turns the
 condition into a unit-fraction decomposition sum_i 1/q_i = 1, so the
 systems of a given dimension are enumerated completely by the classical
 bounded recursion over nondecreasing q tuples; weights are recovered as
-lcm(q)/q_i.
+lcm(q)/q_i.  The recursion runs in integers: the part of 1 still to be
+written as unit fractions is the lowest-terms pair (num, den).  Distinct
+q tuples give distinct weights, since the weights give back mu and
+q_i = mu/w_i, so the enumeration needs no de-duplication.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .spectrum import spectrum_direct
 from .weights import WeightSystem, make_weight_system
@@ -36,7 +38,8 @@ class ReflexiveRecord:
 
     def __post_init__(self):
         divides = all(qi * wi == self.mu for qi, wi in zip(self.q, self.weights.weights))
-        if not divides or sum(Fraction(1, qi) for qi in self.q) != 1:
+        # given q_i * w_i = mu, sum 1/q_i = sum w_i / mu is 1 iff sum w_i = mu
+        if not divides or self.weights.mu != self.mu:
             raise InconsistentRecord(f"q = {self.q} is not mu / w_i with sum 1/q_i = 1")
 
 
@@ -46,37 +49,40 @@ def is_reflexive(w: WeightSystem) -> bool:
 
 
 def has_integral_spectrum(w: WeightSystem) -> bool:
-    return all(s.denominator == 1 for s in spectrum_direct(w).values)
+    spec = spectrum_direct(w)
+    return all(v % spec.denominator == 0 for v in spec.scaled)
 
 
 def _unit_fraction_tuples(
-    terms: int, minimum: int, remaining: Fraction, prefix: list[int]
+    terms: int, minimum: int, num: int, den: int, prefix: list[int]
 ) -> list[tuple[int, ...]]:
+    """Every ``prefix`` + (q_1, ..., q_terms) with minimum <= q_1 <= ... <=
+    q_terms and sum_j 1/q_j = num/den, a fraction in lowest terms."""
     if terms == 1:
-        if remaining.numerator == 1 and remaining.denominator >= minimum:
-            return [tuple(prefix + [remaining.denominator])]
+        if num == 1 and den >= minimum:
+            return [tuple(prefix + [den])]
         return []
     found = []
-    # 1/q <= remaining and q <= terms/remaining keep the search finite
-    low = max(minimum, math.ceil(Fraction(1) / remaining))
-    high = math.floor(Fraction(terms) / remaining)
+    # 1/q <= num/den and q <= terms*den/num keep the search finite
+    low = max(minimum, -(-den // num))
+    high = terms * den // num
     for q in range(low, high + 1):
-        rest = remaining - Fraction(1, q)
-        if rest <= 0:
+        rest_num, rest_den = num * q - den, den * q
+        if rest_num <= 0:
             continue
-        found.extend(_unit_fraction_tuples(terms - 1, q, rest, prefix + [q]))
+        g = math.gcd(rest_num, rest_den)
+        found.extend(
+            _unit_fraction_tuples(terms - 1, q, rest_num // g, rest_den // g, prefix + [q])
+        )
     return found
 
 
 def _record_from_q(q: tuple[int, ...]) -> ReflexiveRecord:
+    # the lcm(q)/q_i have gcd 1: a prime's top power in q exactly divides some q_i
     level = math.lcm(*q)
-    raw = [level // qi for qi in q]
-    g = math.gcd(*raw)
-    system = make_weight_system([r // g for r in raw])
+    system = make_weight_system([level // qi for qi in q])
     mu = system.mu
-    return ReflexiveRecord(
-        system, mu, tuple(mu // wi for wi in system.weights)
-    )
+    return ReflexiveRecord(system, mu, tuple(mu // wi for wi in system.weights))
 
 
 def enumerate_reflexive(
@@ -90,13 +96,8 @@ def enumerate_reflexive(
         raise DimensionTooLarge(
             f"dimension {n} exceeds the enumeration bound {max_dimension}"
         )
-    records = {}
-    for q in _unit_fraction_tuples(n + 1, 2, Fraction(1), []):
-        record = _record_from_q(q)
-        records[record.weights.weights] = record
-    return sorted(
-        records.values(), key=lambda r: (r.mu, r.weights.weights)
-    )
+    records = [_record_from_q(q) for q in _unit_fraction_tuples(n + 1, 2, 1, 1, [])]
+    return sorted(records, key=lambda r: (r.mu, r.weights.weights))
 
 
 def table_compare(

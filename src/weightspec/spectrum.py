@@ -5,8 +5,10 @@ mu-element multiset obtained as the disjoint union of the arithmetic
 ladders {l*mu/w_i : l = 0, ..., w_i - 1}.  Sorting it nondecreasingly
 gives the values s(0) <= ... <= s(mu-1); the spectral numbers are
 sigma(k) = k - s(k) and the spectral polynomial is prod_k (S + sigma(k)).
-One sort, of the integers l*(L/w_i)*(n+1) + i with L = lcm(w), orders
-by value and then by ladder i; ``Spectrum.ladders`` keeps each i(k).
+Every value is an integer over D = lcm(w): a ``Spectrum`` stores the
+integers s(k)*D and each ladder i(k), found by one sort of the integers
+l*(D/w_i)*(n+1) + i (by value, then by ladder).  The ``Fraction`` tuples
+of s, sigma and alpha and the ints floor(sigma) are views built on first access.
 
 The same data is generated by an integer step recursion: starting from
 the zero exponent vector, repeatedly increment the coordinate whose
@@ -20,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .weights import WeightSystem
 
@@ -49,18 +51,39 @@ class StepSequence:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Exact spectral data: values s(k), sigma(k) = k - s(k), the
-    fractional parts alpha(k) = ceil(s(k)) - s(k) in [0, 1), and the
-    ladder i(k) that s(k) belongs to."""
+    """Exact spectral data as integers over ``denominator`` D = lcm(w):
+    s(k) = scaled[k] / D, and ``ladders[k]`` is the ladder i(k) that s(k)
+    belongs to.  The read-only views give s(k), sigma(k) = k - s(k) and
+    the fractional parts alpha(k) = ceil(s(k)) - s(k) in [0, 1) as
+    ``Fraction`` tuples, and floor(sigma(k)) as ints."""
 
-    values: tuple[Fraction, ...]
-    spectral_numbers: tuple[Fraction, ...]
-    fractional_parts: tuple[Fraction, ...]
+    denominator: int
+    scaled: tuple[int, ...]
     ladders: tuple[int, ...]
 
     @property
     def mu(self) -> int:
-        return len(self.values)
+        return len(self.scaled)
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        d = self.denominator
+        return tuple(Fraction(v, d) for v in self.scaled)
+
+    @cached_property
+    def spectral_numbers(self) -> tuple[Fraction, ...]:
+        d = self.denominator
+        return tuple(Fraction(k * d - v, d) for k, v in enumerate(self.scaled))
+
+    @cached_property
+    def fractional_parts(self) -> tuple[Fraction, ...]:
+        d = self.denominator
+        return tuple(Fraction(-v % d, d) for v in self.scaled)
+
+    @cached_property
+    def floors(self) -> tuple[int, ...]:
+        d = self.denominator
+        return tuple((k * d - v) // d for k, v in enumerate(self.scaled))
 
 
 def _argmin_ratio(a: list[int], weights: tuple[int, ...]) -> int:
@@ -100,11 +123,12 @@ def spectrum_from_steps(seq: StepSequence, w: WeightSystem) -> Spectrum:
     mu = w.mu
     if seq.k_max < mu:
         raise ValueError(f"step sequence too short for mu = {mu}")
-    values = tuple(
-        Fraction(mu * seq.exponents[k][seq.indices[k]], w.weights[seq.indices[k]])
-        for k in range(mu)
+    d = math.lcm(*w.weights)
+    ladders = seq.indices[:mu]
+    scaled = tuple(
+        seq.exponents[k][i] * (d // w.weights[i]) * mu for k, i in enumerate(ladders)
     )
-    return _finish(values, seq.indices[:mu])
+    return Spectrum(d, scaled, ladders)
 
 
 @lru_cache(maxsize=4096)
@@ -116,42 +140,23 @@ def spectrum_direct(w: WeightSystem) -> Spectrum:
     Results are immutable and cached.
     """
     mu, base = w.mu, w.n + 1
-    lcm = math.lcm(*w.weights)
-    # l*mu/w_i is ordered as the integer l*(lcm/w_i); with the ladder index
-    # as the lowest digit in base n+1, one int per entry carries both keys
+    d = math.lcm(*w.weights)
+    # l*mu/w_i is l*(D/w_i)*mu over D; with the ladder index as the lowest
+    # digit in base n+1, one int per entry carries both sort keys
     keys = sorted(
-        l * (lcm // wi) * base + i for i, wi in enumerate(w.weights) for l in range(wi)
+        l * (d // wi) * base + i for i, wi in enumerate(w.weights) for l in range(wi)
     )
-    values = tuple(Fraction(key // base * mu, lcm) for key in keys)
+    scaled = tuple(key // base * mu for key in keys)
     ladders = tuple(key % base for key in keys)
-    del keys  # free mu ints before _finish builds two more mu-long tuples
-    return _finish(values, ladders)
-
-
-def merged_ladder(w: WeightSystem) -> list[tuple[Fraction, int, int]]:
-    """The multiset as (value, ladder index i, rung l) triples in canonical
-    order; matches [(s(k), i(k), a(k)_{i(k)})] from the recursion.  The
-    rung of s(k) counts the earlier values of its (increasing) ladder."""
-    spec = spectrum_direct(w)
-    rungs = [0] * (w.n + 1)
-    triples = []
-    for value, i in zip(spec.values, spec.ladders):
-        triples.append((value, i, rungs[i]))
-        rungs[i] += 1
-    return triples
-
-
-def _finish(values: tuple[Fraction, ...], ladders: tuple[int, ...]) -> Spectrum:
-    k_minus = tuple(k - s for k, s in enumerate(values))
-    frac = tuple(Fraction(math.ceil(s)) - s for s in values)
-    return Spectrum(values, k_minus, frac, ladders)
+    return Spectrum(d, scaled, ladders)
 
 
 def spectral_polynomial(w: WeightSystem) -> list[tuple[Fraction, int]]:
     """Roots with multiplicities of prod_k (S + sigma(k)), sorted by root."""
     spec = spectrum_direct(w)
-    counts = Counter(spec.spectral_numbers)
-    return sorted(counts.items())
+    d = spec.denominator
+    counts = Counter(k * d - v for k, v in enumerate(spec.scaled))
+    return [(Fraction(x, d), m) for x, m in sorted(counts.items())]
 
 
 def check_symmetry(spec: Spectrum, w: WeightSystem | None = None) -> list[str]:
@@ -167,7 +172,7 @@ def check_symmetry(spec: Spectrum, w: WeightSystem | None = None) -> list[str]:
     multiplicity exactly n+1); passing ``w`` just cross-checks it.
     """
     mu = spec.mu
-    n = sum(1 for v in spec.values if v == 0) - 1
+    n = spec.scaled.count(0) - 1
     if w is not None and (w.mu, w.n) != (mu, n):
         return [f"dimension mismatch: spectrum has (mu, n) = ({mu}, {n})"]
     s, sigma = spec.values, spec.spectral_numbers

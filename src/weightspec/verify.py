@@ -46,7 +46,7 @@ def verify_spectrum(w: WeightSystem) -> list[str]:
     seq = step_sequence(w)
     by_steps = spectrum_from_steps(seq, w)
     direct = spectrum_direct(w)
-    if by_steps.values != direct.values:
+    if by_steps.scaled != direct.scaled:
         failures.append("spectrum: recursion and multiset merge disagree")
     # with equal values, equal ladders also give equal rungs l = s*w_i/mu
     if by_steps.ladders != direct.ladders:
@@ -129,7 +129,7 @@ def verify_pairing(w: WeightSystem) -> list[str]:
     return [f"pairing: {msg}" for msg in metric_violations(w.n, sigma, partner)]
 
 
-def _longest_chain(indices: tuple[int, ...], values: tuple[Fraction, ...]) -> int:
+def _longest_chain(indices: tuple[int, ...], values: tuple[int, ...]) -> int:
     """Nilpotency index of N on a class: the longest chain k, k+1, ... in
     ``indices`` along which the shift k -> k+1 (equal values) is nonzero."""
     longest = run = 0
@@ -144,7 +144,7 @@ def verify_jordan(w: WeightSystem) -> list[str]:
     failures = []
     data = jordan_blocks(w)
     # block multiset must match value multiplicities of the direct oracle
-    values = spectrum_direct(w).values
+    values = spectrum_direct(w).scaled
     if data.size_multiset() != Counter(Counter(values).values()):
         failures.append("jordan: block sizes != value multiplicities")
     classes = eigenvalue_classes(w)
@@ -160,7 +160,8 @@ def verify_saito(w: WeightSystem) -> list[str]:
     failures = []
     mu, n = w.mu, w.n
     report = saito_filtration(w)
-    values = spectrum_direct(w).values
+    spec = spectrum_direct(w)
+    values, top = spec.scaled, mu * spec.denominator
     for p in range(n + 2):
         if not saito_identity_check(w, p):
             failures.append(f"saito: opposite-filtration identity fails at p = {p}")
@@ -173,7 +174,7 @@ def verify_saito(w: WeightSystem) -> list[str]:
     for k in range(mu):
         if conj[conj[k]] != k:
             failures.append(f"saito: conjugation not involutive at k = {k}")
-        if k > n and values[conj[k]] != mu - values[k]:
+        if k > n and values[conj[k]] != top - values[k]:
             failures.append(f"saito: value of conjugate wrong at k = {k}")
     # conjugation pairs whole blocks
     blocks = jordan_blocks(w).blocks

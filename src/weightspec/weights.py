@@ -3,7 +3,7 @@
 A weight system is a tuple of positive integers (w_0, ..., w_n) with
 gcd 1.  Everything downstream (spectra, connection matrices, filtrations)
 is computed from such a tuple in exact rational arithmetic; the scalar
-type used throughout the package is :class:`fractions.Fraction`.
+type at the API is :class:`fractions.Fraction`.
 """
 
 from __future__ import annotations

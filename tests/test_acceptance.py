@@ -30,7 +30,6 @@ from weightspec import (
 )
 from weightspec.gaussmanin import canonical_exponents
 from weightspec.reflexive import has_integral_spectrum
-from weightspec.spectrum import merged_ladder
 from weightspec.verify import (
     verify_bernstein,
     verify_birkhoff,
@@ -49,6 +48,7 @@ from conftest import (
 )
 
 from test_reflexive import TABLE_DIM3, TABLE_DIM4, TABLE_DIM4_ERRATUM
+from test_spectrum import ladder_triples
 
 F = Fraction
 
@@ -96,7 +96,7 @@ def test_criterion_02_oracle_equality():
                 (by_steps.values[k], seq.indices[k], seq.exponents[k][seq.indices[k]])
                 for k in range(w.mu)
             ]
-            assert recursion == merged_ladder(w)
+            assert recursion == ladder_triples(w)
 
 
 def test_criterion_03_symmetry_suite():

@@ -53,10 +53,16 @@ def test_unknown_subcommand_exits_1(capsys):
 
 
 def test_bad_weight_text_exits_1(capsys):
-    for text in ("1,x,3", "1,,2", ",1,2", "1,2,"):
+    # int() alone would read "1_0" as 10 and Arabic-Indic digits as 1, 2
+    for text in ("1,x,3", "1,,2", ",1,2", "1,2,", "1_0,1", "\u0661,\u0662", "1.0,2"):
         code, out, err = invoke(capsys, "spectrum", "-w", text)
         assert code == 1 and out == ""
         assert "error:" in err
+    # surrounding whitespace and a plus sign stay accepted
+    spaced = invoke(capsys, "spectrum", "-w", " 1, +2 ")
+    assert spaced == invoke(capsys, "spectrum", "-w", "1,2") and spaced[0] == 0
+    code, _, err = invoke(capsys, "spectrum", "-w", "1,-2")
+    assert code == 1 and "weights must be positive, got -2" in err
 
 
 def test_verify_ok(capsys):

@@ -1,4 +1,5 @@
-"""Design guards: the dense matrix helpers are a test oracle only, and the
+"""Design guards: the dense matrix helpers are a test oracle only, the
+spectrum and the reflexive search are stored and run in integers, and the
 package exports exactly what its `__init__` imports.
 
 The runtime stores A0, A_inf, g and N in structured form; ``linalg`` is
@@ -7,21 +8,23 @@ other package module may import it.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import weightspec
+from weightspec import GElement, Spectrum, spectrum
 
 PACKAGE = Path(weightspec.__file__).parent
 
 
-def _imports_linalg(tree: ast.AST) -> bool:
+def _imports(tree: ast.AST, name: str) -> bool:
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = (node.module or "").split(".")
-            if "linalg" in module or any(a.name == "linalg" for a in node.names):
+            if name in module or any(a.name == name for a in node.names):
                 return True
         elif isinstance(node, ast.Import):
-            if any("linalg" in a.name.split(".") for a in node.names):
+            if any(name in a.name.split(".") for a in node.names):
                 return True
     return False
 
@@ -34,8 +37,10 @@ def test_guard_detects_every_import_form():
         "from weightspec.linalg import matmul",
         "import weightspec.linalg",
     ):
-        assert _imports_linalg(ast.parse(source)), source
-    assert not _imports_linalg(ast.parse("from . import report"))
+        assert _imports(ast.parse(source), "linalg"), source
+    assert not _imports(ast.parse("from . import report"), "linalg")
+    for source in ("from fractions import Fraction", "import fractions"):
+        assert _imports(ast.parse(source), "fractions"), source
 
 
 def test_runtime_does_not_import_linalg():
@@ -45,7 +50,7 @@ def test_runtime_does_not_import_linalg():
         path.name
         for path in modules
         if path.name != "linalg.py"
-        and _imports_linalg(ast.parse(path.read_text(), filename=str(path)))
+        and _imports(ast.parse(path.read_text(), filename=str(path)), "linalg")
     ]
     assert offenders == []
 
@@ -68,3 +73,15 @@ def test_exports_match_imports():
     assert len(weightspec.__all__) == len(set(weightspec.__all__))
     for gone in ("PairingMatrix", "pairing_matrix", "ExponentVector", "nilpotent_matrix"):
         assert not hasattr(weightspec, gone), gone
+
+
+def test_integer_spectrum_and_reflexive_search():
+    assert [f.name for f in dataclasses.fields(Spectrum)] == [
+        "denominator",
+        "scaled",
+        "ladders",
+    ]
+    assert not hasattr(spectrum, "merged_ladder")
+    assert not hasattr(GElement, "from_terms")
+    path = PACKAGE / "reflexive.py"
+    assert not _imports(ast.parse(path.read_text(), filename=str(path)), "fractions")

@@ -13,7 +13,7 @@ from weightspec import (
     make_weight_system,
     table_compare,
 )
-from weightspec.reflexive import has_integral_spectrum
+from weightspec.reflexive import _unit_fraction_tuples, has_integral_spectrum
 
 from conftest import (
     exhaustive_mu,
@@ -75,6 +75,36 @@ def brute_force_reflexive(n: int, mu_max: int) -> set[tuple[int, ...]]:
         if all(mu % wi == 0 for wi in tup):
             found.add(tup)
     return found
+
+
+def fraction_unit_fraction_tuples(
+    terms: int, minimum: int, remaining: Fraction, prefix: list[int]
+) -> list[tuple[int, ...]]:
+    """The unit-fraction recursion in Fraction arithmetic: the reference
+    for the integer recursion, in content and in order."""
+    if terms == 1:
+        if remaining.numerator == 1 and remaining.denominator >= minimum:
+            return [tuple(prefix + [remaining.denominator])]
+        return []
+    found = []
+    low = max(minimum, math.ceil(Fraction(1) / remaining))
+    high = math.floor(Fraction(terms) / remaining)
+    for q in range(low, high + 1):
+        rest = remaining - Fraction(1, q)
+        if rest <= 0:
+            continue
+        found.extend(fraction_unit_fraction_tuples(terms - 1, q, rest, prefix + [q]))
+    return found
+
+
+def test_integer_recursion_matches_fraction_oracle():
+    for n in range(2, 6):
+        expected = fraction_unit_fraction_tuples(n + 1, 2, Fraction(1), [])
+        assert _unit_fraction_tuples(n + 1, 2, 1, 1, []) == expected
+        # enumerate_reflexive keeps one record per q tuple, so distinct q
+        # tuples must give distinct weights
+        weights = [r.weights.weights for r in enumerate_reflexive(n)]
+        assert len(weights) == len(set(weights)) == len(expected)
 
 
 def test_is_reflexive_examples():

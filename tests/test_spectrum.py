@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,8 +15,6 @@ from weightspec import (
     spectrum_from_steps,
     step_sequence,
 )
-from weightspec.spectrum import merged_ladder
-
 from conftest import exhaustive_mu, random_systems, weight_systems_up_to
 
 F = Fraction
@@ -60,6 +60,11 @@ def test_spectrum_examples():
     spec = spectrum(1, 2, 3)
     assert spec.values == (0, 0, 0, 2, 3, 4)
     assert spec.spectral_numbers == (0, 1, 2, 1, 1, 1)
+    assert spec.denominator == 6
+    assert spec.scaled == (0, 0, 0, 12, 18, 24)
+    assert spec.floors == (0, 1, 2, 1, 1, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.values = ()
 
     spec = spectrum(1, 1, 3)
     assert spec.values == (0, 0, 0, F(5, 3), F(10, 3))
@@ -132,10 +137,22 @@ def _assert_invariants(w: WeightSystem):
         assert spec.values[n + 1] == F(mu, w.max_weight)
         assert spec.values[n + 1] < n + 1
     assert all(0 <= a < 1 for a in spec.fractional_parts)
+    # the views against their definitions from s(k)
+    values = spec.values
+    assert spec.spectral_numbers == tuple(k - s for k, s in enumerate(values))
+    assert spec.fractional_parts == tuple(math.ceil(s) - s for s in values)
+    assert spec.floors == tuple(math.floor(k - s) for k, s in enumerate(values))
     assert check_symmetry(spec, w) == []
     roots = spectral_polynomial(w)
     assert sum(m for _, m in roots) == mu
     assert all(0 <= r <= n for r, _ in roots)
+
+
+def ladder_triples(w: WeightSystem) -> list[tuple[Fraction, int, int]]:
+    """The ladders {l*mu/w_i} as (value, ladder i, rung l), sorted."""
+    return sorted(
+        (F(l * w.mu, wi), i, l) for i, wi in enumerate(w.weights) for l in range(wi)
+    )
 
 
 def _assert_oracle_equality(w: WeightSystem):
@@ -148,7 +165,7 @@ def _assert_oracle_equality(w: WeightSystem):
         (by_steps.values[k], seq.indices[k], seq.exponents[k][seq.indices[k]])
         for k in range(w.mu)
     ]
-    assert recursion == merged_ladder(w)
+    assert recursion == ladder_triples(w)
 
 
 def test_oracle_equality_exhaustive_small():
@@ -180,8 +197,6 @@ def weight_tuples(draw):
     tup = draw(
         st.lists(st.integers(1, 30), min_size=2, max_size=6).map(sorted).map(tuple)
     )
-    import math
-
     if math.gcd(*tup) != 1:
         tup = (1,) + tup[1:]
     return tup
