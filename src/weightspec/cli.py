@@ -67,10 +67,11 @@ def _build_parser() -> _Parser:
 
     verify = sub.add_parser("verify")
     add_common(verify)
-    verify.add_argument(
+    chosen = verify.add_mutually_exclusive_group()
+    chosen.add_argument(
         "--all", action="store_true", help="run every suite (the default)"
     )
-    verify.add_argument(
+    chosen.add_argument(
         "--suite",
         action="append",
         choices=sorted(ALL_SUITES),
@@ -149,9 +150,9 @@ def _run_verify(args) -> int:
             report.to_json(report.envelope("verify-summary", payload, w, list(w.warnings)))
         )
     else:
-        headers = ["suite", "status"]
+        render = report.render_csv if args.format == "csv" else report.render_table
         rows = [[name, status] for name, status in payload["suites"].items()]
-        sys.stdout.write(report.render_table(headers, rows))
+        sys.stdout.write(render(["suite", "status"], rows))
         for message in failures:
             sys.stdout.write(f"FAILED: {message}\n")
     return 2 if failures else 0

@@ -12,6 +12,7 @@ indices, and the orthogonality pattern of the metric across classes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,8 +34,7 @@ class FiltrationViolation(ValueError):
 
 @dataclass(frozen=True)
 class JordanBlock:
-    alpha: Fraction
-    value: Fraction
+    value: int
     start: int
     size: int
 
@@ -47,26 +47,25 @@ class JordanBlock:
 class JordanData:
     """Blocks in canonical index order plus per-index weight data.
 
-    ``nu[k]`` is the monodromy weight of index k (block top weight
-    size-1, dropping by 2 per step into the block); ``offset[k]`` is the
-    position of k within its block.
+    A block of value s stores s*D over ``denominator`` D = lcm(w), and
+    ``classes()`` keys blocks by alpha*D.  ``nu[k]`` is the monodromy weight
+    of index k (block top weight size-1, dropping by 2 per step into the
+    block); ``offset[k]`` is the position of k within its block.
     """
 
+    denominator: int
     blocks: tuple[JordanBlock, ...]
     nu: tuple[int, ...]
     offset: tuple[int, ...]
 
-    def classes(self) -> dict[Fraction, tuple[JordanBlock, ...]]:
-        by_alpha: dict[Fraction, list[JordanBlock]] = {}
+    def classes(self) -> dict[int, tuple[JordanBlock, ...]]:
+        by_alpha: dict[int, list[JordanBlock]] = {}
         for block in self.blocks:
-            by_alpha.setdefault(block.alpha, []).append(block)
+            by_alpha.setdefault(-block.value % self.denominator, []).append(block)
         return {a: tuple(bs) for a, bs in by_alpha.items()}
 
-    def size_multiset(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for block in self.blocks:
-            counts[block.size] = counts.get(block.size, 0) + 1
-        return counts
+    def size_multiset(self) -> Counter[int]:
+        return Counter(b.size for b in self.blocks)
 
 
 @dataclass(frozen=True)
@@ -114,22 +113,24 @@ def jordan_blocks(w: WeightSystem) -> JordanData:
             raise FiltrationViolation(
                 f"noninteger-value block at {start} has size {size} > {n}"
             )
-        blocks.append(JordanBlock(Fraction(-v % d, d), Fraction(v, d), start, size))
+        blocks.append(JordanBlock(v, start, size))
         for j in range(size):
             nu[start + j] = size - 1 - 2 * j
             offset[start + j] = j
         start = k
     if sum(b.size for b in blocks) != mu:
         raise FiltrationViolation(f"block sizes do not sum to {mu}")
-    return JordanData(tuple(blocks), tuple(nu), tuple(offset))
+    return JordanData(d, tuple(blocks), tuple(nu), tuple(offset))
 
 
 @lru_cache(maxsize=1024)
-def eigenvalue_classes(w: WeightSystem) -> Mapping[Fraction, tuple[int, ...]]:
-    """Indices grouped by fractional part, in canonical order; cached, read-only."""
-    classes: dict[Fraction, list[int]] = {}
-    for k, alpha in enumerate(spectrum_direct(w).fractional_parts):
-        classes.setdefault(alpha, []).append(k)
+def eigenvalue_classes(w: WeightSystem) -> Mapping[int, tuple[int, ...]]:
+    """Indices grouped by fractional part alpha, keyed by alpha*D with
+    D = lcm(w), in canonical order; cached, read-only."""
+    spec = spectrum_direct(w)
+    classes: dict[int, list[int]] = {}
+    for k, v in enumerate(spec.scaled):
+        classes.setdefault(-v % spec.denominator, []).append(k)
     return MappingProxyType({a: tuple(ks) for a, ks in classes.items()})
 
 
@@ -246,17 +247,18 @@ def orthogonality_check(w: WeightSystem, alpha: Fraction | int, p: int) -> bool:
     {k in class alpha : floor(sigma(k)) >= p}, taken inside the partner
     class (1-alpha for alpha != 0, the zero class itself for alpha = 0),
     must be the partner filtration piece at level n-p (resp. n+1-p)."""
+    spec = spectrum_direct(w)
     alpha = Fraction(alpha)
+    key, rest = divmod(alpha.numerator * spec.denominator, alpha.denominator)
     classes = eigenvalue_classes(w)
-    if alpha not in classes:
+    if rest or key not in classes:
         raise UnknownEigenvalueClass(f"no eigenvalue class for alpha = {alpha}")
-    partner_alpha = Fraction(0) if alpha == 0 else 1 - alpha
-    partner_class = classes.get(partner_alpha, ())
-    floors = spectrum_direct(w).floors
-    span = {k for k in classes[alpha] if floors[k] >= p}
+    partner_class = classes.get(-key % spec.denominator, ())
+    floors = spec.floors
+    span = {k for k in classes[key] if floors[k] >= p}
     complement = {
         j for j in partner_class if metric_partner(j, w) not in span
     }
-    level = w.n + 1 - p if alpha == 0 else w.n - p
+    level = w.n + 1 - p if key == 0 else w.n - p
     expected = {j for j in partner_class if floors[j] >= level}
     return complement == expected

@@ -28,8 +28,8 @@ class IndexOutOfRange(IndexError):
     """Basis index outside 0..mu-1."""
 
 
-def _dense(entries: dict, mu: int, zero=Fraction(0)) -> tuple:
-    rows = [[zero] * mu for _ in range(mu)]
+def _dense(entries: dict[tuple[int, int], int], mu: int) -> tuple[tuple[int, ...], ...]:
+    rows = [[0] * mu for _ in range(mu)]
     for (j, k), c in entries.items():
         rows[j][k] = c
     return tuple(tuple(row) for row in rows)
@@ -38,8 +38,8 @@ def _dense(entries: dict, mu: int, zero=Fraction(0)) -> tuple:
 @dataclass(frozen=True)
 class FrobeniusInitialData:
     """A0 = mu * cyclic shift, A_inf = diag(sigma), g = permutation matrix
-    of ``partner``.  ``*_entries`` map (row, column) to nonzero entries;
-    ``a0``, ``a_inf`` and ``metric`` build dense tuples on each access."""
+    of ``partner``.  ``*_entries`` map (row, column) to nonzero entries (int
+    for A0); ``a0`` and ``metric`` build dense int tuples on each access."""
 
     sigma: tuple[Fraction, ...]
     partner: tuple[int, ...]
@@ -50,34 +50,30 @@ class FrobeniusInitialData:
         return len(self.sigma)
 
     @property
-    def a0_entries(self) -> dict[tuple[int, int], Fraction]:
-        return {((k + 1) % self.mu, k): Fraction(self.mu) for k in range(self.mu)}
+    def a0_entries(self) -> dict[tuple[int, int], int]:
+        return {((k + 1) % self.mu, k): self.mu for k in range(self.mu)}
 
     @property
     def a_inf_entries(self) -> dict[tuple[int, int], Fraction]:
         return {(k, k): s for k, s in enumerate(self.sigma) if s}
 
     @property
-    def a0(self) -> tuple[tuple[Fraction, ...], ...]:
+    def a0(self) -> tuple[tuple[int, ...], ...]:
         return _dense(self.a0_entries, self.mu)
-
-    @property
-    def a_inf(self) -> tuple[tuple[Fraction, ...], ...]:
-        return _dense(self.a_inf_entries, self.mu)
 
     @property
     def metric(self) -> tuple[tuple[int, ...], ...]:
         """g, which is also the residue pairing: 1 at (k, partner[k]), in
         units of the normalized value at (0, n) times tau^(-n), else 0."""
         entries = {(k, p): 1 for k, p in enumerate(self.partner)}
-        return _dense(entries, self.mu, 0)
+        return _dense(entries, self.mu)
 
-    def charpoly(self) -> list[Fraction]:
+    def charpoly(self) -> list[int]:
         """det(T*I - A0), leading coefficient first.  A0 is monomial, so
         this is the product over the cycles C of its permutation of
         (T^|C| - product of the entries on C)."""
         image = {k: (j, c) for (j, k), c in self.a0_entries.items()}
-        poly = [Fraction(1)]
+        poly = [1]
         while image:
             start, (k, product) = image.popitem()
             length = 1
@@ -120,7 +116,7 @@ def initial_data(w: WeightSystem) -> FrobeniusInitialData:
     return FrobeniusInitialData(sigma, partner, 0)
 
 
-def charpoly_A0(w: WeightSystem) -> list[Fraction]:
+def charpoly_A0(w: WeightSystem) -> list[int]:
     """Characteristic polynomial of A0, leading coefficient first
     (mu + 1 exact coefficients); equals T^mu - mu^mu."""
     return initial_data(w).charpoly()

@@ -166,11 +166,11 @@ def bernstein_check(w: WeightSystem) -> GElement:
     factor k = 0 first.  The result must equal tau**mu * omega_0; the
     caller asserts that equality."""
     mu = w.mu
-    s_values = spectrum_direct(w).values
+    spec = spectrum_direct(w)
     acc = GElement.basis(mu, 0)
     minus_inv_mu = Fraction(-1, mu)
-    for k in range(mu):
-        acc = (tau_dtau(acc, w) + acc.scale(-s_values[k])).scale(minus_inv_mu)
+    for v in spec.scaled:
+        acc = (tau_dtau(acc, w) + acc.scale(Fraction(-v, spec.denominator))).scale(minus_inv_mu)
     return acc
 
 

@@ -8,7 +8,8 @@ that parse + re-serialize is byte-identical.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import math
+from numbers import Rational
 from typing import Any
 
 from . import __version__
@@ -19,14 +20,17 @@ from .spectrum import spectral_polynomial, spectrum_direct
 from .weights import WeightSystem
 
 
-def encode_rational(value: Fraction | int) -> dict[str, int]:
-    f = Fraction(value)
-    return {"num": f.numerator, "den": f.denominator}
+def encode_rational(value: Rational, den: int = 1) -> dict[str, int]:
+    """value/den in lowest terms, for an int or ``Fraction`` value: the
+    spectrum and Jordan data pass integers over D = lcm(w)."""
+    num, den = value.numerator, value.denominator * den
+    g = math.gcd(num, den)
+    return {"num": num // g, "den": den // g}
 
 
-def rational_text(value: Fraction | int) -> str:
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def rational_text(value: Rational, den: int = 1) -> str:
+    f = encode_rational(value, den)
+    return str(f["num"]) if f["den"] == 1 else f"{f['num']}/{f['den']}"
 
 
 def envelope(
@@ -54,10 +58,11 @@ def to_json(doc: dict[str, Any]) -> str:
 
 def spectrum_payload(w: WeightSystem) -> dict[str, Any]:
     spec = spectrum_direct(w)
+    d, scaled = spec.denominator, spec.scaled
     return {
-        "s": [encode_rational(v) for v in spec.values],
-        "sigma": [encode_rational(v) for v in spec.spectral_numbers],
-        "alpha": [encode_rational(v) for v in spec.fractional_parts],
+        "s": [encode_rational(v, d) for v in scaled],
+        "sigma": [encode_rational(k * d - v, d) for k, v in enumerate(scaled)],
+        "alpha": [encode_rational(-v % d, d) for v in scaled],
         "spectral_polynomial": [
             {"root": encode_rational(root), "multiplicity": mult}
             for root, mult in spectral_polynomial(w)
@@ -80,16 +85,17 @@ def frobenius_payload(w: WeightSystem) -> dict[str, Any]:
 
 def jordan_payload(w: WeightSystem) -> dict[str, Any]:
     data = jordan_blocks(w)
+    d = data.denominator
     classes = []
     for alpha, blocks in sorted(data.classes().items()):
         classes.append(
             {
-                "alpha": encode_rational(alpha),
+                "alpha": encode_rational(alpha, d),
                 "blocks": [
                     {
                         "start": b.start,
                         "size": b.size,
-                        "value": encode_rational(b.value),
+                        "value": encode_rational(b.value, d),
                     }
                     for b in blocks
                 ],
@@ -161,15 +167,16 @@ def render_csv(headers: list[str], rows: list[list[str]]) -> str:
 
 def spectrum_rows(w: WeightSystem) -> tuple[list[str], list[list[str]]]:
     spec = spectrum_direct(w)
+    d = spec.denominator
     headers = ["k", "s", "sigma", "alpha"]
     rows = [
         [
             str(k),
-            rational_text(spec.values[k]),
-            rational_text(spec.spectral_numbers[k]),
-            rational_text(spec.fractional_parts[k]),
+            rational_text(v, d),
+            rational_text(k * d - v, d),
+            rational_text(-v % d, d),
         ]
-        for k in range(spec.mu)
+        for k, v in enumerate(spec.scaled)
     ]
     return headers, rows
 
@@ -186,11 +193,12 @@ def frobenius_rows(w: WeightSystem) -> tuple[list[str], list[list[str]]]:
 
 def jordan_rows(w: WeightSystem) -> tuple[list[str], list[list[str]]]:
     data = jordan_blocks(w)
+    d = data.denominator
     headers = ["alpha", "value", "start", "size"]
     rows = [
         [
-            rational_text(b.alpha),
-            rational_text(b.value),
+            rational_text(-b.value % d, d),
+            rational_text(b.value, d),
             str(b.start),
             str(b.size),
         ]

@@ -7,8 +7,8 @@ gives the values s(0) <= ... <= s(mu-1); the spectral numbers are
 sigma(k) = k - s(k) and the spectral polynomial is prod_k (S + sigma(k)).
 Every value is an integer over D = lcm(w): a ``Spectrum`` stores the
 integers s(k)*D and each ladder i(k), found by one sort of the integers
-l*(D/w_i)*(n+1) + i (by value, then by ladder).  The ``Fraction`` tuples
-of s, sigma and alpha and the ints floor(sigma) are views built on first access.
+l*(D/w_i)*(n+1) + i (by value, then by ladder).  The ``Fraction`` tuple of
+sigma and the ints floor(sigma) are views built on first access.
 
 The same data is generated by an integer step recursion: starting from
 the zero exponent vector, repeatedly increment the coordinate whose
@@ -53,9 +53,8 @@ class StepSequence:
 class Spectrum:
     """Exact spectral data as integers over ``denominator`` D = lcm(w):
     s(k) = scaled[k] / D, and ``ladders[k]`` is the ladder i(k) that s(k)
-    belongs to.  The read-only views give s(k), sigma(k) = k - s(k) and
-    the fractional parts alpha(k) = ceil(s(k)) - s(k) in [0, 1) as
-    ``Fraction`` tuples, and floor(sigma(k)) as ints."""
+    belongs to.  Read-only views give sigma(k) = k - s(k) as ``Fraction``
+    and floor(sigma(k)) as ints; alpha(k) = ceil(s(k)) - s(k) is -scaled[k] % D over D."""
 
     denominator: int
     scaled: tuple[int, ...]
@@ -66,19 +65,9 @@ class Spectrum:
         return len(self.scaled)
 
     @cached_property
-    def values(self) -> tuple[Fraction, ...]:
-        d = self.denominator
-        return tuple(Fraction(v, d) for v in self.scaled)
-
-    @cached_property
     def spectral_numbers(self) -> tuple[Fraction, ...]:
         d = self.denominator
         return tuple(Fraction(k * d - v, d) for k, v in enumerate(self.scaled))
-
-    @cached_property
-    def fractional_parts(self) -> tuple[Fraction, ...]:
-        d = self.denominator
-        return tuple(Fraction(-v % d, d) for v in self.scaled)
 
     @cached_property
     def floors(self) -> tuple[int, ...]:
@@ -175,24 +164,25 @@ def check_symmetry(spec: Spectrum, w: WeightSystem | None = None) -> list[str]:
     n = spec.scaled.count(0) - 1
     if w is not None and (w.mu, w.n) != (mu, n):
         return [f"dimension mismatch: spectrum has (mu, n) = ({mu}, {n})"]
-    s, sigma = spec.values, spec.spectral_numbers
+    d, s = spec.denominator, spec.scaled  # Fraction only in the messages
+    sigma = [k * d - v for k, v in enumerate(s)]
     bad: list[str] = []
     for k in range(n + 1, mu):
-        if s[k] + s[mu + n - k] != mu:
-            bad.append(f"sym: s({k}) + s({mu + n - k}) = {s[k] + s[mu + n - k]} != {mu}")
+        if s[k] + s[mu + n - k] != mu * d:
+            bad.append(f"sym: s({k}) + s({mu + n - k}) = {Fraction(s[k] + s[mu + n - k], d)} != {mu}")
     for k in range(mu):
-        nxt = sigma[k + 1] if k + 1 < mu else Fraction(0)
-        if nxt > sigma[k] + 1:
-            bad.append(f"alphaleq: sigma({k + 1}) = {nxt} > sigma({k}) + 1")
+        nxt = sigma[k + 1] if k + 1 < mu else 0
+        if nxt > sigma[k] + d:
+            bad.append(f"alphaleq: sigma({k + 1}) = {Fraction(nxt, d)} > sigma({k}) + 1")
     for k in range(mu):
-        if not 0 <= sigma[k] <= n:
-            bad.append(f"range: sigma({k}) = {sigma[k]} outside [0, {n}]")
+        if not 0 <= sigma[k] <= n * d:
+            bad.append(f"range: sigma({k}) = {Fraction(sigma[k], d)} outside [0, {n}]")
         if sigma[k] == 0 and k != 0:
             bad.append(f"range: sigma({k}) = 0 at k != 0")
-        if sigma[k] == n and k != n:
+        if sigma[k] == n * d and k != n:
             bad.append(f"range: sigma({k}) = {n} at k != {n}")
     for k in range(n + 1):
-        if sigma[k] + sigma[n - k] != n:
+        if sigma[k] + sigma[n - k] != n * d:
             bad.append(f"low-range sym: sigma({k}) + sigma({n - k}) != {n}")
     return bad
 

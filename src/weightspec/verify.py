@@ -117,7 +117,7 @@ def verify_birkhoff(w: WeightSystem) -> list[str]:
 
 def verify_charpoly(w: WeightSystem) -> list[str]:
     mu = w.mu
-    expected = [Fraction(1)] + [Fraction(0)] * (mu - 1) + [Fraction(-(mu**mu))]
+    expected = [1] + [0] * (mu - 1) + [-(mu**mu)]
     if charpoly_A0(w) != expected:
         return ["charpoly: det(T*I - A0) != T^mu - mu^mu"]
     return []
@@ -148,10 +148,11 @@ def verify_jordan(w: WeightSystem) -> list[str]:
     if data.size_multiset() != Counter(Counter(values).values()):
         failures.append("jordan: block sizes != value multiplicities")
     classes = eigenvalue_classes(w)
-    for alpha, blocks in data.classes().items():
+    for alpha, blocks in data.classes().items():  # both keyed by alpha*D
         largest = max(b.size for b in blocks)
         chain = _longest_chain(classes.get(alpha, ()), values)
         if chain != largest:
+            alpha = Fraction(alpha, data.denominator)
             failures.append(f"jordan: N has index {chain} != {largest} on class {alpha}")
     return failures
 
@@ -193,8 +194,8 @@ def verify_saito(w: WeightSystem) -> list[str]:
 
 def verify_orthogonality(w: WeightSystem) -> list[str]:
     failures = []
-    alphas = set(eigenvalue_classes(w)) | {Fraction(0)}
-    for alpha in sorted(alphas):
+    d = spectrum_direct(w).denominator
+    for alpha in sorted(Fraction(key, d) for key in set(eigenvalue_classes(w)) | {0}):
         for p in range(w.n + 2):
             if not orthogonality_check(w, alpha, p):
                 failures.append(

@@ -168,3 +168,31 @@ def test_table_formats_render(capsys):
         out = capsys.readouterr().out
         assert code == 0
         assert out.strip()
+
+
+def test_verify_csv_prints_csv(capsys):
+    code, out, _ = invoke(capsys, "verify", "-w", "1,2,3", "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "suite,status"
+    assert lines[1:3] == ["spectrum,ok", "periodicity,ok"]
+    assert len(lines) == 13
+
+
+def test_verify_csv_keeps_failed_lines(capsys, monkeypatch):
+    monkeypatch.setitem(
+        verify_mod.ALL_SUITES, "spectrum", lambda w: ["synthetic failure"]
+    )
+    code, out, _ = invoke(capsys, "verify", "-w", "1,2,3", "--suite", "spectrum", "--format", "csv")
+    assert code == 2
+    assert out == "suite,status\nspectrum,failed\nFAILED: synthetic failure\n"
+
+
+def test_verify_all_and_suite_are_exclusive(capsys):
+    code, out, err = invoke(capsys, "verify", "-w", "1,2,3", "--suite", "spectrum", "--all")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "not allowed with" in err
+    code, out, _ = invoke(capsys, "verify", "-w", "1,2,3", "--all")
+    assert code == 0 and len(out.splitlines()) == 13
+    code, out, _ = invoke(capsys, "verify", "-w", "1,2,3", "--suite", "spectrum", "--suite", "jordan")
+    assert code == 0 and out.split() == ["suite", "status", "spectrum", "ok", "jordan", "ok"]

@@ -1,6 +1,7 @@
 """Design guards: the dense matrix helpers are a test oracle only, the
-spectrum and the reflexive search are stored and run in integers, and the
-package exports exactly what its `__init__` imports.
+spectrum, the Jordan blocks and the reflexive search are stored and run in
+integers, the report builds no ``Fraction``, and the package exports
+exactly what its `__init__` imports.
 
 The runtime stores A0, A_inf, g and N in structured form; ``linalg`` is
 kept as the dense exact reference that tests compare against, so no
@@ -12,7 +13,7 @@ import dataclasses
 from pathlib import Path
 
 import weightspec
-from weightspec import GElement, Spectrum, spectrum
+from weightspec import FrobeniusInitialData, GElement, JordanBlock, Spectrum, spectrum
 
 PACKAGE = Path(weightspec.__file__).parent
 
@@ -85,3 +86,28 @@ def test_integer_spectrum_and_reflexive_search():
     assert not hasattr(GElement, "from_terms")
     path = PACKAGE / "reflexive.py"
     assert not _imports(ast.parse(path.read_text(), filename=str(path)), "fractions")
+
+
+def _calls(tree: ast.AST, name: str) -> bool:
+    return any(
+        isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
+        for node in ast.walk(tree)
+    )
+
+
+def test_guard_detects_fraction_calls():
+    for source in ("Fraction(1, 2)", "fractions.Fraction(x)", "f = [Fraction(v) for v in s]"):
+        assert _calls(ast.parse(source), "Fraction"), source
+    assert not _calls(ast.parse("x.numerator // math.gcd(a, b)"), "Fraction")
+
+
+def test_integer_values_inside_fraction_only_at_the_edge():
+    for view in ("values", "fractional_parts"):
+        assert not hasattr(Spectrum, view), view
+    assert [f.name for f in dataclasses.fields(JordanBlock)] == ["value", "start", "size"]
+    assert not hasattr(FrobeniusInitialData, "a_inf")
+    path = PACKAGE / "report.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not _calls(tree, "Fraction")
+    assert not _imports(tree, "fractions")

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weightspec import (
+    Spectrum,
     WeightSystem,
     check_symmetry,
+    eigenvalue_classes,
     index_bijection,
     make_weight_system,
     spectral_polynomial,
@@ -53,30 +55,34 @@ def test_first_steps_are_unit_prefix():
 
 
 def test_spectrum_examples():
+    # s(k) = scaled[k] / denominator, with denominator = lcm(w)
     spec = spectrum(1, 1, 1)
-    assert spec.values == (0, 0, 0)
+    assert (spec.denominator, spec.scaled) == (1, (0, 0, 0))
     assert spec.spectral_numbers == (0, 1, 2)
 
     spec = spectrum(1, 2, 3)
-    assert spec.values == (0, 0, 0, 2, 3, 4)
     assert spec.spectral_numbers == (0, 1, 2, 1, 1, 1)
     assert spec.denominator == 6
-    assert spec.scaled == (0, 0, 0, 12, 18, 24)
+    assert spec.scaled == (0, 0, 0, 12, 18, 24)  # s = 0, 0, 0, 2, 3, 4
     assert spec.floors == (0, 1, 2, 1, 1, 1)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        spec.values = ()
+        spec.scaled = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.spectral_numbers = ()
 
     spec = spectrum(1, 1, 3)
-    assert spec.values == (0, 0, 0, F(5, 3), F(10, 3))
+    assert (spec.denominator, spec.scaled) == (3, (0, 0, 0, 5, 10))  # 5/3, 10/3
     assert spec.spectral_numbers == (0, 1, 2, F(4, 3), F(2, 3))
-    assert spec.fractional_parts == (0, 0, 0, F(1, 3), F(2, 3))
+    # alpha = 0, 0, 0, 1/3, 2/3, keyed by alpha*3
+    assert eigenvalue_classes(make_weight_system([1, 1, 3])) == {0: (0, 1, 2), 1: (3,), 2: (4,)}
 
 
 def test_direct_examples():
-    assert spectrum(1, 1, 2).values == (0, 0, 0, 2)
-    assert spectrum(1, 1, 1).values == (0, 0, 0)
-    values = spectrum(1, 2, 12, 15, 30).values
-    assert sum(1 for v in values if v == 0) == 5
+    spec = spectrum(1, 1, 2)
+    assert (spec.denominator, spec.scaled) == (2, (0, 0, 0, 4))  # s = 0, 0, 0, 2
+    spec = spectrum(1, 1, 1)
+    assert (spec.denominator, spec.scaled) == (1, (0, 0, 0))
+    assert spectrum(1, 2, 12, 15, 30).scaled.count(0) == 5
 
 
 def test_spectral_polynomial_examples():
@@ -103,6 +109,46 @@ def test_check_symmetry_examples():
         assert check_symmetry(spectrum_direct(w), w) == []
 
 
+def test_check_symmetry_failure_messages():
+    # corrupted spectra over D = 3 (mu = 5) and D = 6 (mu = 6), n = 2
+    def bad(d, scaled):
+        return check_symmetry(Spectrum(d, scaled, (0,) * len(scaled)))
+
+    assert bad(3, (0, 0, 0, 4, 10)) == [
+        "sym: s(3) + s(4) = 14/3 != 5",
+        "sym: s(4) + s(3) = 14/3 != 5",
+    ]
+    assert bad(6, (0, 0, 0, 12, 18, 30)) == [
+        "sym: s(3) + s(5) = 7 != 6",
+        "sym: s(5) + s(3) = 7 != 6",
+        "range: sigma(5) = 0 at k != 0",
+    ]
+    assert bad(6, (0, 0, 0, 3, 18, 36)) == [
+        "sym: s(3) + s(5) = 13/2 != 6",
+        "sym: s(5) + s(3) = 13/2 != 6",
+        "range: sigma(3) = 5/2 outside [0, 2]",
+        "range: sigma(5) = -1 outside [0, 2]",
+    ]
+    assert bad(3, (0, 0, 0, -1, 6)) == [
+        "sym: s(3) + s(4) = 5/3 != 5",
+        "sym: s(4) + s(3) = 5/3 != 5",
+        "alphaleq: sigma(3) = 10/3 > sigma(2) + 1",
+        "range: sigma(3) = 10/3 outside [0, 2]",
+        "range: sigma(4) = 2 at k != 2",
+    ]
+    assert bad(3, (0, 1, 0, 0, 10)) == [
+        "sym: s(3) + s(4) = 10/3 != 5",
+        "sym: s(4) + s(3) = 10/3 != 5",
+        "alphaleq: sigma(2) = 2 > sigma(1) + 1",
+        "range: sigma(3) = 3 outside [0, 2]",
+        "low-range sym: sigma(1) + sigma(1) != 2",
+    ]
+    spec = Spectrum(3, (0, 0, 0, 4, 10), (0,) * 5)
+    assert check_symmetry(spec, make_weight_system([1, 1, 4])) == [
+        "dimension mismatch: spectrum has (mu, n) = (5, 2)"
+    ]
+
+
 def test_ladders_examples():
     # the ladder i(k) of each value; equals the recursion's indices i(k)
     w = make_weight_system([1, 1, 2])
@@ -110,7 +156,8 @@ def test_ladders_examples():
     # (2, 3, 4): 9/2 lies on ladders 0 and 2, and the smaller index comes first
     w = make_weight_system([2, 3, 4])
     spec = spectrum_direct(w)
-    assert spec.values[5:7] == (F(9, 2), F(9, 2))
+    assert spec.denominator == 12
+    assert spec.scaled[5:7] == (54, 54)  # 9/2 = 54/12
     assert spec.ladders == (0, 1, 2, 2, 1, 0, 2, 1, 2)
     assert spec.ladders == step_sequence(w).indices[: w.mu]
 
@@ -131,16 +178,19 @@ def test_index_bijection_examples():
 
 def _assert_invariants(w: WeightSystem):
     spec = spectrum_direct(w)
-    mu, n = w.mu, w.n
-    assert spec.values[: n + 1] == tuple([F(0)] * (n + 1))
+    mu, n, d = w.mu, w.n, spec.denominator
+    assert d == math.lcm(*w.weights)
+    assert spec.scaled[: n + 1] == (0,) * (n + 1)
     if mu > n + 1:
-        assert spec.values[n + 1] == F(mu, w.max_weight)
-        assert spec.values[n + 1] < n + 1
-    assert all(0 <= a < 1 for a in spec.fractional_parts)
-    # the views against their definitions from s(k)
-    values = spec.values
+        assert spec.scaled[n + 1] * w.max_weight == mu * d  # s(n+1) = mu/w_max
+        assert spec.scaled[n + 1] < (n + 1) * d
+    classes = eigenvalue_classes(w)
+    assert all(0 <= a < d for a in classes)  # alpha*D with 0 <= alpha < 1
+    # the views and the classes against their definitions from s(k)
+    values = [F(v, d) for v in spec.scaled]
     assert spec.spectral_numbers == tuple(k - s for k, s in enumerate(values))
-    assert spec.fractional_parts == tuple(math.ceil(s) - s for s in values)
+    alpha_of = {k: a for a, ks in classes.items() for k in ks}
+    assert [alpha_of[k] for k in range(mu)] == [(math.ceil(s) - s) * d for s in values]
     assert spec.floors == tuple(math.floor(k - s) for k, s in enumerate(values))
     assert check_symmetry(spec, w) == []
     roots = spectral_polynomial(w)
@@ -161,8 +211,9 @@ def _assert_oracle_equality(w: WeightSystem):
     assert by_steps == spectrum_direct(w)
     # canonical tie order: the recursion emits the ladder triples in the
     # exact order of the (value, ladder) sorted multiset
+    d = by_steps.denominator
     recursion = [
-        (by_steps.values[k], seq.indices[k], seq.exponents[k][seq.indices[k]])
+        (F(by_steps.scaled[k], d), seq.indices[k], seq.exponents[k][seq.indices[k]])
         for k in range(w.mu)
     ]
     assert recursion == ladder_triples(w)
