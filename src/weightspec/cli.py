@@ -2,7 +2,8 @@
 
 Subcommands: spectrum, frobenius, jordan, filtrations, reflexive, verify.
 Exit codes: 0 success, 1 invalid input (bad weights, unknown flags),
-2 verify found failing identities.
+2 verify found failing identities, including an identity that a builder
+raised as IdentityViolation during verify.
 """
 
 from __future__ import annotations
@@ -114,29 +115,21 @@ def run(argv: list[str] | None = None) -> int:
         if args.command in _REPORTS:
             _emit(args, _weight_system(args))
         elif args.command == "reflexive":
-            records = enumerate_reflexive(args.dimension, max_dimension=args.max_dimension)
-            emit_reflexive_table(args.dimension, args.format, records=records)
+            n = args.dimension
+            records = enumerate_reflexive(n, max_dimension=args.max_dimension)
+            if args.format == "json":
+                doc = report.envelope("reflexive-list", report.reflexive_payload(records, n))
+                sys.stdout.write(report.to_json(doc))
+            elif args.format == "csv":
+                sys.stdout.write(report.reflexive_csv(records, n))
+            else:
+                sys.stdout.write(report.reflexive_table_text(records))
         elif args.command == "verify":
             return _run_verify(args)
         return 0
     except (_UsageError, WeightSystemError, DimensionTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def emit_reflexive_table(n: int, fmt: str = "table", records=None) -> None:
-    """Write the enumeration for dimension n to stdout in the requested
-    format (rows sorted by (mu, weights); table rows end in '| mu')."""
-    if records is None:
-        records = enumerate_reflexive(n)
-    if fmt == "json":
-        sys.stdout.write(
-            report.to_json(report.envelope("reflexive-list", report.reflexive_payload(records, n)))
-        )
-    elif fmt == "csv":
-        sys.stdout.write(report.reflexive_csv(records, n))
-    else:
-        sys.stdout.write(report.reflexive_table_text(records))
 
 
 def _run_verify(args) -> int:

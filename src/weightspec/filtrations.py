@@ -20,16 +20,12 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .frobenius import IndexOutOfRange, metric_partner
-from .spectrum import spectrum_direct
+from .spectrum import IdentityViolation, spectrum_direct
 from .weights import WeightSystem
 
 
 class UnknownEigenvalueClass(ValueError):
     """The requested fractional class does not occur in the spectrum."""
-
-
-class FiltrationViolation(ValueError):
-    """Internal self-check failure: a block bound or filtration property fails."""
 
 
 @dataclass(frozen=True)
@@ -103,14 +99,14 @@ def jordan_blocks(w: WeightSystem) -> JordanData:
         v, size = scaled[start], k - start
         if v == 0:
             if size != n + 1:
-                raise FiltrationViolation(f"zero block has size {size} != {n + 1}")
+                raise IdentityViolation(f"zero block has size {size} != {n + 1}")
         elif v % d == 0:
             if size > n - 1:
-                raise FiltrationViolation(
+                raise IdentityViolation(
                     f"integer-value block at {start} has size {size} > {n - 1}"
                 )
         elif size > n:
-            raise FiltrationViolation(
+            raise IdentityViolation(
                 f"noninteger-value block at {start} has size {size} > {n}"
             )
         blocks.append(JordanBlock(v, start, size))
@@ -118,8 +114,6 @@ def jordan_blocks(w: WeightSystem) -> JordanData:
             nu[start + j] = size - 1 - 2 * j
             offset[start + j] = j
         start = k
-    if sum(b.size for b in blocks) != mu:
-        raise FiltrationViolation(f"block sizes do not sum to {mu}")
     return JordanData(d, tuple(blocks), tuple(nu), tuple(offset))
 
 
@@ -135,18 +129,9 @@ def eigenvalue_classes(w: WeightSystem) -> Mapping[int, tuple[int, ...]]:
 
 
 def primitive_indices(w: WeightSystem) -> frozenset[int]:
-    """Block starts: index 0 plus every k >= n+1 where the value jumps.
-
-    Cross-validated against the block decomposition (one per block).
-    """
-    scaled = spectrum_direct(w).scaled
-    direct = {0} | {
-        k for k in range(w.n + 1, w.mu) if scaled[k - 1] < scaled[k]
-    }
-    starts = {block.start for block in jordan_blocks(w).blocks}
-    if direct != starts:
-        raise FiltrationViolation(f"primitive characterization {direct} != block starts {starts}")
-    return frozenset(starts)
+    """Block starts: index 0 plus every k >= n+1 where the value jumps
+    (the zero block is 0..n, as ``jordan_blocks`` checks)."""
+    return frozenset(block.start for block in jordan_blocks(w).blocks)
 
 
 def conjugate_index(w: WeightSystem, k: int) -> int:
@@ -198,30 +183,7 @@ def saito_filtration(w: WeightSystem) -> FiltrationReport:
         w_filt[j] = frozenset(members)
 
     conj = tuple(conjugate_index(w, k) for k in range(mu))
-    report = FiltrationReport(hp, gp, m, w_filt, primitive_indices(w), conj)
-    _validate_report(report, floors, n, mu)
-    return report
-
-
-def _validate_report(report: FiltrationReport, floors: tuple[int, ...], n: int, mu: int) -> None:
-    if report.hp[0] != frozenset(range(mu)) or report.hp[n + 1]:
-        raise FiltrationViolation("hp endpoints wrong")
-    for p in range(n + 1):
-        if not report.hp[p + 1] <= report.hp[p]:
-            raise FiltrationViolation(f"hp not decreasing at {p}")
-        if p < n and not report.gp[p] <= report.gp[p + 1]:
-            raise FiltrationViolation(f"gp not increasing at {p}")
-    levels = sorted(report.m)
-    for lo, hi in zip(levels, levels[1:]):
-        if not report.m[lo] <= report.m[hi]:
-            raise FiltrationViolation(f"m not increasing at {lo}")
-    for k in range(mu):
-        if k not in report.hp[floors[k]] or k not in report.gp[floors[k]]:
-            raise FiltrationViolation(f"index {k} missing at its own level")
-        if floors[k] + 1 <= n + 1 and k in report.hp[floors[k] + 1]:
-            raise FiltrationViolation(f"index {k} too deep in hp")
-        if floors[k] - 1 >= 0 and k in report.gp[floors[k] - 1]:
-            raise FiltrationViolation(f"index {k} too deep in gp")
+    return FiltrationReport(hp, gp, m, w_filt, primitive_indices(w), conj)
 
 
 def saito_identity_check(w: WeightSystem, p: int) -> bool:

@@ -16,12 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .spectrum import spectrum_direct
+from .spectrum import IdentityViolation, spectrum_direct
 from .weights import WeightSystem
-
-
-class InitialDataViolation(ValueError):
-    """The metric identities fail on the structured initial data."""
 
 
 class IndexOutOfRange(IndexError):
@@ -107,12 +103,12 @@ def metric_violations(n: int, sigma: tuple, partner: tuple[int, ...]) -> list[st
 
 def initial_data(w: WeightSystem) -> FrobeniusInitialData:
     """Construct (A0, A_inf, g, unit index); raise
-    :class:`InitialDataViolation` if the metric identities fail."""
+    :class:`IdentityViolation` if the metric identities fail."""
     sigma = spectrum_direct(w).spectral_numbers
     partner = tuple(metric_partner(k, w) for k in range(w.mu))
     bad = metric_violations(w.n, sigma, partner)
     if bad:
-        raise InitialDataViolation(bad[0])
+        raise IdentityViolation(bad[0])
     return FrobeniusInitialData(sigma, partner, 0)
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
-from .spectrum import spectrum_direct
+from .spectrum import IdentityViolation, spectrum_direct
 from .weights import WeightSystem
 
 Scalar = Union[int, Fraction]
@@ -29,10 +29,6 @@ Scalar = Union[int, Fraction]
 
 class DimensionMismatch(ValueError):
     """An element's mu or basis index does not fit the weight system."""
-
-
-class DecompositionFailure(RuntimeError):
-    """A tau-power outside {0, -1} appeared while extracting A0 / A_inf."""
 
 
 def _add_term(out: dict, key: tuple[int, int], c: Scalar) -> None:
@@ -179,7 +175,7 @@ def birkhoff_matrices(
 ) -> tuple[dict[tuple[int, int], Fraction], dict[tuple[int, int], Fraction]]:
     """Nonzero entries (row, column) -> coefficient of A0 and A_inf in
     theta^2 d_theta = -tau^(-1) tau_dtau: column k of A0 is the tau^0 part,
-    of A_inf the theta part.  Other tau-powers raise DecompositionFailure."""
+    of A_inf the theta part.  Other tau-powers raise IdentityViolation."""
     mu = w.mu
     a0, ainf = {}, {}
     for k in range(mu):
@@ -190,7 +186,7 @@ def birkhoff_matrices(
             elif m == -1:
                 ainf[j, k] = c
             else:
-                raise DecompositionFailure(
+                raise IdentityViolation(
                     f"tau^{m} term in theta^2 d_theta omega_{k}"
                 )
     return a0, ainf

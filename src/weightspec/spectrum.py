@@ -27,8 +27,8 @@ from functools import cached_property, lru_cache
 from .weights import WeightSystem
 
 
-class BijectionViolation(RuntimeError):
-    """Internal self-check failure: step pairs do not enumerate the ladders."""
+class IdentityViolation(RuntimeError):
+    """An identity the paper states fails on the computed data."""
 
 
 @dataclass(frozen=True)
@@ -96,14 +96,14 @@ def step_sequence(w: WeightSystem, k_max: int | None = None) -> StepSequence:
     for k in range(k_max):
         i = indices[k]
         if k < mu and a[i] > weights[i] - 1:
-            raise BijectionViolation(
+            raise IdentityViolation(
                 f"step {k}: exponent {a[i]} exceeds weight {weights[i]} - 1"
             )
         a[i] += 1
         exponents.append(tuple(a))
         indices.append(_argmin_ratio(a, weights))
     if k_max >= mu and exponents[mu] != weights:
-        raise BijectionViolation(f"exponents[{mu}] = {exponents[mu]} != {weights}")
+        raise IdentityViolation(f"exponents[{mu}] = {exponents[mu]} != {weights}")
     return StepSequence(tuple(exponents), tuple(indices))
 
 
@@ -197,7 +197,7 @@ def index_bijection(seq: StepSequence, w: WeightSystem) -> dict[int, tuple[int, 
     expected = {(i, l) for i, wi in enumerate(w.weights) for l in range(wi)}
     image = set(mapping.values())
     if image != expected:
-        raise BijectionViolation(
+        raise IdentityViolation(
             f"image has {len(image)} pairs, expected the {len(expected)} ladder pairs"
         )
     return mapping

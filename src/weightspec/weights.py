@@ -37,14 +37,9 @@ TWO_WEIGHT_WARNING = (
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """An ascending tuple of positive integers with gcd 1.
-
-    ``permutation[j]`` is the position in the original input of the j-th
-    sorted weight (a stable argsort), so reports can echo the user's order.
-    """
+    """An ascending tuple of positive integers with gcd 1."""
 
     weights: tuple[int, ...]
-    permutation: tuple[int, ...] = field(default=(), compare=False)
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
     @property
@@ -54,10 +49,6 @@ class WeightSystem:
     @property
     def mu(self) -> int:
         return sum(self.weights)
-
-    @property
-    def max_weight(self) -> int:
-        return self.weights[-1]
 
     def __str__(self) -> str:
         return "(" + ",".join(str(w) for w in self.weights) + ")"
@@ -90,9 +81,7 @@ def make_weight_system(
         entries = [w // g for w in entries]
         warnings.append(f"weights divided by common factor {g}")
 
-    order = sorted(range(len(entries)), key=lambda j: (entries[j], j))
-    weights = tuple(entries[j] for j in order)
-    if len(weights) == 2:
+    if len(entries) == 2:
         warnings.append(TWO_WEIGHT_WARNING)
-    return WeightSystem(weights, tuple(order), tuple(warnings))
+    return WeightSystem(tuple(sorted(entries)), tuple(warnings))
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from weightspec.cli import emit_reflexive_table, run
+from weightspec import IdentityViolation, make_weight_system
+from weightspec.cli import run
+import weightspec.frobenius as frobenius_mod
 import weightspec.verify as verify_mod
 
 
@@ -89,6 +91,36 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
     assert "synthetic failure" in out
 
 
+def test_builder_identity_violation_is_a_suite_failure(capsys, monkeypatch):
+    # initial_data raises on a metric fault, so birkhoff and charpoly fail
+    # through the builder and pairing through its own report
+    def broken(n, sigma, partner):
+        return ["synthetic metric fault"]
+
+    monkeypatch.setattr(frobenius_mod, "metric_violations", broken)
+    monkeypatch.setattr(verify_mod, "metric_violations", broken)
+    code, out, err = invoke(capsys, "verify", "-w", "1,2,3", "--all")
+    assert code == 2 and err == ""
+    assert [line for line in out.splitlines() if "FAILED" in line] == [
+        "FAILED: birkhoff: synthetic metric fault",
+        "FAILED: charpoly: synthetic metric fault",
+        "FAILED: pairing: synthetic metric fault",
+    ]
+    statuses = dict(line.split() for line in out.splitlines()[1:13])
+    assert [s for s, status in statuses.items() if status != "ok"] == [
+        "birkhoff", "charpoly", "pairing"
+    ]
+
+
+def test_verify_all_records_a_raised_identity(monkeypatch):
+    def raising(w):
+        raise IdentityViolation("x")
+
+    monkeypatch.setitem(verify_mod.ALL_SUITES, "jordan", raising)
+    w = make_weight_system([1, 2, 3])
+    assert verify_mod.verify_all(w, ["jordan"]) == {"jordan": ["jordan: x"]}
+
+
 def test_reflexive_table(capsys):
     code, out, _ = invoke(capsys, "reflexive", "-n", "3")
     assert code == 0
@@ -105,18 +137,15 @@ def test_reflexive_csv_header(capsys):
     code, out, _ = invoke(capsys, "reflexive", "-n", "3", "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "w0,w1,w2,w3,mu"
+    code, out, _ = invoke(capsys, "reflexive", "-n", "2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == "w0,w1,w2,mu"
 
 
 def test_reflexive_too_large_exits_1(capsys):
     code, _, err = invoke(capsys, "reflexive", "-n", "9")
     assert code == 1
     assert "error:" in err
-
-
-def test_emit_reflexive_table_helper(capsys):
-    emit_reflexive_table(2, "csv")
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == "w0,w1,w2,mu"
 
 
 @pytest.mark.parametrize(

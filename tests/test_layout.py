@@ -1,7 +1,8 @@
 """Design guards: the dense matrix helpers are a test oracle only, the
 spectrum, the Jordan blocks and the reflexive search are stored and run in
-integers, the report builds no ``Fraction``, and the package exports
-exactly what its `__init__` imports.
+integers, the report builds no ``Fraction``, the package exports
+exactly what its `__init__` imports, a failed identity has one exception
+type, and no module relies on ``assert``.
 
 The runtime stores A0, A_inf, g and N in structured form; ``linalg`` is
 kept as the dense exact reference that tests compare against, so no
@@ -13,7 +14,7 @@ import dataclasses
 from pathlib import Path
 
 import weightspec
-from weightspec import FrobeniusInitialData, GElement, JordanBlock, Spectrum, spectrum
+from weightspec import FrobeniusInitialData, GElement, JordanBlock, Spectrum, filtrations, spectrum
 
 PACKAGE = Path(weightspec.__file__).parent
 
@@ -111,3 +112,26 @@ def test_integer_values_inside_fraction_only_at_the_edge():
     tree = ast.parse(path.read_text(), filename=str(path))
     assert not _calls(tree, "Fraction")
     assert not _imports(tree, "fractions")
+
+
+def test_one_identity_exception():
+    for gone in ("BijectionViolation", "DecompositionFailure", "FiltrationViolation", "InitialDataViolation"):
+        assert not hasattr(weightspec, gone), gone
+    assert "IdentityViolation" in weightspec.__all__
+    assert issubclass(weightspec.IdentityViolation, RuntimeError)
+    assert not hasattr(filtrations, "_validate_report")
+
+
+def _asserts(tree: ast.AST) -> bool:
+    return any(isinstance(node, ast.Assert) for node in ast.walk(tree))
+
+
+def test_no_assert_statements():
+    # python -O strips assert, so an invariant must raise a named exception
+    assert _asserts(ast.parse("def f(x):\n    assert x"))
+    offenders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if _asserts(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert offenders == []

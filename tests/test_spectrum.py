@@ -182,7 +182,7 @@ def _assert_invariants(w: WeightSystem):
     assert d == math.lcm(*w.weights)
     assert spec.scaled[: n + 1] == (0,) * (n + 1)
     if mu > n + 1:
-        assert spec.scaled[n + 1] * w.max_weight == mu * d  # s(n+1) = mu/w_max
+        assert spec.scaled[n + 1] * w.weights[-1] == mu * d  # s(n+1) = mu/w_max
         assert spec.scaled[n + 1] < (n + 1) * d
     classes = eigenvalue_classes(w)
     assert all(0 <= a < d for a in classes)  # alpha*D with 0 <= alpha < 1

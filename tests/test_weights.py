@@ -52,12 +52,6 @@ def test_nonpositive():
         make_weight_system([1, "2"])  # type: ignore[list-item]
 
 
-def test_sorting_permutation_echoes_input_order():
-    raw = [30, 1, 15, 2, 12]
-    w = make_weight_system(raw)
-    assert [raw[j] for j in w.permutation] == list(w.weights)
-
-
 def test_two_weight_warning():
     assert TWO_WEIGHT_WARNING in make_weight_system([1, 2]).warnings
     assert TWO_WEIGHT_WARNING not in make_weight_system([1, 2, 3]).warnings
