@@ -100,9 +100,6 @@ class GElement:
     def __sub__(self, other: "GElement") -> "GElement":
         return self._plus(other, -1)
 
-    def __neg__(self) -> "GElement":
-        return self.scale(-1)
-
     def scale(self, factor: Scalar) -> "GElement":
         if not factor:
             return GElement.zero(self.mu)

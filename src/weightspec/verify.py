@@ -261,9 +261,9 @@ ALL_SUITES = {
 def verify_all(
     w: WeightSystem, suites: list[str] | None = None
 ) -> dict[str, list[str]]:
-    """Run the named suites (default all) and map suite -> failures; a
+    """Run the named suites (``None``: all) and map suite -> failures; a
     suite that raises :class:`IdentityViolation` fails with its message."""
-    chosen = suites or list(ALL_SUITES)
+    chosen = list(ALL_SUITES) if suites is None else suites
     unknown = [name for name in chosen if name not in ALL_SUITES]
     if unknown:
         raise KeyError(f"unknown suites: {unknown}")

@@ -50,9 +50,6 @@ class WeightSystem:
     def mu(self) -> int:
         return sum(self.weights)
 
-    def __str__(self) -> str:
-        return "(" + ",".join(str(w) for w in self.weights) + ")"
-
 
 def make_weight_system(
     raw: Iterable[int], *, allow_gcd_normalize: bool = False

@@ -5,6 +5,7 @@ import pytest
 from weightspec import IdentityViolation, make_weight_system
 from weightspec.cli import run
 import weightspec.frobenius as frobenius_mod
+import weightspec.report as report_mod
 import weightspec.verify as verify_mod
 
 
@@ -119,6 +120,28 @@ def test_verify_all_records_a_raised_identity(monkeypatch):
     monkeypatch.setitem(verify_mod.ALL_SUITES, "jordan", raising)
     w = make_weight_system([1, 2, 3])
     assert verify_mod.verify_all(w, ["jordan"]) == {"jordan": ["jordan: x"]}
+    assert verify_mod.verify_all(w, []) == {}  # only None means every suite
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize(
+    "command, builder",
+    [
+        ("spectrum", "spectrum_direct"),
+        ("frobenius", "initial_data"),
+        ("jordan", "jordan_blocks"),
+        ("filtrations", "saito_filtration"),
+    ],
+)
+def test_report_identity_violation_exits_2(capsys, monkeypatch, command, builder, fmt):
+    def raising(w):
+        raise IdentityViolation("synthetic")
+
+    monkeypatch.setattr(report_mod, builder, raising)
+    code, out, err = invoke(capsys, command, "-w", "1,2,3", "--format", fmt)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
 
 
 def test_reflexive_table(capsys):

@@ -2,7 +2,7 @@
 spectrum, the Jordan blocks and the reflexive search are stored and run in
 integers, the report builds no ``Fraction``, the package exports
 exactly what its `__init__` imports, a failed identity has one exception
-type, and no module relies on ``assert``.
+type, the CLI has one command path, and no module relies on ``assert``.
 
 The runtime stores A0, A_inf, g and N in structured form; ``linalg`` is
 kept as the dense exact reference that tests compare against, so no
@@ -14,7 +14,16 @@ import dataclasses
 from pathlib import Path
 
 import weightspec
-from weightspec import FrobeniusInitialData, GElement, JordanBlock, Spectrum, filtrations, spectrum
+from weightspec import (
+    FrobeniusInitialData,
+    GElement,
+    JordanBlock,
+    Spectrum,
+    WeightSystem,
+    cli,
+    filtrations,
+    spectrum,
+)
 
 PACKAGE = Path(weightspec.__file__).parent
 
@@ -120,6 +129,20 @@ def test_one_identity_exception():
     assert "IdentityViolation" in weightspec.__all__
     assert issubclass(weightspec.IdentityViolation, RuntimeError)
     assert not hasattr(filtrations, "_validate_report")
+
+
+def test_one_command_path():
+    # add_common was nested in _build_parser, so look for any def of the names
+    path = Path(cli.__file__)
+    defined = {
+        node.name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+    }
+    for gone in ("_emit", "_run_verify", "_weight_system", "add_common"):
+        assert gone not in defined, gone
+    assert not hasattr(GElement, "__neg__")
+    assert "__str__" not in vars(WeightSystem)
 
 
 def _asserts(tree: ast.AST) -> bool:
