@@ -139,6 +139,8 @@ def canonical_exponents(a: Sequence[int], w: WeightSystem) -> tuple[int, ...]:
     if len(a) != w.n + 1:
         raise DimensionMismatch(f"{len(a)} exponents for {w.n + 1} weights")
     shift = -min(ai // wi for ai, wi in zip(a, w.weights))
+    if not shift:
+        return tuple(a)  # a tuple itself, not a copy
     return tuple(ai + shift * wi for ai, wi in zip(a, w.weights))
 
 
@@ -189,6 +191,50 @@ def birkhoff_matrices(
     return a0, ainf
 
 
+# what the integer step reads: mu, the weights, D = lcm(w) and sigma(k) * D
+_StepData = tuple[int, tuple[int, ...], int, list[int]]
+_State = dict[tuple[int, int], int]
+
+
+def _step_data(w: WeightSystem) -> _StepData:
+    spec = spectrum_direct(w)
+    scale = spec.denominator
+    sigma_scaled = [k * scale - v for k, v in enumerate(spec.scaled)]
+    return w.mu, w.weights, scale, sigma_scaled
+
+
+def _step(flat: _State, j: int, b_j: int, total: int, data: _StepData) -> _State:
+    """One unit increment in coordinate j of the state at exponents b, with
+    b_j and total = sum(b) given.  Coefficients are integers scaled by
+    (D*mu)^steps, so the hot loop is gcd-free; ``_unscaled`` restores them."""
+    mu, weights, scale, sigma_scaled = data
+    step_denom = scale * mu
+    l_scaled = total * scale - mu * b_j * (scale // weights[j])
+    nxt: _State = {}
+    for (k, m), c in flat.items():
+        t = m * scale - sigma_scaled[k] + l_scaled
+        if t:
+            key = (k, m - 1)
+            s = nxt.get(key, 0) - c * t
+            if s:
+                nxt[key] = s
+            else:
+                del nxt[key]
+        key = ((k + 1) % mu, m)
+        s = nxt.get(key, 0) + c * step_denom
+        if s:
+            nxt[key] = s
+        else:
+            del nxt[key]
+    return nxt
+
+
+def _unscaled(flat: _State, steps: int, data: _StepData) -> GElement:
+    mu, _, scale, _ = data
+    denom = (scale * mu) ** steps
+    return GElement._raw(mu, {key: Fraction(c, denom) for key, c in flat.items()})
+
+
 def reduce_monomial(
     a: Sequence[int],
     w: WeightSystem,
@@ -208,56 +254,66 @@ def reduce_monomial(
     + c * tau^m * omega_{k+1 mod mu}.
 
     ``path`` is the sequence of coordinate increments to use (it must be a
-    rearrangement of the canonical exponents); the result is independent
-    of the chosen path, which tests verify.
+    rearrangement of the canonical exponents); by default it is
+    coordinate-major, all increments of coordinate 0 first.  The result is
+    independent of the chosen path, which tests verify.  To reduce many
+    classes along their default paths, ``reduce_monomials`` shares the
+    work their paths have in common.
     """
     target = canonical_exponents(a, w)
     steps = [j for j, count in enumerate(target) for _ in range(count)]
     path = steps if path is None else list(path)
     if sorted(path) != steps:
         raise ValueError(f"path {path} does not lead to {target}")
-
-    mu = w.mu
-    weights = w.weights
-    # integer bookkeeping: coefficients are stored scaled by (lcm(w)*mu)^steps,
-    # so the hot loop is gcd-free; the true rationals are restored at the end
-    spec = spectrum_direct(w)
-    scale = spec.denominator
-    sigma_scaled = [k * scale - v for k, v in enumerate(spec.scaled)]
-    step_denom = scale * mu
-    flat: dict[tuple[int, int], int] = {(0, 0): 1}
+    data = _step_data(w)
+    flat = {(0, 0): 1}
     current = [0] * (w.n + 1)
-    total = 0
-    for j in path:
-        l_scaled = total * scale - mu * current[j] * (scale // weights[j])
-        nxt: dict[tuple[int, int], int] = {}
-        for (k, m), c in flat.items():
-            t = m * scale - sigma_scaled[k] + l_scaled
-            if t:
-                key = (k, m - 1)
-                s = nxt.get(key, 0) - c * t
-                if s:
-                    nxt[key] = s
-                else:
-                    del nxt[key]
-            key = ((k + 1) % mu, m)
-            s = nxt.get(key, 0) + c * step_denom
-            if s:
-                nxt[key] = s
-            else:
-                del nxt[key]
-        flat = nxt
+    for total, j in enumerate(path):
+        flat = _step(flat, j, current[j], total, data)
         current[j] += 1
-        total += 1
-    denom = step_denom ** len(path)
-    return GElement._raw(mu, {key: Fraction(c, denom) for key, c in flat.items()})
+    return _unscaled(flat, len(path), data)
+
+
+def reduce_monomials(targets: Sequence[Sequence[int]], w: WeightSystem) -> list[GElement]:
+    """``[reduce_monomial(a, w) for a in targets]``, in one walk.
+
+    Every class is still reduced from omega_0 along the coordinate-major
+    path of its canonical exponents; the walk only skips the prefix that
+    path shares with the previous target's.  The canonical targets are
+    de-duplicated and sorted, and ``checkpoints[j]`` keeps the state at
+    (p_0, ..., p_j, 0, ..., 0) for the previous target p.  A target that
+    first differs from p in coordinate j exceeds p there, so its path
+    passes through ``checkpoints[j]`` and steps on from there.
+    """
+    canonical = [canonical_exponents(a, w) for a in targets]
+    data = _step_data(w)
+    size = w.n + 1
+    previous = (0,) * size
+    checkpoints = [{(0, 0): 1}] * size
+    reduced: dict[tuple[int, ...], GElement] = {}
+    for target in sorted(set(canonical)):
+        # only the zero vector, sorted first, equals its previous: omega_0
+        j = next((i for i in range(size) if target[i] != previous[i]), size - 1)
+        flat = checkpoints[j]
+        b_j = previous[j]
+        total = sum(target[:j]) + b_j
+        for i in range(j, size):
+            for b_i in range(b_j, target[i]):
+                flat = _step(flat, i, b_i, total, data)
+                total += 1
+            checkpoints[i] = flat
+            b_j = 0
+        reduced[target] = _unscaled(flat, total, data)
+        previous = target
+    return [reduced[t] for t in canonical]
 
 
 def f_action(x: GElement | Sequence[int], w: WeightSystem) -> GElement:
     """Multiply by the defining linear form f = sum_i w_i u_i.
 
-    For a monomial class this is sum_i w_i * reduce_monomial(a + 1_i); on a
-    basis vector it gives mu * omega_{k+1 mod mu} + sigma(k) * theta * omega_k,
+    For a monomial class this is sum_i w_i * reduce_monomial(a + 1_i), with
+    the n+1 classes reduced in one ``reduce_monomials`` walk; on a basis
+    vector it gives mu * omega_{k+1 mod mu} + sigma(k) * theta * omega_k,
     so the matrix of f modulo theta is exactly A0.
     """
     if isinstance(x, GElement):
@@ -269,11 +325,10 @@ def f_action(x: GElement | Sequence[int], w: WeightSystem) -> GElement:
             _add_term(out, (k, m - 1), sigma[k] * c)
         return GElement._raw(mu, out)
     base = canonical_exponents(x, w)
+    bumped = [base[:i] + (base[i] + 1,) + base[i + 1:] for i in range(w.n + 1)]
     acc = GElement.zero(w.mu)
-    for i, wi in enumerate(w.weights):
-        bumped = list(base)
-        bumped[i] += 1
-        acc = acc + reduce_monomial(bumped, w).scale(wi)
+    for wi, image in zip(w.weights, reduce_monomials(bumped, w)):
+        acc = acc + image.scale(wi)
     return acc
 
 

@@ -1,0 +1,149 @@
+"""Fault witnesses: each one plants a fault in the data a verify suite
+reads, never in the suite itself, and asserts that the suite fails.
+Where only that suite reads the faulty data, every other suite must stay
+ok, so a suite that silently checked nothing could not pass here.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+import weightspec.gaussmanin as gaussmanin
+import weightspec.reflexive as reflexive
+import weightspec.verify as verify
+from weightspec import make_weight_system, verify_all
+
+
+def _failed(w) -> set[str]:
+    return {name for name, failures in verify_all(w).items() if failures}
+
+
+def _shifted(spec, k: int = 1):
+    """The spectrum with s(k) lowered by 1/D, i.e. sigma(k) raised by 1/D."""
+    scaled = list(spec.scaled)
+    scaled[k] -= 1
+    return dataclasses.replace(spec, scaled=tuple(scaled))
+
+
+def _plant_in_gaussmanin(monkeypatch, old: str, new: str) -> None:
+    """Point ``verify`` at a copy of ``gaussmanin`` whose source has the one
+    occurrence of ``old`` replaced by ``new``."""
+    source = inspect.getsource(gaussmanin)
+    assert source.count(old) == 1, old
+    namespace = {"__name__": "weightspec._planted", "__package__": "weightspec"}
+    exec(compile(source.replace(old, new), "<planted gaussmanin>", "exec"), namespace)
+    shared = [name for name, value in vars(verify).items() if getattr(gaussmanin, name, None) is value]
+    assert "GElement" in shared
+    for name in shared:
+        monkeypatch.setattr(verify, name, namespace[name])
+
+
+# the integer step of monomial reduction, shared by every reduced target
+STEP_FAULTS = {
+    "L_j dropped on the last coordinate": (
+        "t = m * scale - sigma_scaled[k] + l_scaled",
+        "t = m * scale - sigma_scaled[k] + (l_scaled if j < len(weights) - 1 else 0)",
+    ),
+    "sigma(1) shifted by 1/D": (
+        "sigma_scaled = [k * scale - v for k, v in enumerate(spec.scaled)]",
+        "sigma_scaled = [k * scale - v for k, v in enumerate(spec.scaled)]; sigma_scaled[1] += 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(STEP_FAULTS))
+@pytest.mark.parametrize("weights", [(1, 2, 3), (1, 2, 12, 15, 30), (7, 11, 13)])
+def test_reduction_step_fault(monkeypatch, fault, weights):
+    w = make_weight_system(list(weights))
+    assert _failed(w) == set()
+    _plant_in_gaussmanin(monkeypatch, *STEP_FAULTS[fault])
+    assert _failed(w) == {"reduction"}
+
+
+def test_spectrum_two_route_fault(monkeypatch):
+    real = verify.spectrum_from_steps
+
+    def recursion_off_by_one(seq, w):
+        return _shifted(real(seq, w))
+
+    monkeypatch.setattr(verify, "spectrum_from_steps", recursion_off_by_one)
+    w = make_weight_system([2, 3, 7])
+    results = verify_all(w)
+    assert results.pop("spectrum") == ["spectrum: recursion and multiset merge disagree"]
+    assert all(failures == [] for failures in results.values())
+
+
+def test_periodicity_fault(monkeypatch):
+    real = verify.step_sequence
+
+    def extension_off(w, k_max=None):
+        seq = real(w, k_max)
+        if seq.k_max <= w.mu:
+            return seq
+        # past mu, where only the periodicity suite reads the recursion
+        exponents = list(seq.exponents)
+        exponents[2 * w.mu - 1] = tuple(a + 1 for a in exponents[2 * w.mu - 1])
+        return dataclasses.replace(seq, exponents=tuple(exponents))
+
+    monkeypatch.setattr(verify, "step_sequence", extension_off)
+    w = make_weight_system([2, 3, 7])
+    results = verify_all(w)
+    assert results.pop("periodicity") == [f"periodicity: exponent at k = {w.mu - 1} off"]
+    assert all(failures == [] for failures in results.values())
+
+
+def test_bernstein_fault(monkeypatch):
+    # the Leibniz term vanishes on basis vectors, so only the Bernstein
+    # product, which differentiates tau^k * omega_k, can see it dropped
+    _plant_in_gaussmanin(
+        monkeypatch,
+        "_add_term(out, (k, m), (m - sigma[k]) * c)",
+        "_add_term(out, (k, m), -sigma[k] * c)",
+    )
+    w = make_weight_system([1, 2, 3])
+    results = verify_all(w)
+    assert results.pop("bernstein") == ["bernstein: product on omega_0 != tau^mu * omega_0"]
+    assert all(failures == [] for failures in results.values())
+
+
+def test_saito_fault(monkeypatch):
+    real = verify.saito_filtration
+
+    def conjugation_broken(w):
+        report = real(w)
+        conj = report.conj[:-1] + (0,)  # conj(0) = 0, so conj(conj(mu-1)) != mu-1
+        return dataclasses.replace(report, conj=conj)
+
+    monkeypatch.setattr(verify, "saito_filtration", conjugation_broken)
+    w = make_weight_system([2, 3, 7])
+    results = verify_all(w)
+    assert f"saito: conjugation not involutive at k = {w.mu - 1}" in results.pop("saito")
+    assert all(failures == [] for failures in results.values())
+
+
+def test_reflexive_fault(monkeypatch):
+    # (1, 2, 3) is reflexive, so its spectrum is integral until shifted
+    real = reflexive.spectrum_direct
+    monkeypatch.setattr(reflexive, "spectrum_direct", lambda w: _shifted(real(w)))
+    w = make_weight_system([1, 2, 3])
+    results = verify_all(w)
+    assert results.pop("reflexive") == ["reflexive: divisibility and spectrum integrality disagree"]
+    assert all(failures == [] for failures in results.values())
+
+
+def test_v_order_fault(monkeypatch):
+    real = verify.tau_dtau
+
+    def shift_term_dropped(x, w):
+        image = real(x, w)
+        return gaussmanin.GElement(x.mu, {(k, m): c for k, m, c in image.terms() if m <= 0})
+
+    monkeypatch.setattr(verify, "tau_dtau", shift_term_dropped)
+    w = make_weight_system([2, 3, 7])
+    results = verify_all(w)
+    assert results.pop("v_order")[:2] == [
+        "v_order: tau_dtau(omega_0) has order None",
+        "v_order: bound exceeded at k = 0",
+    ]
+    assert all(failures == [] for failures in results.values())

@@ -13,6 +13,7 @@ from weightspec import (
     f_action,
     make_weight_system,
     reduce_monomial,
+    reduce_monomials,
     spectrum_direct,
     step_sequence,
     tau_dtau,
@@ -20,7 +21,9 @@ from weightspec import (
     verify_all,
 )
 
-from conftest import random_systems, weight_systems_up_to
+from weightspec.verify import _reduction_targets
+
+from conftest import exhaustive_mu, random_systems, weight_systems_up_to
 
 F = Fraction
 
@@ -186,6 +189,18 @@ def test_reduce_monomial_agrees_with_operator_composition():
         assert composed == reduce_monomial(bumped, w)
 
 
+def test_walk_equals_reduction_from_scratch():
+    systems = [WeightSystem(tup) for tup in weight_systems_up_to(exhaustive_mu(12))]
+    for w in systems + [make_weight_system([7, 11, 13])]:
+        targets = _reduction_targets(w)
+        assert reduce_monomials(targets, w) == [reduce_monomial(a, w) for a in targets]
+    # duplicates, the zero vector and non-canonical vectors of one class
+    w = make_weight_system([1, 2, 3])
+    targets = [(0, 1, 1), (0, 0, 0), (1, 2, 3), (0, 1, 1), (-1, 5, 2), (2, 4, 6), (3, 0, 1)]
+    assert reduce_monomials(targets, w) == [reduce_monomial(a, w) for a in targets]
+    assert reduce_monomials([], w) == []
+
+
 def test_f_action_examples():
     for tup in [(1, 1, 1), (1, 2, 3), (2, 3, 7)]:
         w = make_weight_system(list(tup))
@@ -240,7 +255,8 @@ def test_v_order_of_derivative():
 
 
 def test_sparse_suites_beyond_corpus():
-    # mu = 600: bernstein, birkhoff and v_order touch O(1) terms per step
+    # mu = 600: bernstein, birkhoff and v_order touch O(1) terms per step,
+    # and the reduction walk shares the paths of its 3 * 600 classes
     w = make_weight_system([7, 593])
-    suites = ["bernstein", "birkhoff", "v_order"]
+    suites = ["bernstein", "birkhoff", "v_order", "reduction"]
     assert verify_all(w, suites) == {name: [] for name in suites}

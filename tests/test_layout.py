@@ -2,7 +2,8 @@
 spectrum, the Jordan blocks and the reflexive search are stored and run in
 integers, the report builds no ``Fraction``, the package exports
 exactly what its `__init__` imports, a failed identity has one exception
-type, the CLI has one command path, and no module relies on ``assert``.
+type, the CLI has one command path, monomial reduction has one integer
+step, and no module relies on ``assert``.
 
 The runtime stores A0, A_inf, g and N in structured form; ``linalg`` is
 kept as the dense exact reference that tests compare against, so no
@@ -22,7 +23,9 @@ from weightspec import (
     WeightSystem,
     cli,
     filtrations,
+    gaussmanin,
     spectrum,
+    verify,
 )
 
 PACKAGE = Path(weightspec.__file__).parent
@@ -143,6 +146,32 @@ def test_one_command_path():
         assert gone not in defined, gone
     assert not hasattr(GElement, "__neg__")
     assert "__str__" not in vars(WeightSystem)
+
+
+def _functions(module) -> dict[str, ast.FunctionDef]:
+    path = Path(module.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def test_one_reduction_step():
+    # the step loop reads sigma(k) * D once per term of the state
+    functions = _functions(gaussmanin)
+    step_loops = [
+        name
+        for name, node in functions.items()
+        if any(
+            isinstance(sub, ast.Subscript) and getattr(sub.value, "id", None) == "sigma_scaled"
+            for loop in ast.walk(node)
+            if isinstance(loop, ast.For)
+            for sub in ast.walk(loop)
+        )
+    ]
+    assert step_loops == ["_step"]
+    for caller in ("reduce_monomial", "reduce_monomials"):
+        assert _calls(functions[caller], "_step"), caller
+    path = Path(verify.__file__)
+    assert not _calls(ast.parse(path.read_text(), filename=str(path)), "reduce_monomial")
 
 
 def _asserts(tree: ast.AST) -> bool:
