@@ -98,16 +98,3 @@ def enumerate_reflexive(
         )
     records = [_record_from_q(q) for q in _unit_fraction_tuples(n + 1, 2, 1, 1, [])]
     return sorted(records, key=lambda r: (r.mu, r.weights.weights))
-
-
-def table_compare(
-    n: int, expected: list[tuple[int, ...]]
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Set difference both ways between the enumeration for dimension n and
-    an expected list of weight tuples: (missing-from-enumeration,
-    extra-beyond-expected)."""
-    enumerated = {r.weights.weights for r in enumerate_reflexive(n)}
-    wanted = {tuple(sorted(row)) for row in expected}
-    missing = sorted(wanted - enumerated)
-    extra = sorted(enumerated - wanted)
-    return missing, extra

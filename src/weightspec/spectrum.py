@@ -12,8 +12,9 @@ sigma and the ints floor(sigma) are views built on first access.
 
 The same data is generated by an integer step recursion: starting from
 the zero exponent vector, repeatedly increment the coordinate whose
-current ratio a_i/w_i is minimal (smallest index on ties).  Both routes
-must agree exactly, in values and in ladders i(k); tests enforce this.
+current ratio a_i/w_i is minimal (smallest index on ties).  The recursion
+must end at a(mu) = w, and both routes must agree exactly, in values and
+in ladders i(k); ``step_sequence`` and the ``spectrum`` suite check this.
 """
 
 from __future__ import annotations
@@ -94,14 +95,11 @@ def step_sequence(w: WeightSystem, k_max: int | None = None) -> StepSequence:
     exponents = [tuple(a)]
     indices = [0]
     for k in range(k_max):
-        i = indices[k]
-        if k < mu and a[i] > weights[i] - 1:
-            raise IdentityViolation(
-                f"step {k}: exponent {a[i]} exceeds weight {weights[i]} - 1"
-            )
-        a[i] += 1
+        a[indices[k]] += 1
         exponents.append(tuple(a))
         indices.append(_argmin_ratio(a, weights))
+    # one unit step at a time from 0 to w: each coordinate i passes through
+    # 0..w_i-1 once, so k -> (i(k), a(k)_{i(k)}) hits each ladder pair once
     if k_max >= mu and exponents[mu] != weights:
         raise IdentityViolation(f"exponents[{mu}] = {exponents[mu]} != {weights}")
     return StepSequence(tuple(exponents), tuple(indices))
@@ -185,19 +183,3 @@ def check_symmetry(spec: Spectrum, w: WeightSystem | None = None) -> list[str]:
         if sigma[k] + sigma[n - k] != n * d:
             bad.append(f"low-range sym: sigma({k}) + sigma({n - k}) != {n}")
     return bad
-
-
-def index_bijection(seq: StepSequence, w: WeightSystem) -> dict[int, tuple[int, int]]:
-    """The map k -> (i(k), a(k)_{i(k)}) on k = 0..mu-1, verified to hit each
-    ladder pair (i, l) with 0 <= l < w_i exactly once."""
-    mu = w.mu
-    mapping = {
-        k: (seq.indices[k], seq.exponents[k][seq.indices[k]]) for k in range(mu)
-    }
-    expected = {(i, l) for i, wi in enumerate(w.weights) for l in range(wi)}
-    image = set(mapping.values())
-    if image != expected:
-        raise IdentityViolation(
-            f"image has {len(image)} pairs, expected the {len(expected)} ladder pairs"
-        )
-    return mapping

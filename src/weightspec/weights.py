@@ -2,8 +2,9 @@
 
 A weight system is a tuple of positive integers (w_0, ..., w_n) with
 gcd 1.  Everything downstream (spectra, connection matrices, filtrations)
-is computed from such a tuple in exact rational arithmetic; the scalar
-type at the API is :class:`fractions.Fraction`.
+is computed from such a tuple exactly: spectra, Jordan data and A0 are
+integers over D = lcm(w), and :class:`fractions.Fraction` appears only at
+the API edge (sigma, alpha) and in connection-module coefficients.
 """
 
 from __future__ import annotations

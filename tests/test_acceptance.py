@@ -26,7 +26,6 @@ from weightspec import (
     spectrum_direct,
     spectrum_from_steps,
     step_sequence,
-    table_compare,
 )
 from weightspec.gaussmanin import canonical_exponents
 from weightspec.reflexive import has_integral_spectrum
@@ -47,7 +46,7 @@ from conftest import (
     weight_systems_with_parts,
 )
 
-from test_reflexive import TABLE_DIM3, TABLE_DIM4, TABLE_DIM4_ERRATUM
+from test_reflexive import TABLE_DIM3, TABLE_DIM4, TABLE_DIM4_ERRATUM, table_compare
 from test_spectrum import ladder_triples
 
 F = Fraction

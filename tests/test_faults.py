@@ -11,6 +11,7 @@ import pytest
 
 import weightspec.gaussmanin as gaussmanin
 import weightspec.reflexive as reflexive
+import weightspec.spectrum as spectrum
 import weightspec.verify as verify
 from weightspec import make_weight_system, verify_all
 
@@ -90,6 +91,63 @@ def test_periodicity_fault(monkeypatch):
     w = make_weight_system([2, 3, 7])
     results = verify_all(w)
     assert results.pop("periodicity") == [f"periodicity: exponent at k = {w.mu - 1} off"]
+    assert all(failures == [] for failures in results.values())
+
+
+def _argmin_ties_to_largest(a, weights):
+    best = 0
+    for j in range(1, len(weights)):
+        if a[j] * weights[best] <= a[best] * weights[j]:
+            best = j
+    return best
+
+
+def _argmin_skips_last(a, weights):
+    best = 0
+    for j in range(1, len(weights) - 1):
+        if a[j] * weights[best] < a[best] * weights[j]:
+            best = j
+    return best
+
+
+SYSTEMS = [(1, 2, 3), (2, 3, 7), (1, 2, 12, 15, 30)]
+
+
+@pytest.mark.parametrize("weights", SYSTEMS)
+def test_step_tie_order_fault(monkeypatch, weights):
+    # still a min-ratio recursion, so it reaches a(mu) = w, but in the
+    # wrong tie order, and i(mu) = n != i(0) = 0
+    monkeypatch.setattr(spectrum, "_argmin_ratio", _argmin_ties_to_largest)
+    results = verify_all(make_weight_system(list(weights)))
+    assert results.pop("spectrum") == ["spectrum: canonical tie order violated"]
+    assert results.pop("periodicity")
+    assert all(failures == [] for failures in results.values())
+
+
+@pytest.mark.parametrize("weights", SYSTEMS)
+def test_step_skipped_coordinate_fault(monkeypatch, weights):
+    # coordinate n is never stepped, so a(mu) != w and step_sequence raises
+    # in every suite that runs the recursion
+    monkeypatch.setattr(spectrum, "_argmin_ratio", _argmin_skips_last)
+    assert _failed(make_weight_system(list(weights))) == {"spectrum", "periodicity", "reduction"}
+
+
+def test_step_exponent_fault(monkeypatch):
+    # a(3) off in coordinate 0 on (1, 2, 3), where i(3) = 2: the spectrum
+    # and periodicity suites read only a(k)_{i(k)}, the reduction all of a(k)
+    real = verify.step_sequence
+
+    def exponent_off(w, k_max=None):
+        seq = real(w, k_max)
+        exponents = list(seq.exponents)
+        exponents[3] = (exponents[3][0] + 1,) + exponents[3][1:]
+        return dataclasses.replace(seq, exponents=tuple(exponents))
+
+    w = make_weight_system([1, 2, 3])
+    assert real(w).indices[3] == 2
+    monkeypatch.setattr(verify, "step_sequence", exponent_off)
+    results = verify_all(w)
+    assert "reduction: class of u^a(3) != omega_3" in results.pop("reduction")
     assert all(failures == [] for failures in results.values())
 
 

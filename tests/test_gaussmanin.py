@@ -255,8 +255,10 @@ def test_v_order_of_derivative():
 
 
 def test_sparse_suites_beyond_corpus():
-    # mu = 600: bernstein, birkhoff and v_order touch O(1) terms per step,
-    # and the reduction walk shares the paths of its 3 * 600 classes
-    w = make_weight_system([7, 593])
+    # mu = 600 and 2000: bernstein, birkhoff and v_order touch O(1) terms
+    # per step, and the reduction walk shares the paths of its 3 * mu
+    # classes; (7, 1993) costs about 1.5 s, mostly in the reduction
     suites = ["bernstein", "birkhoff", "v_order", "reduction"]
-    assert verify_all(w, suites) == {name: [] for name in suites}
+    for weights in ([7, 593], [7, 1993]):
+        w = make_weight_system(weights)
+        assert verify_all(w, suites) == {name: [] for name in suites}

@@ -85,7 +85,14 @@ def test_exports_match_imports():
         assert hasattr(weightspec, name), name
     assert set(weightspec.__all__) - {"__version__"} == _init_imports()
     assert len(weightspec.__all__) == len(set(weightspec.__all__))
-    for gone in ("PairingMatrix", "pairing_matrix", "ExponentVector", "nilpotent_matrix"):
+    for gone in (
+        "PairingMatrix",
+        "pairing_matrix",
+        "ExponentVector",
+        "nilpotent_matrix",
+        "index_bijection",
+        "table_compare",
+    ):
         assert not hasattr(weightspec, gone), gone
 
 

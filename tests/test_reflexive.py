@@ -11,7 +11,6 @@ from weightspec import (
     enumerate_reflexive,
     is_reflexive,
     make_weight_system,
-    table_compare,
 )
 from weightspec.reflexive import _unit_fraction_tuples, has_integral_spectrum
 
@@ -151,6 +150,19 @@ def test_dim4_erratum_row_is_not_reflexive():
     assert not has_integral_spectrum(w)
     missing, _ = table_compare(4, [TABLE_DIM4_ERRATUM])
     assert missing == [TABLE_DIM4_ERRATUM]
+
+
+def table_compare(
+    n: int, expected: list[tuple[int, ...]]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Set difference both ways between the enumeration for dimension n and
+    an expected list of weight tuples: (missing-from-enumeration,
+    extra-beyond-expected)."""
+    enumerated = {r.weights.weights for r in enumerate_reflexive(n)}
+    wanted = {tuple(sorted(row)) for row in expected}
+    missing = sorted(wanted - enumerated)
+    extra = sorted(enumerated - wanted)
+    return missing, extra
 
 
 def test_table_compare_examples():

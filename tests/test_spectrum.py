@@ -10,7 +10,6 @@ from weightspec import (
     WeightSystem,
     check_symmetry,
     eigenvalue_classes,
-    index_bijection,
     make_weight_system,
     spectral_polynomial,
     spectrum_direct,
@@ -162,18 +161,26 @@ def test_ladders_examples():
     assert spec.ladders == step_sequence(w).indices[: w.mu]
 
 
-def test_index_bijection_examples():
-    w = make_weight_system([1, 1, 2])
+def _index_map(w: WeightSystem) -> dict[int, tuple[int, int]]:
+    """k -> (i(k), a(k)_{i(k)}) on k = 0..mu-1, read off the recursion."""
     seq = step_sequence(w)
-    assert index_bijection(seq, w) == {0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (2, 1)}
+    return {k: (i, seq.exponents[k][i]) for k, i in enumerate(seq.indices[: w.mu])}
+
+
+def test_index_bijection_examples():
+    # a(mu) = w, reached one unit step at a time, makes the map a bijection
+    # onto the ladder pairs (i, l) with 0 <= l < w_i
+    w = make_weight_system([1, 1, 2])
+    assert _index_map(w) == {0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (2, 1)}
 
     w = make_weight_system([1, 1, 1])
-    assert index_bijection(step_sequence(w), w) == {0: (0, 0), 1: (1, 0), 2: (2, 0)}
+    assert _index_map(w) == {0: (0, 0), 1: (1, 0), 2: (2, 0)}
 
     w = make_weight_system([1, 2, 3])
-    mapping = index_bijection(step_sequence(w), w)
+    mapping = _index_map(w)
     for i, wi in enumerate(w.weights):
         assert sum(1 for pair in mapping.values() if pair[0] == i) == wi
+    assert sorted(mapping.values()) == [(i, l) for i, wi in enumerate(w.weights) for l in range(wi)]
 
 
 def _assert_invariants(w: WeightSystem):
