@@ -1,14 +1,17 @@
 """Report envelopes and the JSON / CSV / table renderers.
 
 Every rational value is serialized as {"num": int, "den": int} — never as
-a float.  JSON output is canonical (sorted keys, two-space indent) so
-that parse + re-serialize is byte-identical.
+a float.  JSON output is canonical: sorted keys, a two-space indent and
+ASCII escapes, so that parse + re-serialize is byte-identical.  The
+module's own emitter writes it, byte-equal to
+``json.dumps(doc, sort_keys=True, indent=2)``, whose ``indent`` would send
+CPython to its pure-Python encoder.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 from numbers import Rational
 from typing import Any
 
@@ -53,7 +56,45 @@ def envelope(
 
 
 def to_json(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The canonical text of ``doc`` and a newline: the bytes of
+    ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``."""
+    out: list[str] = []
+    _emit(doc, "", "", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(value: Any, head: str, indent: str, out: list[str]) -> None:
+    """Append ``head`` and then the JSON text of ``value`` to ``out``.
+
+    ``head`` is what precedes the value (separator, newline, indent and
+    ``"key": ``); a scalar goes into ``out`` with it as one string, which
+    keeps the list short.  Only dicts with str keys, lists, str and int
+    are JSON here: anything else, bool and None included, is a TypeError.
+    """
+    kind = type(value)
+    if kind is int:
+        out.append(head + str(value))
+    elif kind is str:
+        out.append(head + encode_basestring_ascii(value))
+    elif kind is list or kind is dict:
+        opening, closing = ("[", "]") if kind is list else ("{", "}")
+        if not value:
+            out.append(head + opening + closing)
+            return
+        inner = indent + "  "
+        head += opening + "\n" + inner
+        if kind is list:
+            for item in value:
+                _emit(item, head, inner, out)
+                head = ",\n" + inner
+        else:
+            for key in sorted(value):  # encode_basestring_ascii rejects a non-str key
+                _emit(value[key], head + encode_basestring_ascii(key) + ": ", inner, out)
+                head = ",\n" + inner
+        out.append("\n" + indent + closing)
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def spectrum_payload(w: WeightSystem) -> dict[str, Any]:

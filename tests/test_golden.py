@@ -7,6 +7,13 @@ three formats, and malformed inputs (whose error text goes to stderr,
 which is not pinned).  A change that is meant to keep the output
 byte-identical must leave every digest as it is; a change that alters an
 output on purpose updates its digest and says so.
+
+``GOLDEN_LARGE`` pins JSON reports of the size the benchmark's
+``report-session`` writes (0.8-1.4 MB each): the spectrum, Jordan and
+filtration reports of the three prime weights 1319, 1321, 1361 (mu 4001),
+the Frobenius report at mu 96 and ``reflexive -n 5``.  Their digests were
+taken from the code that still wrote JSON with ``json.dumps(doc,
+sort_keys=True, indent=2)``, before ``report``'s own emitter replaced it.
 """
 
 import contextlib
@@ -148,15 +155,31 @@ GOLDEN = {
     "jordan -w 1,2,3 --format xml": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
+GOLDEN_LARGE = {
+    "spectrum -w 1319,1321,1361 --format json": (0, "203f6ea37e41610118ff4e9bcb5bbb17f2fce0b5d42552a8ef32a2c9fb5efbdb"),
+    "jordan -w 1319,1321,1361 --format json": (0, "bac6cbcf1781aece34a25cf7d424df9bc9fd2fefbba9c16ea87d16aafd6c8805"),
+    "filtrations -w 1319,1321,1361 --format json": (0, "01820468e2f84b2d822e4f4e6574d0d241f2127fed39a315abb2573359841cb2"),
+    "frobenius -w 17,19,26,34 --format json": (0, "bf1b51958f0f6c742cebafe98ba9e16c43b401c470c9735115649bcddc627205"),
+    "reflexive -n 5 --format json": (0, "73305da44e1bcf5219e1eb0dd2b2dfc204bbca801f2470a662f78dfe5fa15261"),
+}
 
-def test_golden_stdout_and_exit_codes():
+
+def _mismatches(golden: dict[str, tuple[int, str]]) -> list[tuple[str, int, str]]:
     mismatches = []
-    for command, expected in GOLDEN.items():
+    for command, expected in golden.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = run(command.split())
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         if (code, digest) != expected:
             mismatches.append((command, code, digest))
-    assert mismatches == []
+    return mismatches
+
+
+def test_golden_stdout_and_exit_codes():
+    assert _mismatches(GOLDEN) == []
     assert len(GOLDEN) == 130
+
+
+def test_golden_json_at_session_size():
+    assert _mismatches(GOLDEN_LARGE) == []

@@ -3,7 +3,8 @@ spectrum, the Jordan blocks and the reflexive search are stored and run in
 integers, the report builds no ``Fraction``, the package exports
 exactly what its `__init__` imports, a failed identity has one exception
 type, the CLI has one command path, monomial reduction has one integer
-step, and no module relies on ``assert``.
+step, no module relies on ``assert``, and ``report.to_json`` is the only
+JSON writer.
 
 The runtime stores A0, A_inf, g and N in structured form; ``linalg`` is
 kept as the dense exact reference that tests compare against, so no
@@ -192,5 +193,17 @@ def test_no_assert_statements():
         path.name
         for path in sorted(PACKAGE.glob("*.py"))
         if _asserts(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert offenders == []
+
+
+def test_one_json_writer():
+    # json.dumps stays in the tests, as the oracle of report.to_json
+    assert _calls(ast.parse("json.dumps(doc, indent=2)"), "dumps")
+    assert _calls(ast.parse("from json import dumps\ndumps(doc)"), "dumps")
+    offenders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(_calls(ast.parse(path.read_text(), filename=str(path)), name) for name in ("dump", "dumps"))
     ]
     assert offenders == []

@@ -1,10 +1,15 @@
 """The report payloads against dicts built apart from the program, in
 ``Fraction`` arithmetic: the spectrum from the ladder triples, every
-rational through the plain ``Fraction`` encoder."""
+rational through the plain ``Fraction`` encoder.  The JSON emitter against
+``json.dumps(doc, sort_keys=True, indent=2)`` on generated documents."""
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from weightspec import WeightSystem
 from weightspec.report import (
@@ -13,6 +18,7 @@ from weightspec.report import (
     jordan_payload,
     rational_text,
     spectrum_payload,
+    to_json,
 )
 
 from conftest import exhaustive_mu, weight_systems_up_to
@@ -93,3 +99,36 @@ def test_encoders_reduce_like_fraction():
             assert rational_text(num, den) == str(value)
             assert rational_text(value) == str(value)
     assert encode_rational(F(3, 4), 6) == enc(F(1, 8))
+
+
+# quotes, backslashes, control and non-ASCII characters, and astral ones
+# that json writes as surrogate pairs
+_texts = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'), st.characters())
+)
+# "10" sorts before "2" as text and after it as a number
+_keys = st.one_of(_texts, st.integers(0, 120).map(str))
+_ints = st.one_of(
+    st.integers(-1000, 1000), st.integers(max_value=-(2**64)), st.integers(min_value=2**64)
+)
+_documents = st.recursive(
+    st.one_of(_ints, _texts, st.just([]), st.just({})),
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(_keys, children, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_documents)
+def test_to_json_matches_json_dumps(doc):
+    assert to_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_to_json_rejects_what_it_does_not_write():
+    for bad in (True, False, None, 1.5, (1, 2)):
+        for doc in (bad, [0, bad], {"k": bad}):
+            with pytest.raises(TypeError):
+                to_json(doc)
+    for doc in ({1: "x"}, {"a": {2: []}}):
+        with pytest.raises(TypeError):
+            to_json(doc)
