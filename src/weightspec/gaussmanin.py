@@ -9,10 +9,11 @@ elements by
     tau_dtau(omega_k) = -sigma(k) * omega_k - mu * tau * omega_{k+1 mod mu}
 
 (with omega_mu = omega_0) and extends by the Leibniz rule.  From this one
-operator everything else follows: the degree-mu Bernstein relation, the
-Birkhoff normal form theta^2 d_theta = A0 + theta * A_inf (theta = 1/tau),
-reduction of monomial classes u^a * omega_0 to the basis, multiplication
-by the defining linear form f = sum_i w_i u_i, and the V-order.
+operator everything else follows: the degree-mu Bernstein relation,
+reduction of monomial classes u^a * omega_0 to the basis, the V-order, and
+multiplication by f = sum_i w_i u_i as theta^2 d_theta = -tau^(-1) tau_dtau
+(theta = 1/tau), on a monomial class and its reduced element alike, which
+on basis vectors is the Birkhoff normal form A0 + theta * A_inf.
 """
 
 from __future__ import annotations
@@ -173,13 +174,13 @@ def birkhoff_matrices(
     w: WeightSystem,
 ) -> tuple[dict[tuple[int, int], Fraction], dict[tuple[int, int], Fraction]]:
     """Nonzero entries (row, column) -> coefficient of A0 and A_inf in
-    theta^2 d_theta = -tau^(-1) tau_dtau: column k of A0 is the tau^0 part,
-    of A_inf the theta part.  Other tau-powers raise IdentityViolation."""
+    theta^2 d_theta = ``f_action``: column k of A0 is the tau^0 part of
+    f * omega_k, of A_inf its theta part.  Other tau-powers raise
+    IdentityViolation."""
     mu = w.mu
     a0, ainf = {}, {}
     for k in range(mu):
-        image = tau_dtau(GElement.basis(mu, k), w).shift(-1).scale(-1)
-        for (j, m), c in image.coeffs.items():
+        for (j, m), c in f_action(GElement.basis(mu, k), w).coeffs.items():
             if m == 0:
                 a0[j, k] = c
             elif m == -1:
@@ -229,9 +230,7 @@ def _step(flat: _State, j: int, b_j: int, total: int, data: _StepData) -> _State
     return nxt
 
 
-def _unscaled(flat: _State, steps: int, data: _StepData) -> GElement:
-    mu, _, scale, _ = data
-    denom = (scale * mu) ** steps
+def _unscaled(flat: _State, denom: int, mu: int) -> GElement:
     return GElement._raw(mu, {key: Fraction(c, denom) for key, c in flat.items()})
 
 
@@ -271,7 +270,7 @@ def reduce_monomial(
     for total, j in enumerate(path):
         flat = _step(flat, j, current[j], total, data)
         current[j] += 1
-    return _unscaled(flat, len(path), data)
+    return _unscaled(flat, (data[2] * w.mu) ** len(path), w.mu)
 
 
 def reduce_monomials(targets: Sequence[Sequence[int]], w: WeightSystem) -> list[GElement]:
@@ -281,55 +280,45 @@ def reduce_monomials(targets: Sequence[Sequence[int]], w: WeightSystem) -> list[
     path of its canonical exponents; the walk only skips the prefix that
     path shares with the previous target's.  The canonical targets are
     de-duplicated and sorted, and ``checkpoints[j]`` keeps the state at
-    (p_0, ..., p_j, 0, ..., 0) for the previous target p.  A target that
-    first differs from p in coordinate j exceeds p there, so its path
-    passes through ``checkpoints[j]`` and steps on from there.
+    (p_0, ..., p_j, 0, ..., 0) for the previous target p, with the
+    denominator of its scaled coefficients.  A target that first differs
+    from p in coordinate j exceeds p there, so its path passes through
+    ``checkpoints[j]`` and steps on from there.
     """
     canonical = [canonical_exponents(a, w) for a in targets]
     data = _step_data(w)
-    size = w.n + 1
+    mu, size = w.mu, w.n + 1
+    step_denom = data[2] * mu
     previous = (0,) * size
-    checkpoints = [{(0, 0): 1}] * size
+    checkpoints = [({(0, 0): 1}, 1)] * size
     reduced: dict[tuple[int, ...], GElement] = {}
     for target in sorted(set(canonical)):
         # only the zero vector, sorted first, equals its previous: omega_0
         j = next((i for i in range(size) if target[i] != previous[i]), size - 1)
-        flat = checkpoints[j]
+        flat, denom = checkpoints[j]
         b_j = previous[j]
         total = sum(target[:j]) + b_j
         for i in range(j, size):
             for b_i in range(b_j, target[i]):
                 flat = _step(flat, i, b_i, total, data)
+                denom *= step_denom
                 total += 1
-            checkpoints[i] = flat
+            checkpoints[i] = flat, denom
             b_j = 0
-        reduced[target] = _unscaled(flat, total, data)
+        reduced[target] = _unscaled(flat, denom, mu)
         previous = target
     return [reduced[t] for t in canonical]
 
 
 def f_action(x: GElement | Sequence[int], w: WeightSystem) -> GElement:
-    """Multiply by the defining linear form f = sum_i w_i u_i.
-
-    For a monomial class this is sum_i w_i * reduce_monomial(a + 1_i), with
-    the n+1 classes reduced in one ``reduce_monomials`` walk; on a basis
-    vector it gives mu * omega_{k+1 mod mu} + sigma(k) * theta * omega_k,
-    so the matrix of f modulo theta is exactly A0.
-    """
-    if isinstance(x, GElement):
-        mu = _require_mu(x, w)
-        sigma = spectrum_direct(w).spectral_numbers
-        out: dict[tuple[int, int], Fraction] = {}
-        for (k, m), c in x.coeffs.items():
-            _add_term(out, ((k + 1) % mu, m), mu * c)
-            _add_term(out, (k, m - 1), sigma[k] * c)
-        return GElement._raw(mu, out)
-    base = canonical_exponents(x, w)
-    bumped = [base[:i] + (base[i] + 1,) + base[i + 1:] for i in range(w.n + 1)]
-    acc = GElement.zero(w.mu)
-    for wi, image in zip(w.weights, reduce_monomials(bumped, w)):
-        acc = acc + image.scale(wi)
-    return acc
+    """Multiply by the defining linear form f = sum_i w_i u_i, which acts as
+    theta^2 d_theta = -tau^(-1) tau_dtau, Leibniz rule included.  A monomial
+    class is reduced first, so it has the image of its reduced element.  On
+    omega_k this is mu * omega_{k+1 mod mu} + sigma(k) * theta * omega_k,
+    the Birkhoff normal form A0 + theta * A_inf."""
+    if not isinstance(x, GElement):
+        x = reduce_monomial(x, w)
+    return tau_dtau(x, w).shift(-1).scale(-1)
 
 
 def v_order(x: GElement, w: WeightSystem) -> Fraction | None:

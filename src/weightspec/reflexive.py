@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .spectrum import spectrum_direct
-from .weights import WeightSystem, make_weight_system
+from .weights import WeightSystem
 
 DEFAULT_MAX_DIMENSION = 5
 
@@ -78,11 +78,12 @@ def _unit_fraction_tuples(
 
 
 def _record_from_q(q: tuple[int, ...]) -> ReflexiveRecord:
-    # the lcm(q)/q_i have gcd 1: a prime's top power in q exactly divides some q_i
-    level = math.lcm(*q)
-    system = make_weight_system([level // qi for qi in q])
-    mu = system.mu
-    return ReflexiveRecord(system, mu, tuple(mu // wi for wi in system.weights))
+    # sum 1/q_i = 1 makes mu = sum lcm(q)/q_i = lcm(q), and the weights have
+    # gcd 1: a prime's top power in q exactly divides some q_i.  q is
+    # nondecreasing, so reversed it gives the weights in ascending order.
+    mu = math.lcm(*q)
+    q = q[::-1]
+    return ReflexiveRecord(WeightSystem(tuple(mu // qi for qi in q)), mu, q)
 
 
 def enumerate_reflexive(

@@ -165,6 +165,25 @@ def test_bernstein_fault(monkeypatch):
     assert all(failures == [] for failures in results.values())
 
 
+# faults in the derivative on basis vectors: birkhoff_matrices splits
+# f * omega_k = -tau^(-1) tau_dtau(omega_k) into A0 (its tau^0 part) and
+# A_inf (its theta part), and the Bernstein product and the f route of the
+# reduction suite read the same derivative
+BIRKHOFF_FAULTS = {
+    "birkhoff: A0 is not mu * cyclic shift": ("-mu * c", "-(mu + 1) * c"),
+    "birkhoff: A_inf is not diag(sigma)": ("(m - sigma[k]) * c", "(m - sigma[k] - (k == 1)) * c"),
+}
+
+
+@pytest.mark.parametrize("message", sorted(BIRKHOFF_FAULTS))
+@pytest.mark.parametrize("weights", SYSTEMS)
+def test_birkhoff_fault(monkeypatch, message, weights):
+    _plant_in_gaussmanin(monkeypatch, *BIRKHOFF_FAULTS[message])
+    results = verify_all(make_weight_system(list(weights)))
+    assert results["birkhoff"] == [message]
+    assert {name for name, failures in results.items() if failures} == {"bernstein", "birkhoff", "reduction"}
+
+
 def test_saito_fault(monkeypatch):
     real = verify.saito_filtration
 

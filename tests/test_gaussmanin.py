@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -222,12 +223,49 @@ def _mod_theta(x: GElement) -> GElement:
     return GElement(x.mu, {(k, m): c for k, m, c in x.terms() if m == 0})
 
 
+def _f_via_monomials(a, w) -> GElement:
+    """sum_i w_i * [u^(a + 1_i)]: f = sum_i w_i u_i applied to the monomial
+    before reduction, each product reduced on its own."""
+    a, acc = tuple(a), GElement.zero(w.mu)
+    for i, wi in enumerate(w.weights):
+        acc = acc + reduce_monomial(a[:i] + (a[i] + 1,) + a[i + 1:], w).scale(wi)
+    return acc
+
+
 def test_f_action_two_routes_agree():
     for tup in [(1, 1, 2), (1, 2, 3), (1, 1, 3)]:
         w = make_weight_system(list(tup))
         seq = step_sequence(w)
         for k in range(w.mu):
-            assert f_action(seq.exponents[k], w) == f_action(basis(w.mu, k), w)
+            assert _f_via_monomials(seq.exponents[k], w) == f_action(basis(w.mu, k), w)
+
+
+def test_f_action_same_on_class_and_reduced_element():
+    # theta^2 d_theta with its Leibniz term, so reducing first or
+    # multiplying the monomial first gives the same element
+    cases = [
+        (make_weight_system(list(tup)), itertools.product(range(-1, 4), repeat=len(tup)))
+        for tup in [(1, 2, 3), (2, 3, 7), (5, 7), (3, 4, 5, 11)]
+    ]
+    rng = random.Random(14)
+    wide = make_weight_system([1, 2, 12, 15, 30])
+    cases.append((wide, [tuple(rng.randint(-1, 3) for _ in range(5)) for _ in range(60)]))
+    for w, exponents in cases:
+        for a in exponents:
+            assert f_action(a, w) == f_action(reduce_monomial(a, w), w) == _f_via_monomials(a, w), (w, a)
+
+
+def test_f_action_leibniz_rule():
+    # f(tau^m x) = tau^m f(x) - m * tau^(m-1) x
+    rng = random.Random(1414)
+    for w in random_systems(seed=14, count=10, mu_max=30, max_parts=5):
+        for _ in range(10):
+            x = GElement(w.mu, {
+                (rng.randrange(w.mu), rng.randint(-3, 3)): F(rng.randint(-9, 9), rng.randint(1, 5))
+                for _ in range(rng.randint(1, 6))
+            })
+            m = rng.randint(-4, 4)
+            assert f_action(x.shift(m), w) == f_action(x, w).shift(m) - x.shift(m - 1).scale(m)
 
 
 def test_v_order_examples():

@@ -3,8 +3,8 @@ spectrum, the Jordan blocks and the reflexive search are stored and run in
 integers, the report builds no ``Fraction``, the package exports
 exactly what its `__init__` imports, a failed identity has one exception
 type, the CLI has one command path, monomial reduction has one integer
-step, no module relies on ``assert``, and ``report.to_json`` is the only
-JSON writer.
+step, multiplication by f is the derivative's operator, no module relies
+on ``assert``, and ``report.to_json`` is the only JSON writer.
 
 The runtime stores A0, A_inf, g and N in structured form; ``linalg`` is
 kept as the dense exact reference that tests compare against, so no
@@ -180,6 +180,19 @@ def test_one_reduction_step():
         assert _calls(functions[caller], "_step"), caller
     path = Path(verify.__file__)
     assert not _calls(ast.parse(path.read_text(), filename=str(path)), "reduce_monomial")
+
+
+def test_one_f_operator():
+    # f acts as -tau^(-1) tau_dtau, so only the derivative and the V-order
+    # read sigma(k) as a Fraction
+    functions = _functions(gaussmanin)
+    assert _calls(functions["f_action"], "tau_dtau")
+    readers = sorted(
+        name
+        for name, node in functions.items()
+        if any(isinstance(sub, ast.Attribute) and sub.attr == "spectral_numbers" for sub in ast.walk(node))
+    )
+    assert readers == ["tau_dtau", "v_order"]
 
 
 def _asserts(tree: ast.AST) -> bool:
