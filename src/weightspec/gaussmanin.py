@@ -14,10 +14,15 @@ reduction of monomial classes u^a * omega_0 to the basis, the V-order, and
 multiplication by f = sum_i w_i u_i as theta^2 d_theta = -tau^(-1) tau_dtau
 (theta = 1/tau), on a monomial class and its reduced element alike, which
 on basis vectors is the Birkhoff normal form A0 + theta * A_inf.
+
+Reduction steps a flat integer list: a unit step sends tau^m * omega_k to
+(k, m-1) and (k+1, m), so after ``total`` steps from omega_0 every term has
+k = total + m (mod mu), and the list holds the scaled coefficients by d = -m.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
@@ -194,7 +199,7 @@ def birkhoff_matrices(
 
 # what the integer step reads: mu, the weights, D = lcm(w) and sigma(k) * D
 _StepData = tuple[int, tuple[int, ...], int, list[int]]
-_State = dict[tuple[int, int], int]
+_Reduced = tuple[list[int], int, int]
 
 
 def _step_data(w: WeightSystem) -> _StepData:
@@ -204,34 +209,28 @@ def _step_data(w: WeightSystem) -> _StepData:
     return w.mu, w.weights, scale, sigma_scaled
 
 
-def _step(flat: _State, j: int, b_j: int, total: int, data: _StepData) -> _State:
+def _step(flat: list[int], j: int, b_j: int, total: int, data: _StepData) -> list[int]:
     """One unit increment in coordinate j of the state at exponents b, with
-    b_j and total = sum(b) given.  Coefficients are integers scaled by
-    (D*mu)^steps, so the hot loop is gcd-free; ``_unscaled`` restores them."""
+    b_j and total = sum(b) given.  ``flat[d]`` is the coefficient of
+    tau^(-d) * omega_{(total - d) mod mu}, with no trailing zero, because
+    every term has k = total + m (mod mu).  Coefficients are integers scaled
+    by (D*mu)^steps, so the hot loop is gcd-free; ``_unscaled`` restores them."""
     mu, weights, scale, sigma_scaled = data
     step_denom = scale * mu
     l_scaled = total * scale - mu * b_j * (scale // weights[j])
-    nxt: _State = {}
-    for (k, m), c in flat.items():
-        t = m * scale - sigma_scaled[k] + l_scaled
-        if t:
-            key = (k, m - 1)
-            s = nxt.get(key, 0) - c * t
-            if s:
-                nxt[key] = s
-            else:
-                del nxt[key]
-        key = ((k + 1) % mu, m)
-        s = nxt.get(key, 0) + c * step_denom
-        if s:
-            nxt[key] = s
-        else:
-            del nxt[key]
+    nxt = [c * step_denom for c in flat] + [0]
+    for d, c in enumerate(flat):
+        t = l_scaled - d * scale - sigma_scaled[(total - d) % mu]
+        nxt[d + 1] -= c * t
+    while not nxt[-1]:  # nxt[0] = (D*mu)^steps is never 0
+        nxt.pop()
     return nxt
 
 
-def _unscaled(flat: _State, denom: int, mu: int) -> GElement:
-    return GElement._raw(mu, {key: Fraction(c, denom) for key, c in flat.items()})
+def _unscaled(flat: list[int], denom: int, total: int, mu: int) -> GElement:
+    return GElement._raw(
+        mu, {((total - d) % mu, -d): Fraction(c, denom) for d, c in enumerate(flat) if c}
+    )
 
 
 def reduce_monomial(
@@ -265,16 +264,18 @@ def reduce_monomial(
     if sorted(path) != steps:
         raise ValueError(f"path {path} does not lead to {target}")
     data = _step_data(w)
-    flat = {(0, 0): 1}
+    flat = [1]
     current = [0] * (w.n + 1)
     for total, j in enumerate(path):
         flat = _step(flat, j, current[j], total, data)
         current[j] += 1
-    return _unscaled(flat, (data[2] * w.mu) ** len(path), w.mu)
+    return _unscaled(flat, (data[2] * w.mu) ** len(path), len(path), w.mu)
 
 
-def reduce_monomials(targets: Sequence[Sequence[int]], w: WeightSystem) -> list[GElement]:
-    """``[reduce_monomial(a, w) for a in targets]``, in one walk.
+def _reduce_walk(targets: Sequence[Sequence[int]], w: WeightSystem) -> list[_Reduced]:
+    """The reduced class of each target as ``(flat, denom, total)``: the
+    ``_step`` state over its denominator, both divided by their gcd, with
+    total the sum of the canonical exponents.
 
     Every class is still reduced from omega_0 along the coordinate-major
     path of its canonical exponents; the walk only skips the prefix that
@@ -287,11 +288,11 @@ def reduce_monomials(targets: Sequence[Sequence[int]], w: WeightSystem) -> list[
     """
     canonical = [canonical_exponents(a, w) for a in targets]
     data = _step_data(w)
-    mu, size = w.mu, w.n + 1
-    step_denom = data[2] * mu
+    size = w.n + 1
+    step_denom = data[2] * w.mu
     previous = (0,) * size
-    checkpoints = [({(0, 0): 1}, 1)] * size
-    reduced: dict[tuple[int, ...], GElement] = {}
+    checkpoints = [([1], 1)] * size
+    reduced: dict[tuple[int, ...], _Reduced] = {}
     for target in sorted(set(canonical)):
         # only the zero vector, sorted first, equals its previous: omega_0
         j = next((i for i in range(size) if target[i] != previous[i]), size - 1)
@@ -305,9 +306,15 @@ def reduce_monomials(targets: Sequence[Sequence[int]], w: WeightSystem) -> list[
                 total += 1
             checkpoints[i] = flat, denom
             b_j = 0
-        reduced[target] = _unscaled(flat, denom, mu)
+        g = math.gcd(denom, *flat)
+        reduced[target] = [c // g for c in flat], denom // g, total
         previous = target
     return [reduced[t] for t in canonical]
+
+
+def reduce_monomials(targets: Sequence[Sequence[int]], w: WeightSystem) -> list[GElement]:
+    """``[reduce_monomial(a, w) for a in targets]``, in one ``_reduce_walk``."""
+    return [_unscaled(*state, w.mu) for state in _reduce_walk(targets, w)]
 
 
 def f_action(x: GElement | Sequence[int], w: WeightSystem) -> GElement:

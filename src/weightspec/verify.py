@@ -10,6 +10,7 @@ metric involution, chains of the nilpotent shift), never on dense matrices.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -23,10 +24,10 @@ from .filtrations import (
 from .frobenius import charpoly_A0, initial_data, metric_partner, metric_violations
 from .gaussmanin import (
     GElement,
+    _reduce_walk,
     bernstein_check,
     birkhoff_matrices,
     f_action,
-    reduce_monomials,
     tau_dtau,
     v_order,
 )
@@ -195,19 +196,28 @@ def _reduction_targets(w: WeightSystem) -> list[tuple[int, ...]]:
 def verify_reduction(w: WeightSystem) -> list[str]:
     """Monomial reduction reproduces the basis along the step sequence and
     the exact multiplication rule for f.  The classes of u^a(k) and of
-    u^(a(k)+1_i) are reduced in one ``reduce_monomials`` walk, each from
-    omega_0 along its own coordinate-major path."""
+    u^(a(k)+1_i) are reduced in one ``_reduce_walk``, each from omega_0
+    along its own coordinate-major path, and compared in integers: a class
+    is omega_k iff its state is [denom] at total = k (mod mu)."""
     failures = []
     mu, row = w.mu, w.n + 2
-    reduced = reduce_monomials(_reduction_targets(w), w)
+    reduced = _reduce_walk(_reduction_targets(w), w)
     for k in range(mu):
-        if reduced[k * row] != GElement.basis(mu, k):
+        flat, denom, total = reduced[k * row]
+        if flat != [denom] or total % mu != k:
             failures.append(f"reduction: class of u^a({k}) != omega_{k}")
     for k in range(mu):
-        via_monomials = GElement.zero(mu)
-        for wi, image in zip(w.weights, reduced[k * row + 1:(k + 1) * row]):
-            via_monomials = via_monomials + image.scale(wi)
-        if via_monomials != f_action(GElement.basis(mu, k), w):
+        # the totals of u^(a(k)+1_i) agree mod mu, so equal d is equal (k, m)
+        images = reduced[k * row + 1:(k + 1) * row]
+        lcm = math.lcm(*(denom for _, denom, _ in images))
+        via_monomials = [0] * max(len(flat) for flat, _, _ in images)
+        for wi, (flat, denom, _) in zip(w.weights, images):
+            factor = wi * (lcm // denom)
+            for d, c in enumerate(flat):
+                via_monomials[d] += factor * c
+        total = images[0][2]
+        via = {((total - d) % mu, -d): c for d, c in enumerate(via_monomials) if c}
+        if via != f_action(GElement.basis(mu, k, coefficient=lcm), w).coeffs:
             failures.append(f"reduction: two routes for f*omega_{k} disagree")
     return failures
 

@@ -6,6 +6,7 @@ ok, so a suite that silently checked nothing could not pass here.
 
 import dataclasses
 import inspect
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +15,8 @@ import weightspec.reflexive as reflexive
 import weightspec.spectrum as spectrum
 import weightspec.verify as verify
 from weightspec import make_weight_system, verify_all
+
+from conftest import exhaustive_mu, weight_systems_up_to
 
 
 def _failed(w) -> set[str]:
@@ -27,9 +30,9 @@ def _shifted(spec, k: int = 1):
     return dataclasses.replace(spec, scaled=tuple(scaled))
 
 
-def _plant_in_gaussmanin(monkeypatch, old: str, new: str) -> None:
+def _plant_in_gaussmanin(monkeypatch, old: str, new: str) -> SimpleNamespace:
     """Point ``verify`` at a copy of ``gaussmanin`` whose source has the one
-    occurrence of ``old`` replaced by ``new``."""
+    occurrence of ``old`` replaced by ``new``, and return that copy."""
     source = inspect.getsource(gaussmanin)
     assert source.count(old) == 1, old
     namespace = {"__name__": "weightspec._planted", "__package__": "weightspec"}
@@ -38,28 +41,77 @@ def _plant_in_gaussmanin(monkeypatch, old: str, new: str) -> None:
     assert "GElement" in shared
     for name in shared:
         monkeypatch.setattr(verify, name, namespace[name])
+    return SimpleNamespace(**namespace)
 
 
 # the integer step of monomial reduction, shared by every reduced target
 STEP_FAULTS = {
     "L_j dropped on the last coordinate": (
-        "t = m * scale - sigma_scaled[k] + l_scaled",
-        "t = m * scale - sigma_scaled[k] + (l_scaled if j < len(weights) - 1 else 0)",
+        "t = l_scaled - d * scale - sigma_scaled[(total - d) % mu]",
+        "t = (l_scaled if j < len(weights) - 1 else 0) - d * scale - sigma_scaled[(total - d) % mu]",
     ),
     "sigma(1) shifted by 1/D": (
         "sigma_scaled = [k * scale - v for k, v in enumerate(spec.scaled)]",
         "sigma_scaled = [k * scale - v for k, v in enumerate(spec.scaled)]; sigma_scaled[1] += 1",
     ),
 }
+STEP_FAULT_SYSTEMS = [(1, 2, 3), (1, 2, 12, 15, 30), (7, 11, 13)]
 
 
 @pytest.mark.parametrize("fault", sorted(STEP_FAULTS))
-@pytest.mark.parametrize("weights", [(1, 2, 3), (1, 2, 12, 15, 30), (7, 11, 13)])
+@pytest.mark.parametrize("weights", STEP_FAULT_SYSTEMS)
 def test_reduction_step_fault(monkeypatch, fault, weights):
     w = make_weight_system(list(weights))
     assert _failed(w) == set()
     _plant_in_gaussmanin(monkeypatch, *STEP_FAULTS[fault])
     assert _failed(w) == {"reduction"}
+
+
+@pytest.mark.parametrize("weights", STEP_FAULT_SYSTEMS)
+def test_reduction_normalisation_fault(monkeypatch, weights):
+    # each reduced class is stored over its denominator divided by their gcd
+    _plant_in_gaussmanin(
+        monkeypatch,
+        "reduced[target] = [c // g for c in flat], denom // g, total",
+        "reduced[target] = [c // g for c in flat], denom, total",
+    )
+    assert _failed(make_weight_system(list(weights))) == {"reduction"}
+
+
+def _reduction_via_elements(w, gm) -> list[str]:
+    """The reduction suite computed in ``GElement`` arithmetic from the
+    module ``gm``: the reduced classes, the weighted sum of the classes of
+    u^(a(k)+1_i) and ``f_action`` on omega_k, all in Fractions."""
+    failures = []
+    mu, row = w.mu, w.n + 2
+    reduced = gm.reduce_monomials(verify._reduction_targets(w), w)
+    for k in range(mu):
+        if reduced[k * row] != gm.GElement.basis(mu, k):
+            failures.append(f"reduction: class of u^a({k}) != omega_{k}")
+    for k in range(mu):
+        via_monomials = gm.GElement.zero(mu)
+        for wi, image in zip(w.weights, reduced[k * row + 1:(k + 1) * row]):
+            via_monomials = via_monomials + image.scale(wi)
+        if via_monomials != gm.f_action(gm.GElement.basis(mu, k), w):
+            failures.append(f"reduction: two routes for f*omega_{k} disagree")
+    return failures
+
+
+def test_integer_reduction_suite_matches_elements_on_corpus():
+    for weights in list(weight_systems_up_to(exhaustive_mu(12))) + STEP_FAULT_SYSTEMS:
+        w = make_weight_system(list(weights))
+        assert verify.verify_reduction(w) == _reduction_via_elements(w, gaussmanin) == []
+
+
+@pytest.mark.parametrize("fault", sorted(STEP_FAULTS))
+@pytest.mark.parametrize("weights", STEP_FAULT_SYSTEMS)
+def test_integer_reduction_suite_matches_elements_under_fault(monkeypatch, fault, weights):
+    # the same k values flagged with the same messages
+    planted = _plant_in_gaussmanin(monkeypatch, *STEP_FAULTS[fault])
+    w = make_weight_system(list(weights))
+    failures = verify.verify_reduction(w)
+    assert failures
+    assert failures == _reduction_via_elements(w, planted)
 
 
 def test_spectrum_two_route_fault(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -22,7 +23,8 @@ from weightspec import (
     verify_all,
 )
 
-from weightspec.verify import _reduction_targets
+from weightspec.gaussmanin import _reduce_walk
+from weightspec.verify import ALL_SUITES, _reduction_targets
 
 from conftest import exhaustive_mu, random_systems, weight_systems_up_to
 
@@ -190,11 +192,29 @@ def test_reduce_monomial_agrees_with_operator_composition():
         assert composed == reduce_monomial(bumped, w)
 
 
+def _wrapping_targets(w) -> list[tuple[int, ...]]:
+    """w, w + 1_i and a(mu-1) + 1_i, whose canonical classes wrap (some to
+    zero), and negative exponents."""
+    weights, size = w.weights, w.n + 1
+    last = step_sequence(w).exponents[w.mu - 1]
+    unit = [tuple(int(i == j) for i in range(size)) for j in range(size)]
+    targets = [weights]
+    for e in unit:
+        targets.append(tuple(x + y for x, y in zip(weights, e)))
+        targets.append(tuple(x + y for x, y in zip(last, e)))
+        targets.append(tuple(-x for x in e))
+        targets.append(tuple(y - x for x, y in zip(weights, e)))
+    return targets
+
+
 def test_walk_equals_reduction_from_scratch():
     systems = [WeightSystem(tup) for tup in weight_systems_up_to(exhaustive_mu(12))]
     for w in systems + [make_weight_system([7, 11, 13])]:
-        targets = _reduction_targets(w)
+        targets = _reduction_targets(w) + _wrapping_targets(w)
         assert reduce_monomials(targets, w) == [reduce_monomial(a, w) for a in targets]
+        # each stored class ends in a nonzero entry, in lowest terms
+        for flat, denom, _ in _reduce_walk(targets, w):
+            assert flat[-1] and math.gcd(denom, *flat) == 1
     # duplicates, the zero vector and non-canonical vectors of one class
     w = make_weight_system([1, 2, 3])
     targets = [(0, 1, 1), (0, 0, 0), (1, 2, 3), (0, 1, 1), (-1, 5, 2), (2, 4, 6), (3, 0, 1)]
@@ -295,8 +315,16 @@ def test_v_order_of_derivative():
 def test_sparse_suites_beyond_corpus():
     # mu = 600 and 2000: bernstein, birkhoff and v_order touch O(1) terms
     # per step, and the reduction walk shares the paths of its 3 * mu
-    # classes; (7, 1993) costs about 1.5 s, mostly in the reduction
+    # classes; both systems take about 0.6 s, mostly in the reduction
     suites = ["bernstein", "birkhoff", "v_order", "reduction"]
     for weights in ([7, 593], [7, 1993]):
         w = make_weight_system(weights)
         assert verify_all(w, suites) == {name: [] for name in suites}
+
+
+def test_all_suites_on_a_balanced_ladder_system():
+    # ten weights at mu = 120, the planned ladder size: the reduction walk
+    # reduces 11 * mu classes; about 0.6 s, most of it in the reduction
+    w = make_weight_system([9, 10, 11, 11, 12, 12, 13, 13, 14, 15])
+    assert w.mu == 120
+    assert verify_all(w) == {name: [] for name in ALL_SUITES}

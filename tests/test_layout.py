@@ -176,10 +176,16 @@ def test_one_reduction_step():
         )
     ]
     assert step_loops == ["_step"]
-    for caller in ("reduce_monomial", "reduce_monomials"):
+    for caller in ("reduce_monomial", "_reduce_walk"):
         assert _calls(functions[caller], "_step"), caller
+    # the public batch and the suite share the walk; the suite compares its
+    # integer states, never reduced elements
+    assert _calls(functions["reduce_monomials"], "_reduce_walk")
+    assert _calls(_functions(verify)["verify_reduction"], "_reduce_walk")
     path = Path(verify.__file__)
-    assert not _calls(ast.parse(path.read_text(), filename=str(path)), "reduce_monomial")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for name in ("reduce_monomial", "reduce_monomials", "_unscaled"):
+        assert not _calls(tree, name), name
 
 
 def test_one_f_operator():
