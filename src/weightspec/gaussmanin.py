@@ -1,19 +1,22 @@
 """Symbolic model of the rank-mu connection module in its canonical basis.
 
 An element is a finite sum of terms c * tau^m * omega_k over the basis
-omega_0, ..., omega_{mu-1}, stored sparsely as the map (k, m) -> c of its
-nonzero exact rational coefficients, so every operation costs time in the
-number of terms, not in mu.  The logarithmic derivative acts on basis
-elements by
+omega_0, ..., omega_{mu-1}, stored sparsely as the map (k, m) -> nonzero
+integer numerator over one positive denominator, in lowest terms, so every
+operation costs time in the number of terms, not in mu; ``Fraction`` is
+only the ``coeffs`` and ``terms`` view.  The logarithmic derivative acts on
+basis elements by
 
     tau_dtau(omega_k) = -sigma(k) * omega_k - mu * tau * omega_{k+1 mod mu}
 
-(with omega_mu = omega_0) and extends by the Leibniz rule.  From this one
-operator everything else follows: the degree-mu Bernstein relation,
-reduction of monomial classes u^a * omega_0 to the basis, the V-order, and
-multiplication by f = sum_i w_i u_i as theta^2 d_theta = -tau^(-1) tau_dtau
-(theta = 1/tau), on a monomial class and its reduced element alike, which
-on basis vectors is the Birkhoff normal form A0 + theta * A_inf.
+(with omega_mu = omega_0) and extends by the Leibniz rule; the one integer
+kernel ``_derive`` applies it with sigma(k) * D (D = lcm(w)) read from
+``Spectrum.sigma_scaled``.  From this one operator everything else
+follows: the degree-mu Bernstein relation, reduction of monomial classes
+u^a * omega_0 to the basis, the V-order, and multiplication by
+f = sum_i w_i u_i as theta^2 d_theta = -tau^(-1) tau_dtau (theta = 1/tau),
+on a monomial class and its reduced element alike, which on basis vectors
+is the Birkhoff normal form A0 + theta * A_inf.
 
 Reduction steps a flat integer list: a unit step sends tau^m * omega_k to
 (k, m-1) and (k+1, m), so after ``total`` steps from omega_0 every term has
@@ -23,6 +26,7 @@ k = total + m (mod mu), and the list holds the scaled coefficients by d = -m.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
@@ -37,7 +41,7 @@ class DimensionMismatch(ValueError):
     """An element's mu or basis index does not fit the weight system."""
 
 
-def _add_term(out: dict, key: tuple[int, int], c: Scalar) -> None:
+def _add_term(out: dict, key: tuple[int, int], c: int) -> None:
     """out[key] += c, dropping the key when the sum vanishes."""
     s = out.get(key, 0) + c
     if s:
@@ -47,11 +51,12 @@ def _add_term(out: dict, key: tuple[int, int], c: Scalar) -> None:
 
 
 class GElement:
-    """An element of the rank-mu module: the sparse map (k, m) -> nonzero
-    Fraction giving the coefficient of tau**m * omega_k, 0 <= k < mu.
-    ``coeffs`` is a read-only view, so the hash cannot change."""
+    """An element of the rank-mu module: the coefficient of tau**m * omega_k,
+    0 <= k < mu, is ``_nums[k, m] / _den``, with only nonzero numerators
+    stored, ``_den > 0`` and gcd(_den, *_nums) = 1, so equal elements have
+    equal fields.  ``coeffs`` is the read-only ``Fraction`` view."""
 
-    __slots__ = ("mu", "coeffs")
+    __slots__ = ("mu", "_nums", "_den")
 
     def __init__(
         self, mu: int, coeffs: Mapping[tuple[int, int], Scalar] | None = None
@@ -62,15 +67,21 @@ class GElement:
                 raise DimensionMismatch(f"basis index {k} outside 0..{mu - 1}")
             if c:
                 clean[k, m] = Fraction(c)
+        # each prime power of den is some reduced denominator: gcd(den, *nums) = 1
+        den = math.lcm(*[c.denominator for c in clean.values()])
         self.mu = mu
-        self.coeffs = MappingProxyType(clean)
+        self._nums = {key: c.numerator * (den // c.denominator) for key, c in clean.items()}
+        self._den = den
 
     @classmethod
-    def _raw(cls, mu: int, coeffs: dict[tuple[int, int], Fraction]) -> "GElement":
-        """Wrap in-range keys with nonzero Fraction values, unchecked."""
+    def _raw(cls, mu: int, nums: dict[tuple[int, int], int], den: int) -> "GElement":
+        """Wrap in-range keys with nonzero int numerators over den > 0,
+        unchecked; both are divided by their gcd."""
+        g = math.gcd(den, *nums.values())
         out = cls.__new__(cls)
         out.mu = mu
-        out.coeffs = MappingProxyType(coeffs)
+        out._nums = {key: c // g for key, c in nums.items()} if g > 1 else nums
+        out._den = den // g
         return out
 
     @classmethod
@@ -84,21 +95,28 @@ class GElement:
         """coefficient * tau**tau_power * omega_k."""
         return cls(mu, {(k, tau_power): coefficient})
 
+    @property
+    def coeffs(self) -> Mapping[tuple[int, int], Fraction]:
+        """The map (k, m) -> nonzero Fraction coefficient, read-only."""
+        return MappingProxyType({key: Fraction(c, self._den) for key, c in self._nums.items()})
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GElement):
             return NotImplemented
-        return self.mu == other.mu and self.coeffs == other.coeffs
+        return self.mu == other.mu and self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash((self.mu, frozenset(self.coeffs.items())))
+        return hash((self.mu, self._den, frozenset(self._nums.items())))
 
     def _plus(self, other: "GElement", sign: int) -> "GElement":
         if self.mu != other.mu:
             raise DimensionMismatch(f"{self.mu} != {other.mu}")
-        out = self.coeffs.copy()
-        for key, c in other.coeffs.items():
-            _add_term(out, key, sign * c)
-        return GElement._raw(self.mu, out)
+        den = math.lcm(self._den, other._den)
+        mine, theirs = den // self._den, sign * (den // other._den)
+        out = {key: c * mine for key, c in self._nums.items()}
+        for key, c in other._nums.items():
+            _add_term(out, key, c * theirs)
+        return GElement._raw(self.mu, out, den)
 
     def __add__(self, other: "GElement") -> "GElement":
         return self._plus(other, 1)
@@ -107,25 +125,25 @@ class GElement:
         return self._plus(other, -1)
 
     def scale(self, factor: Scalar) -> "GElement":
+        factor = Fraction(factor)
         if not factor:
             return GElement.zero(self.mu)
-        return GElement._raw(
-            self.mu, {key: c * factor for key, c in self.coeffs.items()}
-        )
+        p, q = factor.numerator, factor.denominator
+        return GElement._raw(self.mu, {key: c * p for key, c in self._nums.items()}, self._den * q)
 
     def shift(self, power: int) -> "GElement":
         """Multiply by tau**power."""
         return GElement._raw(
-            self.mu, {(k, m + power): c for (k, m), c in self.coeffs.items()}
+            self.mu, {(k, m + power): c for (k, m), c in self._nums.items()}, self._den
         )
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._nums
 
     def terms(self) -> list[tuple[int, int, Fraction]]:
         """All stored terms as (basis index k, tau power m, coefficient),
         sorted by (k, m)."""
-        return [(k, m, c) for (k, m), c in sorted(self.coeffs.items())]
+        return [(k, m, Fraction(c, self._den)) for (k, m), c in sorted(self._nums.items())]
 
     def __repr__(self) -> str:
         parts = [f"{c}*tau^{m}*w{k}" for k, m, c in self.terms()]
@@ -144,69 +162,77 @@ def canonical_exponents(a: Sequence[int], w: WeightSystem) -> tuple[int, ...]:
     minimal multiple of w."""
     if len(a) != w.n + 1:
         raise DimensionMismatch(f"{len(a)} exponents for {w.n + 1} weights")
-    shift = -min(ai // wi for ai, wi in zip(a, w.weights))
+    shift = -min(map(operator.floordiv, a, w.weights))
     if not shift:
         return tuple(a)  # a tuple itself, not a copy
     return tuple(ai + shift * wi for ai, wi in zip(a, w.weights))
 
 
+def _derive(nums: Mapping[tuple[int, int], int], w: WeightSystem) -> dict[tuple[int, int], int]:
+    """tau_dtau on an element's numerators over den: the numerators of the
+    image over den * D.  Leibniz on the coefficient, then the basis action,
+    adds (m*D - sigma(k)*D) * c at (k, m) and -mu*D * c at (k+1, m+1)."""
+    spec = spectrum_direct(w)
+    scale, sigma_scaled = spec.denominator, spec.sigma_scaled
+    mu = len(sigma_scaled)
+    out = {}
+    for (k, m), c in nums.items():
+        _add_term(out, (k, m), (m * scale - sigma_scaled[k]) * c)
+        _add_term(out, ((k + 1) % mu, m + 1), -mu * scale * c)
+    return out
+
+
 def tau_dtau(x: GElement, w: WeightSystem) -> GElement:
     """Apply the logarithmic derivative tau * d/dtau."""
     mu = _require_mu(x, w)
-    sigma = spectrum_direct(w).spectral_numbers
-    out: dict[tuple[int, int], Fraction] = {}
-    for (k, m), c in x.coeffs.items():
-        # Leibniz: tau d/dtau on the coefficient, then the basis action
-        _add_term(out, (k, m), (m - sigma[k]) * c)
-        _add_term(out, ((k + 1) % mu, m + 1), -mu * c)
-    return GElement._raw(mu, out)
+    return GElement._raw(mu, _derive(x._nums, w), x._den * spectrum_direct(w).denominator)
 
 
 def bernstein_check(w: WeightSystem) -> GElement:
     """Apply prod_{k=0}^{mu-1} [ -(1/mu) (tau_dtau - s(k)) ] to omega_0,
     factor k = 0 first.  The result must equal tau**mu * omega_0; the
-    caller asserts that equality."""
-    mu = w.mu
+    caller asserts that equality.  The product runs on the numerators, and
+    each factor multiplies their denominator by mu * D."""
     spec = spectrum_direct(w)
-    acc = GElement.basis(mu, 0)
-    minus_inv_mu = Fraction(-1, mu)
+    nums = {(0, 0): 1}
     for v in spec.scaled:
-        acc = (tau_dtau(acc, w) + acc.scale(Fraction(-v, spec.denominator))).scale(minus_inv_mu)
-    return acc
+        # (v * x - tau_dtau x) over den * mu * D, with s(k) = v / D
+        image = _derive(nums, w)
+        for key, c in nums.items():
+            _add_term(image, key, -v * c)
+        nums = {key: -c for key, c in image.items()}
+    return GElement._raw(w.mu, nums, (w.mu * spec.denominator) ** w.mu)
 
 
 def birkhoff_matrices(
     w: WeightSystem,
 ) -> tuple[dict[tuple[int, int], Fraction], dict[tuple[int, int], Fraction]]:
     """Nonzero entries (row, column) -> coefficient of A0 and A_inf in
-    theta^2 d_theta = ``f_action``: column k of A0 is the tau^0 part of
-    f * omega_k, of A_inf its theta part.  Other tau-powers raise
-    IdentityViolation."""
-    mu = w.mu
+    theta^2 d_theta = -tau^(-1) tau_dtau = ``f_action``: column k of A0 is
+    the tau^0 part of f * omega_k, of A_inf its theta part.  Other
+    tau-powers raise IdentityViolation."""
+    scale = spectrum_direct(w).denominator
     a0, ainf = {}, {}
-    for k in range(mu):
-        for (j, m), c in f_action(GElement.basis(mu, k), w).coeffs.items():
-            if m == 0:
-                a0[j, k] = c
-            elif m == -1:
-                ainf[j, k] = c
+    for k in range(w.mu):
+        # tau_dtau(omega_k) over D; f shifts each tau-power down by one
+        for (j, m), c in _derive({(k, 0): 1}, w).items():
+            if m == 1:
+                a0[j, k] = Fraction(-c, scale)
+            elif m == 0:
+                ainf[j, k] = Fraction(-c, scale)
             else:
-                raise IdentityViolation(
-                    f"tau^{m} term in theta^2 d_theta omega_{k}"
-                )
+                raise IdentityViolation(f"tau^{m - 1} term in theta^2 d_theta omega_{k}")
     return a0, ainf
 
 
 # what the integer step reads: mu, the weights, D = lcm(w) and sigma(k) * D
-_StepData = tuple[int, tuple[int, ...], int, list[int]]
+_StepData = tuple[int, tuple[int, ...], int, tuple[int, ...]]
 _Reduced = tuple[list[int], int, int]
 
 
 def _step_data(w: WeightSystem) -> _StepData:
     spec = spectrum_direct(w)
-    scale = spec.denominator
-    sigma_scaled = [k * scale - v for k, v in enumerate(spec.scaled)]
-    return w.mu, w.weights, scale, sigma_scaled
+    return w.mu, w.weights, spec.denominator, spec.sigma_scaled
 
 
 def _step(flat: list[int], j: int, b_j: int, total: int, data: _StepData) -> list[int]:
@@ -228,9 +254,7 @@ def _step(flat: list[int], j: int, b_j: int, total: int, data: _StepData) -> lis
 
 
 def _unscaled(flat: list[int], denom: int, total: int, mu: int) -> GElement:
-    return GElement._raw(
-        mu, {((total - d) % mu, -d): Fraction(c, denom) for d, c in enumerate(flat) if c}
-    )
+    return GElement._raw(mu, {((total - d) % mu, -d): c for d, c in enumerate(flat) if c}, denom)
 
 
 def reduce_monomial(
@@ -325,12 +349,17 @@ def f_action(x: GElement | Sequence[int], w: WeightSystem) -> GElement:
     the Birkhoff normal form A0 + theta * A_inf."""
     if not isinstance(x, GElement):
         x = reduce_monomial(x, w)
-    return tau_dtau(x, w).shift(-1).scale(-1)
+    mu = _require_mu(x, w)
+    image = _derive(x._nums, w)
+    return GElement._raw(
+        mu, {(k, m - 1): -c for (k, m), c in image.items()}, x._den * spectrum_direct(w).denominator
+    )
 
 
 def v_order(x: GElement, w: WeightSystem) -> Fraction | None:
     """max over stored terms tau^m * omega_k of sigma(k) + m; None for the
     zero element, which has no order."""
     _require_mu(x, w)
-    sigma = spectrum_direct(w).spectral_numbers
-    return max((sigma[k] + m for k, m in x.coeffs), default=None)
+    spec = spectrum_direct(w)
+    order = max((spec.sigma_scaled[k] + m * spec.denominator for k, m in x._nums), default=None)
+    return None if order is None else Fraction(order, spec.denominator)

@@ -8,7 +8,7 @@ sigma(k) = k - s(k) and the spectral polynomial is prod_k (S + sigma(k)).
 Every value is an integer over D = lcm(w): a ``Spectrum`` stores the
 integers s(k)*D and each ladder i(k), found by one sort of the integers
 l*(D/w_i)*(n+1) + i (by value, then by ladder).  The ``Fraction`` tuple of
-sigma and the ints floor(sigma) are views built on first access.
+sigma and the ints sigma*D and floor(sigma) are views built on first access.
 
 The same data is generated by an integer step recursion: starting from
 the zero exponent vector, repeatedly increment the coordinate whose
@@ -54,8 +54,8 @@ class StepSequence:
 class Spectrum:
     """Exact spectral data as integers over ``denominator`` D = lcm(w):
     s(k) = scaled[k] / D, and ``ladders[k]`` is the ladder i(k) that s(k)
-    belongs to.  Read-only views give sigma(k) = k - s(k) as ``Fraction``
-    and floor(sigma(k)) as ints; alpha(k) = ceil(s(k)) - s(k) is -scaled[k] % D over D."""
+    belongs to.  Read-only views give sigma(k) = k - s(k) as ``Fraction``,
+    sigma(k) * D and floor(sigma(k)) as ints; alpha(k) = ceil(s(k)) - s(k) is -scaled[k] % D over D."""
 
     denominator: int
     scaled: tuple[int, ...]
@@ -69,6 +69,12 @@ class Spectrum:
     def spectral_numbers(self) -> tuple[Fraction, ...]:
         d = self.denominator
         return tuple(Fraction(k * d - v, d) for k, v in enumerate(self.scaled))
+
+    @cached_property
+    def sigma_scaled(self) -> tuple[int, ...]:
+        """sigma(k) * D, as the derivative and the reduction step read it."""
+        d = self.denominator
+        return tuple(k * d - v for k, v in enumerate(self.scaled))
 
     @cached_property
     def floors(self) -> tuple[int, ...]:

@@ -24,12 +24,11 @@ from .filtrations import (
 from .frobenius import charpoly_A0, initial_data, metric_partner, metric_violations
 from .gaussmanin import (
     GElement,
+    _derive,
     _reduce_walk,
     bernstein_check,
     birkhoff_matrices,
     f_action,
-    tau_dtau,
-    v_order,
 )
 from .reflexive import has_integral_spectrum, is_reflexive
 from .spectrum import (
@@ -198,7 +197,8 @@ def verify_reduction(w: WeightSystem) -> list[str]:
     the exact multiplication rule for f.  The classes of u^a(k) and of
     u^(a(k)+1_i) are reduced in one ``_reduce_walk``, each from omega_0
     along its own coordinate-major path, and compared in integers: a class
-    is omega_k iff its state is [denom] at total = k (mod mu)."""
+    is omega_k iff its state is [denom] at total = k (mod mu), and the sum
+    of w_i [u^(a(k)+1_i)] over their lcm denominator is f_action(omega_k)."""
     failures = []
     mu, row = w.mu, w.n + 2
     reduced = _reduce_walk(_reduction_targets(w), w)
@@ -217,24 +217,28 @@ def verify_reduction(w: WeightSystem) -> list[str]:
                 via_monomials[d] += factor * c
         total = images[0][2]
         via = {((total - d) % mu, -d): c for d, c in enumerate(via_monomials) if c}
-        if via != f_action(GElement.basis(mu, k, coefficient=lcm), w).coeffs:
+        if GElement._raw(mu, via, lcm) != f_action(GElement.basis(mu, k), w):
             failures.append(f"reduction: two routes for f*omega_{k} disagree")
     return failures
 
 
 def verify_v_order(w: WeightSystem) -> list[str]:
-    """Exact order of the derivative of each basis vector, plus the +2 bound."""
+    """Exact order of the derivative of each basis vector, plus the +2 bound,
+    in units of 1/D: the image's orders read ``sigma_scaled``, the expectation s(k)*D."""
     failures = []
     mu = w.mu
-    sigma = spectrum_direct(w).spectral_numbers
+    spec = spectrum_direct(w)
+    d, sigma_scaled = spec.denominator, spec.sigma_scaled
+    sigma = [k * d - v for k, v in enumerate(spec.scaled)]
     for k in range(mu):
-        image = tau_dtau(GElement.basis(mu, k), w)
-        order = v_order(image, w)
-        shifted = sigma[(k + 1) % mu] + 1
+        image = _derive({(k, 0): 1}, w)
+        order = max((sigma_scaled[j] + m * d for j, m in image), default=None)
+        shifted = sigma[(k + 1) % mu] + d
         expected = shifted if sigma[k] == 0 else max(sigma[k], shifted)
         if order != expected:
-            failures.append(f"v_order: tau_dtau(omega_{k}) has order {order}")
-        if order is None or order > sigma[k] + 2:
+            shown = None if order is None else Fraction(order, d)
+            failures.append(f"v_order: tau_dtau(omega_{k}) has order {shown}")
+        if order is None or order > sigma[k] + 2 * d:
             failures.append(f"v_order: bound exceeded at k = {k}")
     return failures
 

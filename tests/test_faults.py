@@ -2,19 +2,32 @@
 reads, never in the suite itself, and asserts that the suite fails.
 Where only that suite reads the faulty data, every other suite must stay
 ok, so a suite that silently checked nothing could not pass here.
+The integer suites are also compared with element and ``Fraction``
+oracles, with and without the same planted fault.
 """
 
 import dataclasses
 import inspect
+import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
+import fraction_oracle
 import weightspec.gaussmanin as gaussmanin
 import weightspec.reflexive as reflexive
 import weightspec.spectrum as spectrum
 import weightspec.verify as verify
-from weightspec import make_weight_system, verify_all
+from weightspec import (
+    GElement,
+    bernstein_check,
+    birkhoff_matrices,
+    make_weight_system,
+    tau_dtau,
+    v_order,
+    verify_all,
+)
 
 from conftest import exhaustive_mu, weight_systems_up_to
 
@@ -30,13 +43,20 @@ def _shifted(spec, k: int = 1):
     return dataclasses.replace(spec, scaled=tuple(scaled))
 
 
+def _planted(module, old: str, new: str) -> dict:
+    """The namespace of a copy of ``module`` whose source has the one
+    occurrence of ``old`` replaced by ``new``."""
+    source = inspect.getsource(module)
+    assert source.count(old) == 1, old
+    namespace = {"__name__": "weightspec._planted", "__package__": "weightspec"}
+    exec(compile(source.replace(old, new), f"<planted {module.__name__}>", "exec"), namespace)
+    return namespace
+
+
 def _plant_in_gaussmanin(monkeypatch, old: str, new: str) -> SimpleNamespace:
     """Point ``verify`` at a copy of ``gaussmanin`` whose source has the one
     occurrence of ``old`` replaced by ``new``, and return that copy."""
-    source = inspect.getsource(gaussmanin)
-    assert source.count(old) == 1, old
-    namespace = {"__name__": "weightspec._planted", "__package__": "weightspec"}
-    exec(compile(source.replace(old, new), "<planted gaussmanin>", "exec"), namespace)
+    namespace = _planted(gaussmanin, old, new)
     shared = [name for name, value in vars(verify).items() if getattr(gaussmanin, name, None) is value]
     assert "GElement" in shared
     for name in shared:
@@ -51,8 +71,8 @@ STEP_FAULTS = {
         "t = (l_scaled if j < len(weights) - 1 else 0) - d * scale - sigma_scaled[(total - d) % mu]",
     ),
     "sigma(1) shifted by 1/D": (
-        "sigma_scaled = [k * scale - v for k, v in enumerate(spec.scaled)]",
-        "sigma_scaled = [k * scale - v for k, v in enumerate(spec.scaled)]; sigma_scaled[1] += 1",
+        "t = l_scaled - d * scale - sigma_scaled[(total - d) % mu]",
+        "t = l_scaled - d * scale - sigma_scaled[(total - d) % mu] - ((total - d) % mu == 1)",
     ),
 }
 STEP_FAULT_SYSTEMS = [(1, 2, 3), (1, 2, 12, 15, 30), (7, 11, 13)]
@@ -203,14 +223,18 @@ def test_step_exponent_fault(monkeypatch):
     assert all(failures == [] for failures in results.values())
 
 
+# faults in the derivative, each as (plant in the integer kernel ``_derive``,
+# plant in the Fraction oracle's ``tau_dtau``)
+LEIBNIZ_FAULT = (
+    ("(m * scale - sigma_scaled[k]) * c", "-sigma_scaled[k] * c"),
+    ("(m - sigma[k]) * c", "-sigma[k] * c"),
+)
+
+
 def test_bernstein_fault(monkeypatch):
     # the Leibniz term vanishes on basis vectors, so only the Bernstein
     # product, which differentiates tau^k * omega_k, can see it dropped
-    _plant_in_gaussmanin(
-        monkeypatch,
-        "_add_term(out, (k, m), (m - sigma[k]) * c)",
-        "_add_term(out, (k, m), -sigma[k] * c)",
-    )
+    _plant_in_gaussmanin(monkeypatch, *LEIBNIZ_FAULT[0])
     w = make_weight_system([1, 2, 3])
     results = verify_all(w)
     assert results.pop("bernstein") == ["bernstein: product on omega_0 != tau^mu * omega_0"]
@@ -222,15 +246,22 @@ def test_bernstein_fault(monkeypatch):
 # A_inf (its theta part), and the Bernstein product and the f route of the
 # reduction suite read the same derivative
 BIRKHOFF_FAULTS = {
-    "birkhoff: A0 is not mu * cyclic shift": ("-mu * c", "-(mu + 1) * c"),
-    "birkhoff: A_inf is not diag(sigma)": ("(m - sigma[k]) * c", "(m - sigma[k] - (k == 1)) * c"),
+    "birkhoff: A0 is not mu * cyclic shift": (
+        ("-mu * scale * c", "-(mu + 1) * scale * c"),
+        ("-mu * c", "-(mu + 1) * c"),
+    ),
+    "birkhoff: A_inf is not diag(sigma)": (
+        ("(m * scale - sigma_scaled[k]) * c", "(m * scale - sigma_scaled[k] - (k == 1) * scale) * c"),
+        ("(m - sigma[k]) * c", "(m - sigma[k] - (k == 1)) * c"),
+    ),
 }
+DERIVATIVE_FAULTS = {"Leibniz term dropped": LEIBNIZ_FAULT, **BIRKHOFF_FAULTS}
 
 
 @pytest.mark.parametrize("message", sorted(BIRKHOFF_FAULTS))
 @pytest.mark.parametrize("weights", SYSTEMS)
 def test_birkhoff_fault(monkeypatch, message, weights):
-    _plant_in_gaussmanin(monkeypatch, *BIRKHOFF_FAULTS[message])
+    _plant_in_gaussmanin(monkeypatch, *BIRKHOFF_FAULTS[message][0])
     results = verify_all(make_weight_system(list(weights)))
     assert results["birkhoff"] == [message]
     assert {name for name, failures in results.items() if failures} == {"bernstein", "birkhoff", "reduction"}
@@ -262,13 +293,14 @@ def test_reflexive_fault(monkeypatch):
 
 
 def test_v_order_fault(monkeypatch):
-    real = verify.tau_dtau
+    # the derivative as the v_order suite calls it; the f route of the
+    # reduction suite reaches it through f_action
+    real = verify._derive
 
-    def shift_term_dropped(x, w):
-        image = real(x, w)
-        return gaussmanin.GElement(x.mu, {(k, m): c for k, m, c in image.terms() if m <= 0})
+    def shift_term_dropped(nums, w):
+        return {(k, m): c for (k, m), c in real(nums, w).items() if m <= 0}
 
-    monkeypatch.setattr(verify, "tau_dtau", shift_term_dropped)
+    monkeypatch.setattr(verify, "_derive", shift_term_dropped)
     w = make_weight_system([2, 3, 7])
     results = verify_all(w)
     assert results.pop("v_order")[:2] == [
@@ -276,3 +308,59 @@ def test_v_order_fault(monkeypatch):
         "v_order: bound exceeded at k = 0",
     ]
     assert all(failures == [] for failures in results.values())
+
+
+# the shared sigma(k) * D is read by the derivative and the reduction step;
+# the spectrum's values, its Fraction view and initial_data read scaled
+SIGMA_FAULT_SYSTEMS = STEP_FAULT_SYSTEMS + [(9, 55)]
+
+
+@pytest.mark.parametrize("weights", SIGMA_FAULT_SYSTEMS)
+def test_shared_sigma_fault(monkeypatch, weights):
+    w = make_weight_system(list(weights))
+    assert _failed(w) == set()
+    real = spectrum.Spectrum.sigma_scaled.func
+
+    def raised_at_1(spec):
+        values = list(real(spec))
+        values[1] += 1
+        return tuple(values)
+
+    # a property outranks the value cached_property stored on the instance
+    monkeypatch.setattr(spectrum.Spectrum, "sigma_scaled", property(raised_at_1))
+    assert _failed(w) == {"bernstein", "birkhoff", "reduction", "v_order"}
+
+
+def _oracle_terms(rng: random.Random, mu: int, k: int) -> dict:
+    """omega_k plus one random term c * tau^m * omega_j, m in -3..3."""
+    terms = {(k, 0): Fraction(1)}
+    terms[rng.randrange(mu), rng.randint(-3, 3)] = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 7))
+    return terms
+
+
+def test_integer_derivative_matches_fraction_oracle_on_corpus():
+    rng = random.Random(16)
+    for weights in list(weight_systems_up_to(exhaustive_mu(12))) + SIGMA_FAULT_SYSTEMS:
+        w = make_weight_system(list(weights))
+        mu = w.mu
+        for k in range(mu):
+            x = GElement(mu, _oracle_terms(rng, mu, k))
+            assert tau_dtau(x, w) == GElement(mu, fraction_oracle.tau_dtau(dict(x.coeffs), w))
+            assert v_order(x, w) == fraction_oracle.v_order(x.coeffs, w)
+        assert bernstein_check(w) == GElement(mu, fraction_oracle.bernstein_product(w))
+        assert birkhoff_matrices(w) == fraction_oracle.birkhoff_split(w)
+        for name, suite in fraction_oracle.SUITES.items():
+            assert verify.ALL_SUITES[name](w) == suite(w) == [], (weights, name)
+
+
+@pytest.mark.parametrize("fault", sorted(DERIVATIVE_FAULTS))
+@pytest.mark.parametrize("weights", SYSTEMS)
+def test_integer_derivative_matches_fraction_oracle_under_fault(monkeypatch, fault, weights):
+    # the same fault in both derivatives: the suites flag the same things
+    plant, oracle_plant = DERIVATIVE_FAULTS[fault]
+    _plant_in_gaussmanin(monkeypatch, *plant)
+    oracle = _planted(fraction_oracle, *oracle_plant)
+    w = make_weight_system(list(weights))
+    results = {name: verify.ALL_SUITES[name](w) for name in oracle["SUITES"]}
+    assert any(results.values())
+    assert results == {name: suite(w) for name, suite in oracle["SUITES"].items()}

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from weightspec import (
     DimensionMismatch,
@@ -50,6 +51,47 @@ def test_gelement_arithmetic():
         p + GElement.zero(5)
     with pytest.raises(DimensionMismatch):
         p - GElement.zero(3)
+
+
+MU = 4
+FRACTIONS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+ELEMENTS = st.dictionaries(st.tuples(st.integers(0, MU - 1), st.integers(-3, 3)), FRACTIONS, max_size=6)
+
+
+def _model_plus(a: dict, b: dict, sign: int) -> dict:
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _in_lowest_terms(x: GElement) -> bool:
+    nums = x._nums.values()
+    return x._den > 0 and all(nums) and math.gcd(x._den, *nums) == 1
+
+
+@given(ELEMENTS, ELEMENTS, FRACTIONS | st.integers(-5, 5), st.integers(-4, 4))
+def test_gelement_matches_fraction_model(a, b, factor, power):
+    # the model is a dict of nonzero Fractions, the parent's representation
+    x, y = GElement(MU, a), GElement(MU, b)
+    ma = {key: c for key, c in a.items() if c}
+    mb = {key: c for key, c in b.items() if c}
+    cases = [
+        (x, ma),
+        (x + y, _model_plus(ma, mb, 1)),
+        (x - y, _model_plus(ma, mb, -1)),
+        (x.scale(factor), {key: c * factor for key, c in ma.items()} if factor else {}),
+        (x.shift(power), {(k, m + power): c for (k, m), c in ma.items()}),
+    ]
+    for element, model in cases:
+        assert dict(element.coeffs) == model
+        assert element.terms() == [(k, m, c) for (k, m), c in sorted(model.items())]
+        assert element.is_zero() == (not model)
+        assert _in_lowest_terms(element)
+    assert (x == y) == (ma == mb)
+    # equal elements reached by different routes are equal and hash alike
+    for same in (x + y - y, x.scale(6).scale(F(1, 6)), x.shift(power).shift(-power)):
+        assert same == x and hash(same) == hash(x)
 
 
 def test_gelement_is_frozen():

@@ -163,9 +163,9 @@ def _functions(module) -> dict[str, ast.FunctionDef]:
 
 
 def test_one_reduction_step():
-    # the step loop reads sigma(k) * D once per term of the state
+    # the step loop and the derivative kernel read sigma(k) * D once per term
     functions = _functions(gaussmanin)
-    step_loops = [
+    step_loops = sorted(
         name
         for name, node in functions.items()
         if any(
@@ -174,8 +174,8 @@ def test_one_reduction_step():
             if isinstance(loop, ast.For)
             for sub in ast.walk(loop)
         )
-    ]
-    assert step_loops == ["_step"]
+    )
+    assert step_loops == ["_derive", "_step"]
     for caller in ("reduce_monomial", "_reduce_walk"):
         assert _calls(functions[caller], "_step"), caller
     # the public batch and the suite share the walk; the suite compares its
@@ -189,16 +189,17 @@ def test_one_reduction_step():
 
 
 def test_one_f_operator():
-    # f acts as -tau^(-1) tau_dtau, so only the derivative and the V-order
-    # read sigma(k) as a Fraction
+    # f acts as -tau^(-1) tau_dtau, and every route applies the derivative
+    # through the one integer kernel, so none reads sigma(k) as a Fraction
     functions = _functions(gaussmanin)
-    assert _calls(functions["f_action"], "tau_dtau")
-    readers = sorted(
+    for caller in ("tau_dtau", "f_action", "bernstein_check", "birkhoff_matrices"):
+        assert _calls(functions[caller], "_derive"), caller
+    readers = [
         name
         for name, node in functions.items()
         if any(isinstance(sub, ast.Attribute) and sub.attr == "spectral_numbers" for sub in ast.walk(node))
-    )
-    assert readers == ["tau_dtau", "v_order"]
+    ]
+    assert readers == []
 
 
 def _asserts(tree: ast.AST) -> bool:

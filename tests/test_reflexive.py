@@ -11,6 +11,7 @@ from weightspec import (
     enumerate_reflexive,
     is_reflexive,
     make_weight_system,
+    verify_all,
 )
 from weightspec.reflexive import _unit_fraction_tuples, has_integral_spectrum
 
@@ -218,3 +219,13 @@ def test_enumeration_deterministic():
     a = [(r.weights.weights, r.mu, r.q) for r in enumerate_reflexive(3)]
     b = [(r.weights.weights, r.mu, r.q) for r in enumerate_reflexive(3)]
     assert a == b
+
+
+def test_all_suites_on_reflexive_dimension_4():
+    # reflexive systems have integral spectrum, where the Jordan bounds and
+    # reflexive <=> integral are tightest; mu <= 100 keeps this near 2 s
+    records = [r for r in enumerate_reflexive(4) if r.mu <= 100]
+    assert len(records) == 105
+    for r in records:
+        results = verify_all(r.weights)
+        assert len(results) == 12 and not any(results.values()), (r.weights, results)
