@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
@@ -203,18 +202,17 @@ def saito_identity_check(w: WeightSystem, p: int) -> bool:
     return image == target
 
 
-def orthogonality_check(w: WeightSystem, alpha: Fraction | int, p: int) -> bool:
+def orthogonality_check(w: WeightSystem, key: int, p: int) -> bool:
     """Check the metric-orthogonality of the canonical filtration across
-    partner classes: the orthogonal complement of the span of
+    partner classes, for the class keyed ``key`` = alpha*D as in
+    ``eigenvalue_classes``: the orthogonal complement of the span of
     {k in class alpha : floor(sigma(k)) >= p}, taken inside the partner
     class (1-alpha for alpha != 0, the zero class itself for alpha = 0),
     must be the partner filtration piece at level n-p (resp. n+1-p)."""
     spec = spectrum_direct(w)
-    alpha = Fraction(alpha)
-    key, rest = divmod(alpha.numerator * spec.denominator, alpha.denominator)
     classes = eigenvalue_classes(w)
-    if rest or key not in classes:
-        raise UnknownEigenvalueClass(f"no eigenvalue class for alpha = {alpha}")
+    if key not in classes:
+        raise UnknownEigenvalueClass(f"no eigenvalue class with alpha*{spec.denominator} = {key}")
     partner_class = classes.get(-key % spec.denominator, ())
     floors = spec.floors
     span = {k for k in classes[key] if floors[k] >= p}

@@ -1,20 +1,19 @@
 """Initial data of the associated semisimple Frobenius structure.
 
 Stored in structured form: A0 is mu times the cyclic shift k -> k+1 mod
-mu, A_inf the diagonal of spectral numbers, the 0/1 metric g the
-involution ``partner`` pairing k with n-k (k <= n) or mu+n-k (k >= n+1),
-and the unit is basis index 0.  The residue pairing is g itself, so it has
-no builder of its own: ``FrobeniusInitialData.metric`` is the one dense
-form of both, built only on access, for the JSON report and test oracles.
-The identities are checked in O(mu) on ``partner`` and ``sigma``.  The
-characteristic polynomial of A0 is T^mu - mu^mu, so its eigenvalues are
-the mu critical values of the defining linear form.
+mu, A_inf the diagonal of the ints sigma(k) * D over D = lcm(w), the 0/1
+metric g the involution ``partner`` pairing k with n-k (k <= n) or mu+n-k
+(k >= n+1), and the unit is basis index 0.  The residue pairing is g
+itself, so it has no builder of its own: ``FrobeniusInitialData.metric``
+is the one dense form of both, built only on access, for the JSON report
+and test oracles.  The identities are checked in O(mu) on ``partner`` and
+``sigma_scaled``.  The characteristic polynomial of A0 is T^mu - mu^mu,
+so its eigenvalues are the mu critical values of the defining linear form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .spectrum import IdentityViolation, spectrum_direct
 from .weights import WeightSystem
@@ -34,24 +33,26 @@ def _dense(entries: dict[tuple[int, int], int], mu: int) -> tuple[tuple[int, ...
 @dataclass(frozen=True)
 class FrobeniusInitialData:
     """A0 = mu * cyclic shift, A_inf = diag(sigma), g = permutation matrix
-    of ``partner``.  ``*_entries`` map (row, column) to nonzero entries (int
-    for A0); ``a0`` and ``metric`` build dense int tuples on each access."""
+    of ``partner``; ``sigma_scaled[k]`` is sigma(k) * ``denominator``.
+    ``*_entries`` map (row, column) to nonzero ints, A_inf's over
+    ``denominator``; ``a0`` and ``metric`` build dense tuples on access."""
 
-    sigma: tuple[Fraction, ...]
+    denominator: int
+    sigma_scaled: tuple[int, ...]
     partner: tuple[int, ...]
     unit_index: int
 
     @property
     def mu(self) -> int:
-        return len(self.sigma)
+        return len(self.sigma_scaled)
 
     @property
     def a0_entries(self) -> dict[tuple[int, int], int]:
         return {((k + 1) % self.mu, k): self.mu for k in range(self.mu)}
 
     @property
-    def a_inf_entries(self) -> dict[tuple[int, int], Fraction]:
-        return {(k, k): s for k, s in enumerate(self.sigma) if s}
+    def a_inf_entries(self) -> dict[tuple[int, int], int]:
+        return {(k, k): s for k, s in enumerate(self.sigma_scaled) if s}
 
     @property
     def a0(self) -> tuple[tuple[int, ...], ...]:
@@ -91,7 +92,8 @@ def metric_partner(k: int, w: WeightSystem) -> int:
 def metric_violations(n: int, sigma: tuple, partner: tuple[int, ...]) -> list[str]:
     """The metric identities in O(mu), one message per failing index: g is
     symmetric and involutive iff partner[partner[k]] = k, and
-    g*A_inf + A_inf^T*g = n*g iff sigma[k] + sigma[partner[k]] = n."""
+    g*A_inf + A_inf^T*g = n*g iff sigma[k] + sigma[partner[k]] = n, with n
+    and sigma in one unit (1/D for the ints sigma(k) * D)."""
     bad = []
     for k, p in enumerate(partner):
         if not 0 <= p < len(partner) or partner[p] != k:
@@ -104,12 +106,12 @@ def metric_violations(n: int, sigma: tuple, partner: tuple[int, ...]) -> list[st
 def initial_data(w: WeightSystem) -> FrobeniusInitialData:
     """Construct (A0, A_inf, g, unit index); raise
     :class:`IdentityViolation` if the metric identities fail."""
-    sigma = spectrum_direct(w).spectral_numbers
+    spec = spectrum_direct(w)
     partner = tuple(metric_partner(k, w) for k in range(w.mu))
-    bad = metric_violations(w.n, sigma, partner)
+    bad = metric_violations(w.n * spec.denominator, spec.sigma_scaled, partner)
     if bad:
         raise IdentityViolation(bad[0])
-    return FrobeniusInitialData(sigma, partner, 0)
+    return FrobeniusInitialData(spec.denominator, spec.sigma_scaled, partner, 0)
 
 
 def charpoly_A0(w: WeightSystem) -> list[int]:

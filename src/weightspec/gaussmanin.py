@@ -38,7 +38,8 @@ Scalar = Union[int, Fraction]
 
 
 class DimensionMismatch(ValueError):
-    """An element's mu or basis index does not fit the weight system."""
+    """An element's mu or basis index does not fit the weight system, or a
+    basis index or tau-power is not an int."""
 
 
 def _add_term(out: dict, key: tuple[int, int], c: int) -> None:
@@ -63,6 +64,8 @@ class GElement:
     ):
         clean: dict[tuple[int, int], Fraction] = {}
         for (k, m), c in (coeffs or {}).items():
+            if type(k) is not int or type(m) is not int:
+                raise DimensionMismatch(f"basis index {k!r} and tau-power {m!r} must be ints")
             if not 0 <= k < mu:
                 raise DimensionMismatch(f"basis index {k} outside 0..{mu - 1}")
             if c:
@@ -133,6 +136,8 @@ class GElement:
 
     def shift(self, power: int) -> "GElement":
         """Multiply by tau**power."""
+        if type(power) is not int:
+            raise DimensionMismatch(f"tau-power {power!r} must be an int")
         return GElement._raw(
             self.mu, {(k, m + power): c for (k, m), c in self._nums.items()}, self._den
         )
@@ -206,20 +211,19 @@ def bernstein_check(w: WeightSystem) -> GElement:
 
 def birkhoff_matrices(
     w: WeightSystem,
-) -> tuple[dict[tuple[int, int], Fraction], dict[tuple[int, int], Fraction]]:
-    """Nonzero entries (row, column) -> coefficient of A0 and A_inf in
-    theta^2 d_theta = -tau^(-1) tau_dtau = ``f_action``: column k of A0 is
-    the tau^0 part of f * omega_k, of A_inf its theta part.  Other
-    tau-powers raise IdentityViolation."""
-    scale = spectrum_direct(w).denominator
+) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
+    """Nonzero entries (row, column) -> coefficient * D (D = lcm(w)) of A0
+    and A_inf in theta^2 d_theta = -tau^(-1) tau_dtau = ``f_action``: column
+    k of A0 is the tau^0 part of f * omega_k, of A_inf its theta part.
+    Other tau-powers raise IdentityViolation."""
     a0, ainf = {}, {}
     for k in range(w.mu):
         # tau_dtau(omega_k) over D; f shifts each tau-power down by one
         for (j, m), c in _derive({(k, 0): 1}, w).items():
             if m == 1:
-                a0[j, k] = Fraction(-c, scale)
+                a0[j, k] = -c
             elif m == 0:
-                ainf[j, k] = Fraction(-c, scale)
+                ainf[j, k] = -c
             else:
                 raise IdentityViolation(f"tau^{m - 1} term in theta^2 d_theta omega_{k}")
     return a0, ainf

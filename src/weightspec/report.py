@@ -25,7 +25,7 @@ from .weights import WeightSystem
 
 def encode_rational(value: Rational, den: int = 1) -> dict[str, int]:
     """value/den in lowest terms, for an int or ``Fraction`` value: the
-    spectrum and Jordan data pass integers over D = lcm(w)."""
+    spectrum, Jordan and Frobenius data pass integers over D = lcm(w)."""
     num, den = value.numerator, value.denominator * den
     g = math.gcd(num, den)
     return {"num": num // g, "den": den // g}
@@ -102,7 +102,7 @@ def spectrum_payload(w: WeightSystem) -> dict[str, Any]:
     d, scaled = spec.denominator, spec.scaled
     return {
         "s": [encode_rational(v, d) for v in scaled],
-        "sigma": [encode_rational(k * d - v, d) for k, v in enumerate(scaled)],
+        "sigma": [encode_rational(x, d) for x in spec.sigma_scaled],
         "alpha": [encode_rational(-v % d, d) for v in scaled],
         "spectral_polynomial": [
             {"root": encode_rational(root), "multiplicity": mult}
@@ -116,7 +116,7 @@ def frobenius_payload(w: WeightSystem) -> dict[str, Any]:
     g = [list(row) for row in data.metric]  # the residue pairing is g
     return {
         "a0": [[encode_rational(x) for x in row] for row in data.a0],
-        "ainf_diagonal": [encode_rational(s) for s in data.sigma],
+        "ainf_diagonal": [encode_rational(x, data.denominator) for x in data.sigma_scaled],
         "g": g,
         "e0": data.unit_index,
         "pairing": g,
@@ -214,10 +214,10 @@ def spectrum_rows(w: WeightSystem) -> tuple[list[str], list[list[str]]]:
         [
             str(k),
             rational_text(v, d),
-            rational_text(k * d - v, d),
+            rational_text(x, d),
             rational_text(-v % d, d),
         ]
-        for k, v in enumerate(spec.scaled)
+        for k, (v, x) in enumerate(zip(spec.scaled, spec.sigma_scaled))
     ]
     return headers, rows
 
@@ -226,8 +226,8 @@ def frobenius_rows(w: WeightSystem) -> tuple[list[str], list[list[str]]]:
     data = initial_data(w)
     headers = ["k", "sigma", "pairs_with"]
     rows = [
-        [str(k), rational_text(data.sigma[k]), str(data.partner[k])]
-        for k in range(data.mu)
+        [str(k), rational_text(x, data.denominator), str(p)]
+        for k, (x, p) in enumerate(zip(data.sigma_scaled, data.partner))
     ]
     return headers, rows
 

@@ -7,8 +7,8 @@ gives the values s(0) <= ... <= s(mu-1); the spectral numbers are
 sigma(k) = k - s(k) and the spectral polynomial is prod_k (S + sigma(k)).
 Every value is an integer over D = lcm(w): a ``Spectrum`` stores the
 integers s(k)*D and each ladder i(k), found by one sort of the integers
-l*(D/w_i)*(n+1) + i (by value, then by ladder).  The ``Fraction`` tuple of
-sigma and the ints sigma*D and floor(sigma) are views built on first access.
+l*(D/w_i)*(n+1) + i (by value, then by ladder).  The ints sigma*D and
+floor(sigma) are views built on first access.
 
 The same data is generated by an integer step recursion: starting from
 the zero exponent vector, repeatedly increment the coordinate whose
@@ -54,8 +54,8 @@ class StepSequence:
 class Spectrum:
     """Exact spectral data as integers over ``denominator`` D = lcm(w):
     s(k) = scaled[k] / D, and ``ladders[k]`` is the ladder i(k) that s(k)
-    belongs to.  Read-only views give sigma(k) = k - s(k) as ``Fraction``,
-    sigma(k) * D and floor(sigma(k)) as ints; alpha(k) = ceil(s(k)) - s(k) is -scaled[k] % D over D."""
+    belongs to.  Read-only views give sigma(k) = k - s(k) as the ints
+    sigma(k) * D, and floor(sigma(k)); alpha(k) = ceil(s(k)) - s(k) is -scaled[k] % D over D."""
 
     denominator: int
     scaled: tuple[int, ...]
@@ -66,20 +66,15 @@ class Spectrum:
         return len(self.scaled)
 
     @cached_property
-    def spectral_numbers(self) -> tuple[Fraction, ...]:
-        d = self.denominator
-        return tuple(Fraction(k * d - v, d) for k, v in enumerate(self.scaled))
-
-    @cached_property
     def sigma_scaled(self) -> tuple[int, ...]:
-        """sigma(k) * D, as the derivative and the reduction step read it."""
+        """sigma(k) * D: A_inf, the connection's diagonal and the metric's sigma."""
         d = self.denominator
         return tuple(k * d - v for k, v in enumerate(self.scaled))
 
     @cached_property
     def floors(self) -> tuple[int, ...]:
         d = self.denominator
-        return tuple((k * d - v) // d for k, v in enumerate(self.scaled))
+        return tuple(x // d for x in self.sigma_scaled)
 
 
 def _argmin_ratio(a: list[int], weights: tuple[int, ...]) -> int:
@@ -147,9 +142,8 @@ def spectrum_direct(w: WeightSystem) -> Spectrum:
 def spectral_polynomial(w: WeightSystem) -> list[tuple[Fraction, int]]:
     """Roots with multiplicities of prod_k (S + sigma(k)), sorted by root."""
     spec = spectrum_direct(w)
-    d = spec.denominator
-    counts = Counter(k * d - v for k, v in enumerate(spec.scaled))
-    return [(Fraction(x, d), m) for x, m in sorted(counts.items())]
+    counts = Counter(spec.sigma_scaled)
+    return [(Fraction(x, spec.denominator), m) for x, m in sorted(counts.items())]
 
 
 def check_symmetry(spec: Spectrum, w: WeightSystem | None = None) -> list[str]:

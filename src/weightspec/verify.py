@@ -80,8 +80,8 @@ def verify_bernstein(w: WeightSystem) -> list[str]:
 def verify_birkhoff(w: WeightSystem) -> list[str]:
     failures = []
     data = initial_data(w)
-    a0, ainf = birkhoff_matrices(w)
-    if a0 != data.a0_entries:
+    a0, ainf = birkhoff_matrices(w)  # both in units of 1/D, never floored
+    if a0 != {key: c * data.denominator for key, c in data.a0_entries.items()}:
         failures.append("birkhoff: A0 is not mu * cyclic shift")
     if ainf != data.a_inf_entries:
         failures.append("birkhoff: A_inf is not diag(sigma)")
@@ -98,8 +98,9 @@ def verify_charpoly(w: WeightSystem) -> list[str]:
 
 def verify_pairing(w: WeightSystem) -> list[str]:
     partner = tuple(metric_partner(k, w) for k in range(w.mu))
-    sigma = spectrum_direct(w).spectral_numbers
-    return [f"pairing: {msg}" for msg in metric_violations(w.n, sigma, partner)]
+    spec = spectrum_direct(w)
+    bad = metric_violations(w.n * spec.denominator, spec.sigma_scaled, partner)
+    return [f"pairing: {msg}" for msg in bad]
 
 
 def _longest_chain(indices: tuple[int, ...], values: tuple[int, ...]) -> int:
@@ -168,12 +169,10 @@ def verify_saito(w: WeightSystem) -> list[str]:
 def verify_orthogonality(w: WeightSystem) -> list[str]:
     failures = []
     d = spectrum_direct(w).denominator
-    for alpha in sorted(Fraction(key, d) for key in set(eigenvalue_classes(w)) | {0}):
+    for key in sorted(eigenvalue_classes(w)):  # alpha*D; 0 is always a class
         for p in range(w.n + 2):
-            if not orthogonality_check(w, alpha, p):
-                failures.append(
-                    f"orthogonality: fails at alpha = {alpha}, p = {p}"
-                )
+            if not orthogonality_check(w, key, p):
+                failures.append(f"orthogonality: fails at alpha = {Fraction(key, d)}, p = {p}")
     return failures
 
 

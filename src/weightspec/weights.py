@@ -2,9 +2,9 @@
 
 A weight system is a tuple of positive integers (w_0, ..., w_n) with
 gcd 1.  Everything downstream (spectra, connection matrices, filtrations)
-is computed from such a tuple exactly: spectra, Jordan data and A0 are
-integers over D = lcm(w), and :class:`fractions.Fraction` appears only at
-the API edge (sigma, alpha) and in connection-module coefficients.
+is computed from such a tuple exactly, in integers over one denominator
+(D = lcm(w) for the spectral data); :class:`fractions.Fraction` appears
+only at the API and report edge.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 An element is a plain dict (k, m) -> nonzero Fraction, the coefficient of
 tau^m * omega_k.  The derivative, the Bernstein product, the Birkhoff
 split and the V-order below are the rational formulas the integer
-kernel ``gaussmanin._derive`` replaced, read from
-``Spectrum.spectral_numbers``; the three suites restate the ``verify``
-suites on them with the same messages.  Tests plant the same fault here
+kernel ``gaussmanin._derive`` replaced, with sigma(k) = k - s(k) built
+here from ``Spectrum.scaled``, not read from the library's shared
+``sigma_scaled``; the three suites restate the ``verify`` suites on them
+with the same messages.  Tests plant the same fault here
 and in ``gaussmanin`` by replacing one line of source in each.
 """
 
@@ -25,9 +26,15 @@ def _add_term(out: dict, key: tuple[int, int], c) -> None:
         out.pop(key, None)
 
 
+def spectral_numbers(w) -> tuple[Fraction, ...]:
+    """sigma(k) = k - s(k) as Fractions, from the values s(k)."""
+    spec = spectrum_direct(w)
+    return tuple(k - Fraction(v, spec.denominator) for k, v in enumerate(spec.scaled))
+
+
 def tau_dtau(coeffs: dict, w) -> dict:
     mu = w.mu
-    sigma = spectrum_direct(w).spectral_numbers
+    sigma = spectral_numbers(w)
     out: dict = {}
     for (k, m), c in coeffs.items():
         # Leibniz: tau d/dtau on the coefficient, then the basis action
@@ -63,7 +70,7 @@ def birkhoff_split(w) -> tuple[dict, dict]:
 
 
 def v_order(coeffs: dict, w):
-    sigma = spectrum_direct(w).spectral_numbers
+    sigma = spectral_numbers(w)
     return max((sigma[k] + m for k, m in coeffs), default=None)
 
 
@@ -79,7 +86,7 @@ def verify_birkhoff(w) -> list[str]:
     a0, ainf = birkhoff_split(w)
     if a0 != data.a0_entries:
         failures.append("birkhoff: A0 is not mu * cyclic shift")
-    if ainf != data.a_inf_entries:
+    if ainf != {key: Fraction(s, data.denominator) for key, s in data.a_inf_entries.items()}:
         failures.append("birkhoff: A_inf is not diag(sigma)")
     return failures
 
@@ -87,7 +94,7 @@ def verify_birkhoff(w) -> list[str]:
 def verify_v_order(w) -> list[str]:
     failures = []
     mu = w.mu
-    sigma = spectrum_direct(w).spectral_numbers
+    sigma = spectral_numbers(w)
     for k in range(mu):
         order = v_order(tau_dtau({(k, 0): Fraction(1)}, w), w)
         shifted = sigma[(k + 1) % mu] + 1

@@ -267,6 +267,15 @@ def test_birkhoff_fault(monkeypatch, message, weights):
     assert {name for name, failures in results.items() if failures} == {"bernstein", "birkhoff", "reduction"}
 
 
+@pytest.mark.parametrize("weights", SYSTEMS)
+def test_birkhoff_fault_below_one(monkeypatch, weights):
+    # A0 entries of mu * D + 1 in units of 1/D: flooring them by D would
+    # give mu back and hide the fault, so the suite compares in units of 1/D
+    _plant_in_gaussmanin(monkeypatch, "-mu * scale * c)", "-mu * scale * c - 1)")
+    results = verify_all(make_weight_system(list(weights)))
+    assert results["birkhoff"] == ["birkhoff: A0 is not mu * cyclic shift"]
+
+
 def test_saito_fault(monkeypatch):
     real = verify.saito_filtration
 
@@ -310,8 +319,10 @@ def test_v_order_fault(monkeypatch):
     assert all(failures == [] for failures in results.values())
 
 
-# the shared sigma(k) * D is read by the derivative and the reduction step;
-# the spectrum's values, its Fraction view and initial_data read scaled
+# the shared sigma(k) * D is read by the derivative, the reduction step and
+# the metric identities of initial_data and the pairing suite (so charpoly,
+# which builds initial_data, fails too); the spectrum suite, check_symmetry
+# and the v_order suite's expectation build sigma from scaled themselves
 SIGMA_FAULT_SYSTEMS = STEP_FAULT_SYSTEMS + [(9, 55)]
 
 
@@ -328,7 +339,7 @@ def test_shared_sigma_fault(monkeypatch, weights):
 
     # a property outranks the value cached_property stored on the instance
     monkeypatch.setattr(spectrum.Spectrum, "sigma_scaled", property(raised_at_1))
-    assert _failed(w) == {"bernstein", "birkhoff", "reduction", "v_order"}
+    assert _failed(w) == {"bernstein", "birkhoff", "charpoly", "pairing", "reduction", "v_order"}
 
 
 def _oracle_terms(rng: random.Random, mu: int, k: int) -> dict:
@@ -348,7 +359,11 @@ def test_integer_derivative_matches_fraction_oracle_on_corpus():
             assert tau_dtau(x, w) == GElement(mu, fraction_oracle.tau_dtau(dict(x.coeffs), w))
             assert v_order(x, w) == fraction_oracle.v_order(x.coeffs, w)
         assert bernstein_check(w) == GElement(mu, fraction_oracle.bernstein_product(w))
-        assert birkhoff_matrices(w) == fraction_oracle.birkhoff_split(w)
+        d, splits = spectrum.spectrum_direct(w).denominator, birkhoff_matrices(w)
+        assert all(type(c) is int for split in splits for c in split.values())
+        assert tuple({key: Fraction(c, d) for key, c in split.items()} for split in splits) == (
+            fraction_oracle.birkhoff_split(w)
+        )
         for name, suite in fraction_oracle.SUITES.items():
             assert verify.ALL_SUITES[name](w) == suite(w) == [], (weights, name)
 

@@ -91,8 +91,14 @@ def test_char_poly_against_oracle_on_random_matrices():
 
 def test_initial_data_examples():
     data = initial_data(make_weight_system([1, 1, 1]))
+    assert (data.denominator, data.sigma_scaled) == (1, (0, 1, 2))
     assert data.a_inf_entries == {(1, 1): 1, (2, 2): 2}
     assert [row.index(1) for row in data.metric] == [2, 1, 0]
+
+    # A_inf over D = 3: sigma = 0, 1, 2, 4/3, 2/3
+    data = initial_data(make_weight_system([1, 1, 3]))
+    assert data.denominator == 3
+    assert data.a_inf_entries == {(1, 1): 3, (2, 2): 6, (3, 3): 4, (4, 4): 2}
 
     data = initial_data(make_weight_system([1, 2, 3]))
     assert [row.index(1) for row in data.metric] == [2, 1, 0, 5, 4, 3]
@@ -158,7 +164,10 @@ def test_metric_identities_small_corpus():
         w = WeightSystem(tup)
         data = initial_data(w)
         g = [list(row) for row in data.metric]
-        a_inf = [[s if j == k else 0 for k in range(w.mu)] for j, s in enumerate(data.sigma)]
+        a_inf = [
+            [F(s, data.denominator) if j == k else 0 for k in range(w.mu)]
+            for j, s in enumerate(data.sigma_scaled)
+        ]
         assert linalg.mat_eq(linalg.matmul(g, g), linalg.identity(w.mu))
         lhs = linalg.mat_add(
             linalg.matmul(g, a_inf), linalg.matmul(linalg.transpose(a_inf), g)
@@ -186,3 +195,6 @@ def test_metric_violations_reported():
         "g*A_inf + A_inf^T*g != n*g at k = 0",
         "g*A_inf + A_inf^T*g != n*g at k = 2",
     ]
+    # the same identities on sigma * D over D = 3, as initial_data passes them
+    assert metric_violations(2 * 3, (0, 3, 6), (2, 1, 0)) == []
+    assert metric_violations(2 * 3, (0, 3, 6), (0, 1, 2)) == metric_violations(2, sigma, (0, 1, 2))

@@ -24,6 +24,7 @@ from weightspec import (
     verify_all,
 )
 
+import fraction_oracle
 from weightspec.gaussmanin import _reduce_walk
 from weightspec.verify import ALL_SUITES, _reduction_targets
 
@@ -109,6 +110,16 @@ def test_basis_index_out_of_range():
             GElement.basis(4, k)
         with pytest.raises(DimensionMismatch):
             GElement(4, {(k, 0): 1})
+    # k and m must be exactly int: no float, bool or Fraction keys
+    for key in ((0, 1.5), (1.0, 0), (0, True), (True, 0), (0, F(2))):
+        with pytest.raises(DimensionMismatch):
+            GElement(3, {key: 1})
+    with pytest.raises(DimensionMismatch):
+        GElement.basis(3, 0, tau_power=0.5)
+    for power in (1.5, 1.0, True, F(1)):
+        with pytest.raises(DimensionMismatch):
+            basis(3, 0).shift(power)
+    assert GElement(3, {(0, 0): 0, (2, -1): 1}) == basis(3, 2).shift(-1)
 
 
 def test_tau_dtau_examples():
@@ -126,7 +137,7 @@ def test_tau_dtau_examples():
 
 def test_tau_dtau_wraps_at_top_index():
     w = make_weight_system([1, 1, 2])
-    sigma = spectrum_direct(w).spectral_numbers
+    sigma = fraction_oracle.spectral_numbers(w)
     image = tau_dtau(basis(4, 3), w)
     assert image == basis(4, 3, coefficient=-sigma[3]) + basis(
         4, 0, tau_power=1, coefficient=-4
@@ -156,6 +167,7 @@ def test_bernstein_small_corpus():
 
 
 def test_birkhoff_examples():
+    # both maps hold their entries times D = lcm(w)
     for n in (2, 3, 4):
         w = make_weight_system([1] * (n + 1))
         _, ainf = birkhoff_matrices(w)
@@ -163,12 +175,17 @@ def test_birkhoff_examples():
 
     w = make_weight_system([1, 1, 2])
     a0, ainf = birkhoff_matrices(w)
-    assert [ainf.get((k, k), 0) for k in range(4)] == [0, 1, 2, 1]
-    assert a0 == {((k + 1) % 4, k): 4 for k in range(4)}
+    assert [ainf.get((k, k), 0) for k in range(4)] == [0, 2, 4, 2]  # 0, 1, 2, 1 over 2
+    assert a0 == {((k + 1) % 4, k): 4 * 2 for k in range(4)}
 
     w = make_weight_system([1, 2, 3])
     a0, _ = birkhoff_matrices(w)
-    assert a0 == {((k + 1) % 6, k): 6 for k in range(6)}
+    assert a0 == {((k + 1) % 6, k): 6 * 6 for k in range(6)}
+
+    w = make_weight_system([1, 1, 3])
+    a0, ainf = birkhoff_matrices(w)
+    assert all(type(c) is int for c in [*a0.values(), *ainf.values()])
+    assert ainf == {(k, k): s for k, s in [(1, 3), (2, 6), (3, 4), (4, 2)]}  # 1, 2, 4/3, 2/3 over 3
 
 
 def test_reduce_monomial_step_path_gives_basis():
@@ -273,7 +290,7 @@ def test_f_action_examples():
     # higher basis vectors pick up a theta correction; modulo theta the
     # action is the cyclic matrix
     w = make_weight_system([1, 1, 2])
-    sigma = spectrum_direct(w).spectral_numbers
+    sigma = fraction_oracle.spectral_numbers(w)
     assert f_action(basis(4, 1), w) == basis(4, 2, coefficient=4) + basis(
         4, 1, tau_power=-1, coefficient=sigma[1]
     )
@@ -332,7 +349,7 @@ def test_f_action_leibniz_rule():
 
 def test_v_order_examples():
     w = make_weight_system([1, 2, 3])
-    sigma = spectrum_direct(w).spectral_numbers
+    sigma = fraction_oracle.spectral_numbers(w)
     for k in range(6):
         assert v_order(basis(6, k), w) == sigma[k]
     assert v_order(basis(6, 0, tau_power=1), w) == 1
@@ -346,7 +363,7 @@ def test_v_order_of_derivative():
     # the slope bound v_order(tau_dtau(x)) <= v_order(x) + 2
     for tup in [(1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 1, 3), (2, 3, 7)]:
         w = make_weight_system(list(tup))
-        sigma = spectrum_direct(w).spectral_numbers
+        sigma = fraction_oracle.spectral_numbers(w)
         for k in range(w.mu):
             order = v_order(tau_dtau(basis(w.mu, k), w), w)
             shifted = sigma[(k + 1) % w.mu] + 1

@@ -14,6 +14,9 @@ filtration reports of the three prime weights 1319, 1321, 1361 (mu 4001),
 the Frobenius report at mu 96 and ``reflexive -n 5``.  Their digests were
 taken from the code that still wrote JSON with ``json.dumps(doc,
 sort_keys=True, indent=2)``, before ``report``'s own emitter replaced it.
+It also pins the rows path at the same sizes, the spectrum CSV of mu 4001
+and the Frobenius table of mu 96, with digests taken while the sigma
+columns were still built from ``Fraction`` spectral numbers.
 """
 
 import contextlib
@@ -160,6 +163,8 @@ GOLDEN_LARGE = {
     "jordan -w 1319,1321,1361 --format json": (0, "bac6cbcf1781aece34a25cf7d424df9bc9fd2fefbba9c16ea87d16aafd6c8805"),
     "filtrations -w 1319,1321,1361 --format json": (0, "01820468e2f84b2d822e4f4e6574d0d241f2127fed39a315abb2573359841cb2"),
     "frobenius -w 17,19,26,34 --format json": (0, "bf1b51958f0f6c742cebafe98ba9e16c43b401c470c9735115649bcddc627205"),
+    "spectrum -w 1319,1321,1361 --format csv": (0, "9c759bdb18176850512644ea5ac6711a0c674090d1d3797c006bfac72502e81f"),
+    "frobenius -w 17,19,26,34 --format table": (0, "8932afffa3bc81431cadd1d2cc3145be3ce9169628457a391f278e2ba481a3e7"),
     "reflexive -n 5 --format json": (0, "73305da44e1bcf5219e1eb0dd2b2dfc204bbca801f2470a662f78dfe5fa15261"),
 }
 

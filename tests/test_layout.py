@@ -1,6 +1,7 @@
 """Design guards: the dense matrix helpers are a test oracle only, the
 spectrum, the Jordan blocks and the reflexive search are stored and run in
-integers, the report builds no ``Fraction``, the package exports
+integers, the report builds no ``Fraction`` and sigma has one integer
+form, the package exports
 exactly what its `__init__` imports, a failed identity has one exception
 type, the CLI has one command path, monomial reduction has one integer
 step, multiplication by f is the derivative's operator, no module relies
@@ -124,14 +125,25 @@ def test_guard_detects_fraction_calls():
 
 
 def test_integer_values_inside_fraction_only_at_the_edge():
-    for view in ("values", "fractional_parts"):
+    # sigma has one form, the ints sigma(k) * D of Spectrum.sigma_scaled
+    for view in ("values", "fractional_parts", "spectral_numbers"):
         assert not hasattr(Spectrum, view), view
     assert [f.name for f in dataclasses.fields(JordanBlock)] == ["value", "start", "size"]
-    assert not hasattr(FrobeniusInitialData, "a_inf")
+    assert [f.name for f in dataclasses.fields(FrobeniusInitialData)] == [
+        "denominator",
+        "sigma_scaled",
+        "partner",
+        "unit_index",
+    ]
+    for gone in ("a_inf", "sigma"):
+        assert not hasattr(FrobeniusInitialData, gone), gone
     path = PACKAGE / "report.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert not _calls(tree, "Fraction")
     assert not _imports(tree, "fractions")
+    for name in ("frobenius.py", "filtrations.py"):
+        path = PACKAGE / name
+        assert not _imports(ast.parse(path.read_text(), filename=str(path)), "fractions"), name
 
 
 def test_one_identity_exception():
@@ -188,16 +200,24 @@ def test_one_reduction_step():
         assert not _calls(tree, name), name
 
 
+def _reads(tree: ast.AST, attr: str) -> bool:
+    return any(isinstance(node, ast.Attribute) and node.attr == attr for node in ast.walk(tree))
+
+
 def test_one_f_operator():
     # f acts as -tau^(-1) tau_dtau, and every route applies the derivative
-    # through the one integer kernel, so none reads sigma(k) as a Fraction
+    # through the one integer kernel; no package module reads sigma(k) as a
+    # Fraction view, which would be an attribute named spectral_numbers
     functions = _functions(gaussmanin)
     for caller in ("tau_dtau", "f_action", "bernstein_check", "birkhoff_matrices"):
         assert _calls(functions[caller], "_derive"), caller
+    assert _reads(ast.parse("spec.spectral_numbers[k]"), "spectral_numbers")
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 1
     readers = [
-        name
-        for name, node in functions.items()
-        if any(isinstance(sub, ast.Attribute) and sub.attr == "spectral_numbers" for sub in ast.walk(node))
+        path.name
+        for path in modules
+        if _reads(ast.parse(path.read_text(), filename=str(path)), "spectral_numbers")
     ]
     assert readers == []
 

@@ -57,21 +57,22 @@ def test_spectrum_examples():
     # s(k) = scaled[k] / denominator, with denominator = lcm(w)
     spec = spectrum(1, 1, 1)
     assert (spec.denominator, spec.scaled) == (1, (0, 0, 0))
-    assert spec.spectral_numbers == (0, 1, 2)
+    assert spec.sigma_scaled == (0, 1, 2)
 
-    spec = spectrum(1, 2, 3)
-    assert spec.spectral_numbers == (0, 1, 2, 1, 1, 1)
+    spec = spectrum(1, 2, 3)  # sigma(k) * D, with sigma = 0, 1, 2, 1, 1, 1
+    assert spec.sigma_scaled == tuple(6 * x for x in (0, 1, 2, 1, 1, 1))
     assert spec.denominator == 6
     assert spec.scaled == (0, 0, 0, 12, 18, 24)  # s = 0, 0, 0, 2, 3, 4
     assert spec.floors == (0, 1, 2, 1, 1, 1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.scaled = ()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        spec.spectral_numbers = ()
+        spec.sigma_scaled = ()
 
     spec = spectrum(1, 1, 3)
     assert (spec.denominator, spec.scaled) == (3, (0, 0, 0, 5, 10))  # 5/3, 10/3
-    assert spec.spectral_numbers == (0, 1, 2, F(4, 3), F(2, 3))
+    assert spec.sigma_scaled == tuple(3 * x for x in (0, 1, 2, F(4, 3), F(2, 3)))
+    assert all(type(x) is int for x in spec.sigma_scaled)
     # alpha = 0, 0, 0, 1/3, 2/3, keyed by alpha*3
     assert eigenvalue_classes(make_weight_system([1, 1, 3])) == {0: (0, 1, 2), 1: (3,), 2: (4,)}
 
@@ -195,7 +196,8 @@ def _assert_invariants(w: WeightSystem):
     assert all(0 <= a < d for a in classes)  # alpha*D with 0 <= alpha < 1
     # the views and the classes against their definitions from s(k)
     values = [F(v, d) for v in spec.scaled]
-    assert spec.spectral_numbers == tuple(k - s for k, s in enumerate(values))
+    assert spec.sigma_scaled == tuple((k - s) * d for k, s in enumerate(values))
+    assert all(type(x) is int for x in spec.sigma_scaled)
     alpha_of = {k: a for a, ks in classes.items() for k in ks}
     assert [alpha_of[k] for k in range(mu)] == [(math.ceil(s) - s) * d for s in values]
     assert spec.floors == tuple(math.floor(k - s) for k, s in enumerate(values))
