@@ -143,6 +143,12 @@ def conjugate_index(w: WeightSystem, k: int) -> int:
     return w.mu + w.n - k - nu[k]
 
 
+def _conjugation(w: WeightSystem) -> tuple[int, ...]:
+    """``conjugate_index`` on all of 0..mu-1, in one pass over nu."""
+    mu, n, nu = w.mu, w.n, jordan_blocks(w).nu
+    return tuple(k if k <= n else mu + n - k - nu[k] for k in range(mu))
+
+
 def saito_filtration(w: WeightSystem) -> FiltrationReport:
     """All index-level filtrations.
 
@@ -181,8 +187,7 @@ def saito_filtration(w: WeightSystem) -> FiltrationReport:
                 members.add(k)
         w_filt[j] = frozenset(members)
 
-    conj = tuple(conjugate_index(w, k) for k in range(mu))
-    return FiltrationReport(hp, gp, m, w_filt, primitive_indices(w), conj)
+    return FiltrationReport(hp, gp, m, w_filt, primitive_indices(w), _conjugation(w))
 
 
 def saito_identity_check(w: WeightSystem, p: int) -> bool:
@@ -197,7 +202,8 @@ def saito_identity_check(w: WeightSystem, p: int) -> bool:
         bound = w.n - p - (0 if spec.scaled[k] % d == 0 else 1)
         if floors[k] + nu[k] <= bound:
             selected.add(k)
-    image = {conjugate_index(w, k) for k in selected}
+    conj = _conjugation(w)
+    image = {conj[k] for k in selected}
     target = {k for k in range(w.mu) if floors[k] >= p}
     return image == target
 

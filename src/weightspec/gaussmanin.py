@@ -196,17 +196,20 @@ def tau_dtau(x: GElement, w: WeightSystem) -> GElement:
 def bernstein_check(w: WeightSystem) -> GElement:
     """Apply prod_{k=0}^{mu-1} [ -(1/mu) (tau_dtau - s(k)) ] to omega_0,
     factor k = 0 first.  The result must equal tau**mu * omega_0; the
-    caller asserts that equality.  The product runs on the numerators, and
-    each factor multiplies their denominator by mu * D."""
+    caller asserts that equality.  The product runs on the numerators over
+    one denominator: each factor multiplies it by mu * D, and then both are
+    divided by their gcd, so the integers stay the size of the result."""
     spec = spectrum_direct(w)
-    nums = {(0, 0): 1}
+    nums, den, scale = {(0, 0): 1}, 1, w.mu * spec.denominator
     for v in spec.scaled:
         # (v * x - tau_dtau x) over den * mu * D, with s(k) = v / D
         image = _derive(nums, w)
         for key, c in nums.items():
             _add_term(image, key, -v * c)
-        nums = {key: -c for key, c in image.items()}
-    return GElement._raw(w.mu, nums, (w.mu * spec.denominator) ** w.mu)
+        den *= scale
+        g = math.gcd(den, *image.values())
+        nums, den = {key: -c // g for key, c in image.items()}, den // g
+    return GElement._raw(w.mu, nums, den)
 
 
 def birkhoff_matrices(

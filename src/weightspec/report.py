@@ -69,8 +69,9 @@ def _emit(value: Any, head: str, indent: str, out: list[str]) -> None:
 
     ``head`` is what precedes the value (separator, newline, indent and
     ``"key": ``); a scalar goes into ``out`` with it as one string, which
-    keeps the list short.  Only dicts with str keys, lists, str and int
-    are JSON here: anything else, bool and None included, is a TypeError.
+    keeps the list short, and a list of ints goes in as one joined string.
+    Only dicts with str keys, lists, str and int are JSON here: anything
+    else, bool and None included, is a TypeError.
     """
     kind = type(value)
     if kind is int:
@@ -84,13 +85,15 @@ def _emit(value: Any, head: str, indent: str, out: list[str]) -> None:
             return
         inner = indent + "  "
         head += opening + "\n" + inner
-        if kind is list:
-            for item in value:
-                _emit(item, head, inner, out)
-                head = ",\n" + inner
-        else:
+        if kind is dict:
             for key in sorted(value):  # encode_basestring_ascii rejects a non-str key
                 _emit(value[key], head + encode_basestring_ascii(key) + ": ", inner, out)
+                head = ",\n" + inner
+        elif all(type(item) is int for item in value):
+            out.append(head + (",\n" + inner).join(map(str, value)))
+        else:
+            for item in value:
+                _emit(item, head, inner, out)
                 head = ",\n" + inner
         out.append("\n" + indent + closing)
     else:

@@ -162,6 +162,8 @@ def test_conjugation_involution_and_value_flip():
     for w in random_systems(seed=17, count=25, mu_max=50):
         spec = spectrum_direct(w)
         values, top = spec.scaled, w.mu * spec.denominator
+        # the report's conjugation is built in one pass, apart from conjugate_index
+        assert saito_filtration(w).conj == tuple(conjugate_index(w, k) for k in range(w.mu))
         for k in range(w.mu):
             kbar = conjugate_index(w, k)
             assert conjugate_index(w, kbar) == k

@@ -5,7 +5,8 @@ form, the package exports
 exactly what its `__init__` imports, a failed identity has one exception
 type, the CLI has one command path, monomial reduction has one integer
 step, multiplication by f is the derivative's operator, no module relies
-on ``assert``, and ``report.to_json`` is the only JSON writer.
+on ``assert``, ``report.to_json`` is the only JSON writer, and every
+cache is bounded.
 
 The runtime stores A0, A_inf, g and N in structured form; ``linalg`` is
 kept as the dense exact reference that tests compare against, so no
@@ -14,6 +15,7 @@ other package module may import it.
 
 import ast
 import dataclasses
+import importlib
 from pathlib import Path
 
 import weightspec
@@ -247,3 +249,71 @@ def test_one_json_writer():
         if any(_calls(ast.parse(path.read_text(), filename=str(path)), name) for name in ("dump", "dumps"))
     ]
     assert offenders == []
+
+
+def _is_lru_cache(node: ast.AST) -> bool:
+    return getattr(node, "id", None) == "lru_cache" or getattr(node, "attr", None) == "lru_cache"
+
+
+def _unbounded_caches(tree: ast.AST) -> list[int]:
+    """Lines that use functools.cache, or lru_cache with no maxsize or with
+    maxsize=None."""
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and _is_lru_cache(n.func)]
+    called = {id(call.func) for call in calls}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if getattr(node.value, "id", None) == "functools":
+                lines.append(node.lineno)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and _is_lru_cache(node):
+            if id(node) not in called:  # bare @lru_cache: the default, not a chosen bound
+                lines.append(node.lineno)
+    for call in calls:
+        sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+        if not sizes or (isinstance(sizes[0], ast.Constant) and sizes[0].value is None):
+            lines.append(call.lineno)
+    return lines
+
+
+def test_guard_detects_every_unbounded_cache_form():
+    for source in (
+        "from functools import cache",
+        "import functools\n@functools.cache\ndef f(): pass",
+        "@lru_cache\ndef f(): pass",
+        "@functools.lru_cache\ndef f(): pass",
+        "@lru_cache()\ndef f(): pass",
+        "@lru_cache(maxsize=None)\ndef f(): pass",
+        "@functools.lru_cache(None)\ndef f(): pass",
+        "g = lru_cache(maxsize=None)(f)",
+    ):
+        assert _unbounded_caches(ast.parse(source)), source
+    for source in (
+        "from functools import lru_cache\n@lru_cache(maxsize=1024)\ndef f(): pass",
+        "@functools.lru_cache(64)\ndef f(): pass",
+        "@lru_cache(maxsize=BOUND)\ndef f(): pass",
+    ):
+        assert not _unbounded_caches(ast.parse(source)), source
+
+
+def test_every_cache_is_bounded():
+    # an unbounded cache grows for the life of the process
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 1
+    offenders = {
+        path.name: lines
+        for path in modules
+        if (lines := _unbounded_caches(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert offenders == {}
+    cached = [
+        value
+        for path in modules
+        for value in vars(importlib.import_module(f"weightspec.{path.stem}")).values()
+        if hasattr(value, "cache_parameters")
+    ]
+    assert cached
+    for value in cached:
+        maxsize = value.cache_parameters()["maxsize"]
+        assert type(maxsize) is int and maxsize > 0, (value.__qualname__, maxsize)

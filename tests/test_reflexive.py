@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from weightspec import (
     DimensionTooLarge,
@@ -13,7 +14,7 @@ from weightspec import (
     make_weight_system,
     verify_all,
 )
-from weightspec.reflexive import _unit_fraction_tuples, has_integral_spectrum
+from weightspec.reflexive import _sorted_records, _unit_fraction_tuples, has_integral_spectrum
 
 from conftest import (
     exhaustive_mu,
@@ -98,13 +99,26 @@ def fraction_unit_fraction_tuples(
 
 
 def test_integer_recursion_matches_fraction_oracle():
-    for n in range(2, 6):
+    for n in range(1, 6):
         expected = fraction_unit_fraction_tuples(n + 1, 2, Fraction(1), [])
         assert _unit_fraction_tuples(n + 1, 2, 1, 1, []) == expected
         # enumerate_reflexive keeps one record per q tuple, so distinct q
         # tuples must give distinct weights
         weights = [r.weights.weights for r in enumerate_reflexive(n)]
         assert len(weights) == len(set(weights)) == len(expected)
+
+
+@given(
+    st.integers(2, 10**4).flatmap(lambda den: st.tuples(st.integers(1, den - 1), st.just(den))),
+    st.integers(1, 3 * 10**4),
+    st.lists(st.integers(2, 50), max_size=3),
+)
+def test_two_term_base_case_matches_fraction_oracle(fraction, minimum, prefix):
+    # the base case solves 1/r = num/den - 1/q for r in the loop over q
+    g = math.gcd(*fraction)
+    num, den = fraction[0] // g, fraction[1] // g
+    expected = fraction_unit_fraction_tuples(2, minimum, Fraction(num, den), prefix)
+    assert _unit_fraction_tuples(2, minimum, num, den, prefix) == expected
 
 
 def test_is_reflexive_examples():
@@ -200,10 +214,14 @@ def test_inconsistent_record_raises():
 
 
 def test_dimension_bounds():
+    # the bounds are checked before the per-dimension cache is looked at
+    _sorted_records.cache_clear()
     with pytest.raises(DimensionTooLarge):
         enumerate_reflexive(6)
     with pytest.raises(DimensionTooLarge):
         enumerate_reflexive(0)
+    info = _sorted_records.cache_info()
+    assert info.hits == info.misses == info.currsize == 0
     assert len(enumerate_reflexive(5, max_dimension=5)) == 3462
 
 
@@ -219,6 +237,20 @@ def test_enumeration_deterministic():
     a = [(r.weights.weights, r.mu, r.q) for r in enumerate_reflexive(3)]
     b = [(r.weights.weights, r.mu, r.q) for r in enumerate_reflexive(3)]
     assert a == b
+
+
+def test_each_call_returns_a_new_list():
+    first = enumerate_reflexive(3)
+    first.clear()
+    assert len(enumerate_reflexive(3)) == 14
+
+
+def test_cleared_cache_rebuilds_equal_records():
+    cached = enumerate_reflexive(4)
+    _sorted_records.cache_clear()
+    rebuilt = enumerate_reflexive(4)
+    assert rebuilt == cached
+    assert all(new is not old for new, old in zip(rebuilt, cached))
 
 
 def test_all_suites_on_reflexive_dimension_4():

@@ -111,8 +111,9 @@ _keys = st.one_of(_texts, st.integers(0, 120).map(str))
 _ints = st.one_of(
     st.integers(-1000, 1000), st.integers(max_value=-(2**64)), st.integers(min_value=2**64)
 )
+# int lists up to 40 long; the nested lists below stop at 5
 _documents = st.recursive(
-    st.one_of(_ints, _texts, st.just([]), st.just({})),
+    st.one_of(_ints, _texts, st.just([]), st.just({}), st.lists(_ints, max_size=40)),
     lambda children: st.lists(children, max_size=5) | st.dictionaries(_keys, children, max_size=5),
     max_leaves=40,
 )
@@ -126,7 +127,7 @@ def test_to_json_matches_json_dumps(doc):
 
 def test_to_json_rejects_what_it_does_not_write():
     for bad in (True, False, None, 1.5, (1, 2)):
-        for doc in (bad, [0, bad], {"k": bad}):
+        for doc in (bad, [0, bad], [0, 1, 2, bad], {"k": bad}):
             with pytest.raises(TypeError):
                 to_json(doc)
     for doc in ({1: "x"}, {"a": {2: []}}):
