@@ -19,21 +19,30 @@ from . import __version__
 from .filtrations import jordan_blocks, saito_filtration
 from .frobenius import initial_data
 from .reflexive import ReflexiveRecord
-from .spectrum import spectral_polynomial, spectrum_direct
+from .spectrum import _root_counts, spectrum_direct
 from .weights import WeightSystem
 
 
+def _lowest_terms(value: Rational, den: int) -> tuple[int, int]:
+    # an exact int is its own numerator: only other Rationals are unpacked
+    if type(value) is not int:
+        value, den = value.numerator, value.denominator * den
+    g = math.gcd(value, den)
+    return value // g, den // g
+
+
 def encode_rational(value: Rational, den: int = 1) -> dict[str, int]:
-    """value/den in lowest terms, for an int or ``Fraction`` value: the
-    spectrum, Jordan and Frobenius data pass integers over D = lcm(w)."""
-    num, den = value.numerator, value.denominator * den
-    g = math.gcd(num, den)
-    return {"num": num // g, "den": den // g}
+    """value/den in lowest terms.  The spectrum, Jordan and Frobenius data
+    pass an int over D = lcm(w), reduced as it is; a ``Fraction`` value is
+    read through its numerator and denominator."""
+    num, den = _lowest_terms(value, den)
+    return {"num": num, "den": den}
 
 
 def rational_text(value: Rational, den: int = 1) -> str:
-    f = encode_rational(value, den)
-    return str(f["num"]) if f["den"] == 1 else f"{f['num']}/{f['den']}"
+    """value/den in lowest terms as CSV and table text: "n" or "n/d"."""
+    num, den = _lowest_terms(value, den)
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def envelope(
@@ -69,7 +78,9 @@ def _emit(value: Any, head: str, indent: str, out: list[str]) -> None:
 
     ``head`` is what precedes the value (separator, newline, indent and
     ``"key": ``); a scalar goes into ``out`` with it as one string, which
-    keeps the list short, and a list of ints goes in as one joined string.
+    keeps the list short.  Two shapes go in as one string too: a list of
+    ints, joined, and a rational leaf, a dict of exactly the keys "num"
+    and "den" with int values, written "den" first as sorting puts it.
     Only dicts with str keys, lists, str and int are JSON here: anything
     else, bool and None included, is a TypeError.
     """
@@ -78,6 +89,14 @@ def _emit(value: Any, head: str, indent: str, out: list[str]) -> None:
         out.append(head + str(value))
     elif kind is str:
         out.append(head + encode_basestring_ascii(value))
+    elif (
+        kind is dict
+        and len(value) == 2
+        and type(num := value.get("num")) is int
+        and type(den := value.get("den")) is int
+    ):
+        inner = indent + "  "
+        out.append(f'{head}{{\n{inner}"den": {den},\n{inner}"num": {num}\n{indent}}}')
     elif kind is list or kind is dict:
         opening, closing = ("[", "]") if kind is list else ("{", "}")
         if not value:
@@ -108,8 +127,8 @@ def spectrum_payload(w: WeightSystem) -> dict[str, Any]:
         "sigma": [encode_rational(x, d) for x in spec.sigma_scaled],
         "alpha": [encode_rational(-v % d, d) for v in scaled],
         "spectral_polynomial": [
-            {"root": encode_rational(root), "multiplicity": mult}
-            for root, mult in spectral_polynomial(w)
+            {"root": encode_rational(x, d), "multiplicity": mult}
+            for x, mult in _root_counts(spec)
         ],
     }
 

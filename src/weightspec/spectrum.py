@@ -139,11 +139,18 @@ def spectrum_direct(w: WeightSystem) -> Spectrum:
     return Spectrum(d, scaled, ladders)
 
 
+def _root_counts(spec: Spectrum) -> list[tuple[int, int]]:
+    # (sigma*D, multiplicity) for each distinct sigma, sorted by sigma
+    return sorted(Counter(spec.sigma_scaled).items())
+
+
 def spectral_polynomial(w: WeightSystem) -> list[tuple[Fraction, int]]:
-    """Roots with multiplicities of prod_k (S + sigma(k)), sorted by root."""
+    """Roots with multiplicities of prod_k (S + sigma(k)), sorted by root.
+
+    The roots are counted as the ints sigma*D over D = lcm(w); the
+    ``Fraction`` roots are built here, for the caller."""
     spec = spectrum_direct(w)
-    counts = Counter(spec.sigma_scaled)
-    return [(Fraction(x, spec.denominator), m) for x, m in sorted(counts.items())]
+    return [(Fraction(x, spec.denominator), m) for x, m in _root_counts(spec)]
 
 
 def check_symmetry(spec: Spectrum, w: WeightSystem | None = None) -> list[str]:

@@ -16,7 +16,9 @@ taken from the code that still wrote JSON with ``json.dumps(doc,
 sort_keys=True, indent=2)``, before ``report``'s own emitter replaced it.
 It also pins the rows path at the same sizes, the spectrum CSV of mu 4001
 and the Frobenius table of mu 96, with digests taken while the sigma
-columns were still built from ``Fraction`` spectral numbers.
+columns were still built from ``Fraction`` spectral numbers, and the
+spectrum and Jordan tables of mu 4001, with digests taken while
+``rational_text`` still went through the ``{"num", "den"}`` dict.
 """
 
 import contextlib
@@ -165,6 +167,8 @@ GOLDEN_LARGE = {
     "frobenius -w 17,19,26,34 --format json": (0, "bf1b51958f0f6c742cebafe98ba9e16c43b401c470c9735115649bcddc627205"),
     "spectrum -w 1319,1321,1361 --format csv": (0, "9c759bdb18176850512644ea5ac6711a0c674090d1d3797c006bfac72502e81f"),
     "frobenius -w 17,19,26,34 --format table": (0, "8932afffa3bc81431cadd1d2cc3145be3ce9169628457a391f278e2ba481a3e7"),
+    "spectrum -w 1319,1321,1361 --format table": (0, "a69d0cb34b1d30d0c708083f8fe533e80c28f1cc86122f420d41ca277efbe760"),
+    "jordan -w 1319,1321,1361 --format table": (0, "c05454a6400743117ab061b616a5e42627f320d277c9c5e52bb86804179f1b9c"),
     "reflexive -n 5 --format json": (0, "73305da44e1bcf5219e1eb0dd2b2dfc204bbca801f2470a662f78dfe5fa15261"),
 }
 

@@ -99,6 +99,15 @@ def test_encoders_reduce_like_fraction():
             assert rational_text(num, den) == str(value)
             assert rational_text(value) == str(value)
     assert encode_rational(F(3, 4), 6) == enc(F(1, 8))
+    # zero, negative and large numerators over the session's D of three primes
+    d = 1319 * 1321 * 1361
+    large = 3**200
+    for num in (0, 1, -1, 1319, -1321 * 1361, d, -d, -7 * d + 1361, large, -large * 1319, 2**64 * d):
+        value = F(num, d)
+        assert encode_rational(num, d) == enc(value)
+        assert encode_rational(value) == enc(value)
+        assert rational_text(num, d) == str(value)
+        assert rational_text(value) == str(value)
 
 
 # quotes, backslashes, control and non-ASCII characters, and astral ones
@@ -111,10 +120,32 @@ _keys = st.one_of(_texts, st.integers(0, 120).map(str))
 _ints = st.one_of(
     st.integers(-1000, 1000), st.integers(max_value=-(2**64)), st.integers(min_value=2**64)
 )
+
+
+def _rational(num, den, den_first: bool) -> dict:
+    return {"den": den, "num": num} if den_first else {"num": num, "den": den}
+
+
+# {"num": int, "den": int} in either insertion order, and near misses of it:
+# one key alone, a third key, a list, dict or str as a value
+_rationals = st.builds(_rational, _ints, _ints, st.booleans())
+_leaves = st.one_of(
+    _ints,
+    _texts,
+    st.just([]),
+    st.just({}),
+    st.lists(_ints, max_size=40),
+    _rationals,
+    _ints.map(lambda num: {"num": num}),
+    _ints.map(lambda den: {"den": den}),
+)
 # int lists up to 40 long; the nested lists below stop at 5
 _documents = st.recursive(
-    st.one_of(_ints, _texts, st.just([]), st.just({}), st.lists(_ints, max_size=40)),
-    lambda children: st.lists(children, max_size=5) | st.dictionaries(_keys, children, max_size=5),
+    _leaves,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(_keys, children, max_size=5)
+    | st.builds(_rational, children, children, st.booleans())
+    | st.builds(lambda r, key, v: {**r, key: v}, _rationals, _keys, children),
     max_leaves=40,
 )
 
@@ -127,9 +158,15 @@ def test_to_json_matches_json_dumps(doc):
 
 def test_to_json_rejects_what_it_does_not_write():
     for bad in (True, False, None, 1.5, (1, 2)):
-        for doc in (bad, [0, bad], [0, 1, 2, bad], {"k": bad}):
+        rational_shaped = ({"num": bad, "den": 1}, {"num": 1, "den": bad})
+        for doc in (bad, [0, bad], [0, 1, 2, bad], {"k": bad}, *rational_shaped):
             with pytest.raises(TypeError):
                 to_json(doc)
     for doc in ({1: "x"}, {"a": {2: []}}):
+        with pytest.raises(TypeError):
+            to_json(doc)
+    # a rational-shaped dict goes in as one piece only when both values are
+    # int; the loop above has {"num": True, "den": 1} and {"num": 1, "den": None}
+    for doc in ({"num": 1.5, "den": 2}, [{"num": 1, "den": 2}, {"num": False, "den": 1}]):
         with pytest.raises(TypeError):
             to_json(doc)
