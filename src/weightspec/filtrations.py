@@ -18,7 +18,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .frobenius import IndexOutOfRange, metric_partner
+from .frobenius import _check_index, metric_partner
 from .spectrum import IdentityViolation, spectrum_direct
 from .weights import WeightSystem
 
@@ -46,12 +46,15 @@ class JordanData:
     ``classes()`` keys blocks by alpha*D.  ``nu[k]`` is the monodromy weight
     of index k (block top weight size-1, dropping by 2 per step into the
     block); ``offset[k]`` is the position of k within its block.
+    ``conj[k]`` is the conjugation involution: k on 0..n, else
+    mu+n-k-nu(k).
     """
 
     denominator: int
     blocks: tuple[JordanBlock, ...]
     nu: tuple[int, ...]
     offset: tuple[int, ...]
+    conj: tuple[int, ...]
 
     def classes(self) -> dict[int, tuple[JordanBlock, ...]]:
         by_alpha: dict[int, list[JordanBlock]] = {}
@@ -113,7 +116,8 @@ def jordan_blocks(w: WeightSystem) -> JordanData:
             nu[start + j] = size - 1 - 2 * j
             offset[start + j] = j
         start = k
-    return JordanData(d, tuple(blocks), tuple(nu), tuple(offset))
+    conj = tuple(k if k <= n else mu + n - k - nu[k] for k in range(mu))
+    return JordanData(d, tuple(blocks), tuple(nu), tuple(offset), conj)
 
 
 @lru_cache(maxsize=1024)
@@ -135,18 +139,8 @@ def primitive_indices(w: WeightSystem) -> frozenset[int]:
 
 def conjugate_index(w: WeightSystem, k: int) -> int:
     """The conjugation involution: identity on 0..n, else mu+n-k-nu(k)."""
-    if not 0 <= k <= w.mu - 1:
-        raise IndexOutOfRange(f"index {k} outside 0..{w.mu - 1}")
-    if k <= w.n:
-        return k
-    nu = jordan_blocks(w).nu
-    return w.mu + w.n - k - nu[k]
-
-
-def _conjugation(w: WeightSystem) -> tuple[int, ...]:
-    """``conjugate_index`` on all of 0..mu-1, in one pass over nu."""
-    mu, n, nu = w.mu, w.n, jordan_blocks(w).nu
-    return tuple(k if k <= n else mu + n - k - nu[k] for k in range(mu))
+    _check_index(k, w)
+    return jordan_blocks(w).conj[k]
 
 
 def saito_filtration(w: WeightSystem) -> FiltrationReport:
@@ -187,7 +181,7 @@ def saito_filtration(w: WeightSystem) -> FiltrationReport:
                 members.add(k)
         w_filt[j] = frozenset(members)
 
-    return FiltrationReport(hp, gp, m, w_filt, primitive_indices(w), _conjugation(w))
+    return FiltrationReport(hp, gp, m, w_filt, primitive_indices(w), data.conj)
 
 
 def saito_identity_check(w: WeightSystem, p: int) -> bool:
@@ -196,13 +190,13 @@ def saito_identity_check(w: WeightSystem, p: int) -> bool:
     sigma(k) is not an integer} lands exactly on hp[p]."""
     spec = spectrum_direct(w)
     d, floors = spec.denominator, spec.floors
-    nu = jordan_blocks(w).nu
+    data = jordan_blocks(w)
+    nu, conj = data.nu, data.conj
     selected = set()
     for k in range(w.mu):
         bound = w.n - p - (0 if spec.scaled[k] % d == 0 else 1)
         if floors[k] + nu[k] <= bound:
             selected.add(k)
-    conj = _conjugation(w)
     image = {conj[k] for k in selected}
     target = {k for k in range(w.mu) if floors[k] >= p}
     return image == target

@@ -20,7 +20,14 @@ from .weights import WeightSystem
 
 
 class IndexOutOfRange(IndexError):
-    """Basis index outside 0..mu-1."""
+    """Basis index that is not an int in 0..mu-1."""
+
+
+def _check_index(k: int, w: WeightSystem) -> None:
+    """Raise :class:`IndexOutOfRange` unless k is exactly an int (not a
+    bool, float or Fraction) in 0..mu-1."""
+    if type(k) is not int or not 0 <= k < w.mu:
+        raise IndexOutOfRange(f"index {k!r} is not an int in 0..{w.mu - 1}")
 
 
 def _dense(entries: dict[tuple[int, int], int], mu: int) -> tuple[tuple[int, ...], ...]:
@@ -84,8 +91,7 @@ class FrobeniusInitialData:
 
 def metric_partner(k: int, w: WeightSystem) -> int:
     """The unique index paired with k by the metric."""
-    if not 0 <= k <= w.mu - 1:
-        raise IndexOutOfRange(f"index {k} outside 0..{w.mu - 1}")
+    _check_index(k, w)
     return w.n - k if k <= w.n else w.mu + w.n - k
 
 

@@ -12,7 +12,8 @@ q_i = mu/w_i, so the enumeration needs no de-duplication.
 
 The last two unit fractions are solved inside the loop rather than by one
 more level of recursion: for each candidate q the rest num/den - 1/q is
-1/r exactly when num*q - den divides den*q, and then r >= q.  The sorted
+1/r exactly when num*q - den divides den*q, and then r >= q.  The search
+yields its tuples one at a time, so no level of it holds a list.  The sorted
 records of each dimension are built once per process and kept as a tuple
 by a cache bounded to DEFAULT_MAX_DIMENSION entries (dimensions 1..5
 together hold about 1.6 MB); ``enumerate_reflexive`` checks its bounds
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .spectrum import spectrum_direct
 from .weights import WeightSystem
@@ -63,33 +65,26 @@ def has_integral_spectrum(w: WeightSystem) -> bool:
 
 
 def _unit_fraction_tuples(
-    terms: int, minimum: int, num: int, den: int, prefix: list[int]
-) -> list[tuple[int, ...]]:
-    """Every ``prefix`` + (q_1, ..., q_terms) with minimum <= q_1 <= ... <=
-    q_terms and sum_j 1/q_j = num/den, a fraction in lowest terms, for
-    terms >= 2."""
+    terms: int, minimum: int, num: int, den: int, prefix: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """Yield every ``prefix`` + (q_1, ..., q_terms) with minimum <= q_1 <=
+    ... <= q_terms and sum_j 1/q_j = num/den, a fraction in lowest terms,
+    for terms >= 2, in increasing order of (q_1, ..., q_terms)."""
     # 1/q <= num/den and q <= terms*den/num keep the search finite
-    low = max(minimum, -(-den // num))
-    high = terms * den // num
-    found = []
-    if terms == 2:
-        # 1/r = num/den - 1/q = (num*q - den) / (den*q); r >= q since q <= 2*den/num
-        for q in range(low, high + 1):
-            rest_num = num * q - den
-            if rest_num > 0:
-                r, rem = divmod(den * q, rest_num)
-                if not rem:
-                    found.append((*prefix, q, r))
-        return found
-    for q in range(low, high + 1):
+    for q in range(max(minimum, -(-den // num)), terms * den // num + 1):
         rest_num, rest_den = num * q - den, den * q
         if rest_num <= 0:
             continue
-        g = math.gcd(rest_num, rest_den)
-        found.extend(
-            _unit_fraction_tuples(terms - 1, q, rest_num // g, rest_den // g, prefix + [q])
-        )
-    return found
+        if terms == 2:
+            # 1/r = rest_num / rest_den; r >= q since q <= 2*den/num
+            r, rem = divmod(rest_den, rest_num)
+            if not rem:
+                yield (*prefix, q, r)
+        else:
+            g = math.gcd(rest_num, rest_den)
+            yield from _unit_fraction_tuples(
+                terms - 1, q, rest_num // g, rest_den // g, (*prefix, q)
+            )
 
 
 def _record_from_q(q: tuple[int, ...]) -> ReflexiveRecord:
@@ -103,7 +98,7 @@ def _record_from_q(q: tuple[int, ...]) -> ReflexiveRecord:
 
 @lru_cache(maxsize=DEFAULT_MAX_DIMENSION)
 def _sorted_records(n: int) -> tuple[ReflexiveRecord, ...]:
-    records = [_record_from_q(q) for q in _unit_fraction_tuples(n + 1, 2, 1, 1, [])]
+    records = [_record_from_q(q) for q in _unit_fraction_tuples(n + 1, 2, 1, 1, ())]
     return tuple(sorted(records, key=lambda r: (r.mu, r.weights.weights)))
 
 

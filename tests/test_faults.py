@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 import fraction_oracle
+import weightspec.filtrations as filtrations
 import weightspec.gaussmanin as gaussmanin
 import weightspec.reflexive as reflexive
 import weightspec.spectrum as spectrum
@@ -291,6 +292,50 @@ def test_saito_fault(monkeypatch):
     assert all(failures == [] for failures in results.values())
 
 
+@pytest.mark.parametrize("weights", SYSTEMS)
+def test_jordan_fault(monkeypatch, weights):
+    # the largest block is the zero block 0..n, which the conjugation fixes
+    # pointwise, so only the jordan suite sees its two halves
+    real = verify.jordan_blocks
+
+    def largest_block_split(w):
+        data = real(w)
+        blocks = list(data.blocks)
+        pos = max(range(len(blocks)), key=lambda i: blocks[i].size)
+        block = blocks[pos]
+        half = block.size // 2
+        blocks[pos:pos + 1] = [
+            dataclasses.replace(block, size=half),
+            dataclasses.replace(block, start=block.start + half, size=block.size - half),
+        ]
+        return dataclasses.replace(data, blocks=tuple(blocks))
+
+    monkeypatch.setattr(verify, "jordan_blocks", largest_block_split)
+    w = make_weight_system(list(weights))
+    results = verify_all(w)
+    size = w.n + 1
+    assert results.pop("jordan") == [
+        "jordan: block sizes != value multiplicities",
+        f"jordan: N has index {size} != {size - size // 2} on class 0",
+    ]
+    assert all(failures == [] for failures in results.values())
+
+
+# on (1, 2, 3) the swap changes no complement, so it is left out
+@pytest.mark.parametrize("weights", [(2, 3, 7), (1, 2, 12, 15, 30)])
+def test_orthogonality_fault(monkeypatch, weights):
+    # of all the suites, only orthogonality_check reads this name
+    real = filtrations.metric_partner
+
+    def partners_swapped(k, w):
+        return real(2 * w.n + 3 - k if k in (w.n + 1, w.n + 2) else k, w)
+
+    monkeypatch.setattr(filtrations, "metric_partner", partners_swapped)
+    results = verify_all(make_weight_system(list(weights)))
+    assert results.pop("orthogonality")
+    assert all(failures == [] for failures in results.values())
+
+
 def test_reflexive_fault(monkeypatch):
     # (1, 2, 3) is reflexive, so its spectrum is integral until shifted
     real = reflexive.spectrum_direct
@@ -320,9 +365,10 @@ def test_v_order_fault(monkeypatch):
 
 
 # the shared sigma(k) * D is read by the derivative, the reduction step and
-# the metric identities of initial_data and the pairing suite (so charpoly,
-# which builds initial_data, fails too); the spectrum suite, check_symmetry
-# and the v_order suite's expectation build sigma from scaled themselves
+# the metric identities of initial_data (so birkhoff, charpoly and pairing,
+# which all build initial_data, fail too); the spectrum suite,
+# check_symmetry and the v_order suite's expectation build sigma from
+# scaled themselves
 SIGMA_FAULT_SYSTEMS = STEP_FAULT_SYSTEMS + [(9, 55)]
 
 

@@ -152,18 +152,26 @@ def test_conjugate_examples():
     assert conjugate_index(w, 4) == 4
     for k in range(w.n + 1):
         assert conjugate_index(w, k) == k
+
+
+# on (1, 2, 3), mu = 6: all but -1 and mu lie in 0..5
+NOT_AN_INDEX = (1.5, 4.0, True, F(3), -1, 6)
+
+
+@pytest.mark.parametrize("k", NOT_AN_INDEX, ids=repr)
+def test_conjugate_index_rejects_non_index(k):
     with pytest.raises(IndexOutOfRange):
-        conjugate_index(w, 6)
-    with pytest.raises(IndexOutOfRange):
-        conjugate_index(w, -1)
+        conjugate_index(make_weight_system([1, 2, 3]), k)
 
 
 def test_conjugation_involution_and_value_flip():
     for w in random_systems(seed=17, count=25, mu_max=50):
         spec = spectrum_direct(w)
         values, top = spec.scaled, w.mu * spec.denominator
-        # the report's conjugation is built in one pass, apart from conjugate_index
-        assert saito_filtration(w).conj == tuple(conjugate_index(w, k) for k in range(w.mu))
+        # mu+n-k-nu(k) off the zero block, written out here as the reference
+        nu = jordan_blocks(w).nu
+        expected = tuple(k if k <= w.n else w.mu + w.n - k - nu[k] for k in range(w.mu))
+        assert saito_filtration(w).conj == tuple(conjugate_index(w, k) for k in range(w.mu)) == expected
         for k in range(w.mu):
             kbar = conjugate_index(w, k)
             assert conjugate_index(w, kbar) == k

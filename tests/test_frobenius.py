@@ -184,6 +184,16 @@ def test_metric_partner_involution():
                 metric_partner(k, w)
 
 
+# on (1, 2, 3), mu = 6: all but -1 and mu lie in 0..5
+NOT_AN_INDEX = (1.5, 4.0, True, F(3), -1, 6)
+
+
+@pytest.mark.parametrize("k", NOT_AN_INDEX, ids=repr)
+def test_metric_partner_rejects_non_index(k):
+    with pytest.raises(IndexOutOfRange):
+        metric_partner(k, make_weight_system([1, 2, 3]))
+
+
 def test_metric_violations_reported():
     sigma = (F(0), F(1), F(2))
     assert metric_violations(2, sigma, (2, 1, 0)) == []

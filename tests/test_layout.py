@@ -5,8 +5,9 @@ form, the package exports
 exactly what its `__init__` imports, a failed identity has one exception
 type, the CLI has one command path, monomial reduction has one integer
 step, multiplication by f is the derivative's operator, no module relies
-on ``assert``, ``report.to_json`` is the only JSON writer, and every
-cache is bounded.
+on ``assert``, ``report.to_json`` is the only JSON writer, every
+cache is bounded, and the conjugation, the metric identities, the index
+check and the unit-fraction search each have one copy.
 
 The runtime stores A0, A_inf, g and N in structured form; ``linalg`` is
 kept as the dense exact reference that tests compare against, so no
@@ -16,6 +17,7 @@ other package module may import it.
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import weightspec
@@ -27,7 +29,9 @@ from weightspec import (
     WeightSystem,
     cli,
     filtrations,
+    frobenius,
     gaussmanin,
+    reflexive,
     spectrum,
     verify,
 )
@@ -200,6 +204,21 @@ def test_one_reduction_step():
     tree = ast.parse(path.read_text(), filename=str(path))
     for name in ("reduce_monomial", "reduce_monomials", "_unscaled"):
         assert not _calls(tree, name), name
+
+
+def test_one_copy_of_each_index_computation():
+    # the conjugation is built once, as JordanData.conj; the metric
+    # identities are checked only where initial_data builds g; one
+    # validator checks a basis index; the unit-fraction search is one loop
+    assert not hasattr(filtrations, "_conjugation")
+    path = Path(verify.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for gone in ("metric_partner", "metric_violations"):
+        assert not _imports(tree, gone), gone
+    assert _calls(_functions(verify)["verify_pairing"], "initial_data")
+    assert _calls(_functions(frobenius)["metric_partner"], "_check_index")
+    assert _calls(_functions(filtrations)["conjugate_index"], "_check_index")
+    assert inspect.isgeneratorfunction(reflexive._unit_fraction_tuples)
 
 
 def _reads(tree: ast.AST, attr: str) -> bool:

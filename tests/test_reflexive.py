@@ -101,7 +101,7 @@ def fraction_unit_fraction_tuples(
 def test_integer_recursion_matches_fraction_oracle():
     for n in range(1, 6):
         expected = fraction_unit_fraction_tuples(n + 1, 2, Fraction(1), [])
-        assert _unit_fraction_tuples(n + 1, 2, 1, 1, []) == expected
+        assert list(_unit_fraction_tuples(n + 1, 2, 1, 1, ())) == expected
         # enumerate_reflexive keeps one record per q tuple, so distinct q
         # tuples must give distinct weights
         weights = [r.weights.weights for r in enumerate_reflexive(n)]
@@ -118,7 +118,7 @@ def test_two_term_base_case_matches_fraction_oracle(fraction, minimum, prefix):
     g = math.gcd(*fraction)
     num, den = fraction[0] // g, fraction[1] // g
     expected = fraction_unit_fraction_tuples(2, minimum, Fraction(num, den), prefix)
-    assert _unit_fraction_tuples(2, minimum, num, den, prefix) == expected
+    assert list(_unit_fraction_tuples(2, minimum, num, den, tuple(prefix))) == expected
 
 
 def test_is_reflexive_examples():
