@@ -20,7 +20,11 @@ is the Birkhoff normal form A0 + theta * A_inf.
 
 Reduction steps a flat integer list: a unit step sends tau^m * omega_k to
 (k, m-1) and (k+1, m), so after ``total`` steps from omega_0 every term has
-k = total + m (mod mu), and the list holds the scaled coefficients by d = -m.
+k = total + m (mod mu), and the list holds the coefficients by d = -m, entry
+d scaled by (D*mu)^d, so ``flat[0]`` is 1.  A step keeps the coefficient of
+a term that stays at d; only a term moved to d+1 gains a factor over D*mu,
+which the extra D*mu in the scale of entry d+1 absorbs.  So a step rescales
+nothing, and the integers grow with the depth d, not with the number of steps.
 """
 
 from __future__ import annotations
@@ -244,20 +248,30 @@ def _step_data(w: WeightSystem) -> _StepData:
 
 def _step(flat: list[int], j: int, b_j: int, total: int, data: _StepData) -> list[int]:
     """One unit increment in coordinate j of the state at exponents b, with
-    b_j and total = sum(b) given.  ``flat[d]`` is the coefficient of
-    tau^(-d) * omega_{(total - d) mod mu}, with no trailing zero, because
-    every term has k = total + m (mod mu).  Coefficients are integers scaled
-    by (D*mu)^steps, so the hot loop is gcd-free; ``_unscaled`` restores them."""
+    b_j and total = sum(b) given.  ``flat[d]`` is (D*mu)^d times the
+    coefficient of tau^(-d) * omega_{(total - d) mod mu}, with no trailing
+    zero, because every term has k = total + m (mod mu).  A term that stays
+    at d keeps its coefficient and one that moves to d+1 gains -t/(D*mu),
+    t = (L_j(b) - d - sigma(k)) * D, so in this layout the step is integer,
+    gcd-free and rescales nothing, ``flat[0]`` stays 1, and
+    ``_over_one_denominator`` turns a state back into coefficients."""
     mu, weights, scale, sigma_scaled = data
-    step_denom = scale * mu
     l_scaled = total * scale - mu * b_j * (scale // weights[j])
-    nxt = [c * step_denom for c in flat] + [0]
+    nxt = flat + [0]
     for d, c in enumerate(flat):
         t = l_scaled - d * scale - sigma_scaled[(total - d) % mu]
         nxt[d + 1] -= c * t
-    while not nxt[-1]:  # nxt[0] = (D*mu)^steps is never 0
+    while not nxt[-1]:  # nxt[0] = 1 is never 0
         nxt.pop()
     return nxt
+
+
+def _over_one_denominator(flat: list[int], step_denom: int) -> tuple[list[int], int]:
+    """A ``_step`` state as numerators over the one denominator
+    step_denom^top = (D*mu)^top, top = len(flat) - 1: entry d, scaled by
+    (D*mu)^d, gains the missing (D*mu)^(top - d)."""
+    top = len(flat) - 1
+    return [c * step_denom ** (top - d) for d, c in enumerate(flat)], step_denom ** top
 
 
 def _unscaled(flat: list[int], denom: int, total: int, mu: int) -> GElement:
@@ -300,43 +314,44 @@ def reduce_monomial(
     for total, j in enumerate(path):
         flat = _step(flat, j, current[j], total, data)
         current[j] += 1
-    return _unscaled(flat, (data[2] * w.mu) ** len(path), len(path), w.mu)
+    return _unscaled(*_over_one_denominator(flat, data[2] * w.mu), len(path), w.mu)
 
 
 def _reduce_walk(targets: Sequence[Sequence[int]], w: WeightSystem) -> list[_Reduced]:
     """The reduced class of each target as ``(flat, denom, total)``: the
-    ``_step`` state over its denominator, both divided by their gcd, with
-    total the sum of the canonical exponents.
+    ``_step`` state over one denominator (``_over_one_denominator``), both
+    divided by their gcd, with total the sum of the canonical exponents.
 
     Every class is still reduced from omega_0 along the coordinate-major
     path of its canonical exponents; the walk only skips the prefix that
     path shares with the previous target's.  The canonical targets are
     de-duplicated and sorted, and ``checkpoints[j]`` keeps the state at
-    (p_0, ..., p_j, 0, ..., 0) for the previous target p, with the
-    denominator of its scaled coefficients.  A target that first differs
-    from p in coordinate j exceeds p there, so its path passes through
-    ``checkpoints[j]`` and steps on from there.
+    (p_0, ..., p_j, 0, ..., 0) for the previous target p; a state carries
+    its own scale (entry d is scaled by (D*mu)^d), so a checkpoint holds no
+    denominator.  A target that first differs from p in coordinate j
+    exceeds p there, so its path passes through ``checkpoints[j]`` and
+    steps on from there.
     """
     canonical = [canonical_exponents(a, w) for a in targets]
     data = _step_data(w)
     size = w.n + 1
     step_denom = data[2] * w.mu
     previous = (0,) * size
-    checkpoints = [([1], 1)] * size
+    checkpoints = [[1]] * size
     reduced: dict[tuple[int, ...], _Reduced] = {}
     for target in sorted(set(canonical)):
         # only the zero vector, sorted first, equals its previous: omega_0
         j = next((i for i in range(size) if target[i] != previous[i]), size - 1)
-        flat, denom = checkpoints[j]
+        flat = checkpoints[j]
         b_j = previous[j]
         total = sum(target[:j]) + b_j
         for i in range(j, size):
             for b_i in range(b_j, target[i]):
                 flat = _step(flat, i, b_i, total, data)
-                denom *= step_denom
                 total += 1
-            checkpoints[i] = flat, denom
+            checkpoints[i] = flat
             b_j = 0
+        flat, denom = _over_one_denominator(flat, step_denom)
         g = math.gcd(denom, *flat)
         reduced[target] = [c // g for c in flat], denom // g, total
         previous = target

@@ -99,6 +99,15 @@ def test_reduction_normalisation_fault(monkeypatch, weights):
     assert _failed(make_weight_system(list(weights))) == {"reduction"}
 
 
+@pytest.mark.parametrize("weights", STEP_FAULT_SYSTEMS)
+def test_reduction_denominator_fault(monkeypatch, weights):
+    # entry d of a state is scaled by (D*mu)^d, so over the one denominator
+    # (D*mu)^top it gains (D*mu)^(top - d); a wrong power skews every class
+    # with a term at d >= 1, as the images of u^(a(k)+1_i) have
+    _plant_in_gaussmanin(monkeypatch, "step_denom ** (top - d)", "step_denom ** top")
+    assert _failed(make_weight_system(list(weights))) == {"reduction"}
+
+
 def _reduction_via_elements(w, gm) -> list[str]:
     """The reduction suite computed in ``GElement`` arithmetic from the
     module ``gm``: the reduced classes, the weighted sum of the classes of

@@ -25,7 +25,7 @@ from weightspec import (
 )
 
 import fraction_oracle
-from weightspec.gaussmanin import _reduce_walk
+from weightspec.gaussmanin import _reduce_walk, _step, _step_data
 from weightspec.verify import ALL_SUITES, _reduction_targets
 
 from conftest import exhaustive_mu, random_systems, weight_systems_up_to
@@ -235,20 +235,50 @@ def test_reduce_monomial_bad_path_rejected():
 
 
 def test_reduce_monomial_agrees_with_operator_composition():
-    # one increment via the public operator composition must match the
-    # internal integer-scaled loop
-    w = make_weight_system([1, 2, 3])
+    # one increment via the public operator composition, tau_dtau on
+    # GElement rather than _step, must match the integer walk; the
+    # two-weight systems reach states with terms at d = -m >= 5
     rng = random.Random(5)
-    for _ in range(20):
-        target = tuple(rng.randint(0, 3) for _ in range(3))
-        base = reduce_monomial(target, w)
-        j = rng.randrange(3)
-        l_j = sum(target) - F(w.mu * target[j], w.weights[j])
-        composed = (
-            (tau_dtau(base, w) + base.scale(l_j)).scale(F(-1, w.mu)).shift(-1)
-        )
-        bumped = target[:j] + (target[j] + 1,) + target[j + 1:]
-        assert composed == reduce_monomial(bumped, w)
+    deep = [make_weight_system([7, 93]), make_weight_system([11, 85])]
+    systems = [make_weight_system([1, 2, 3]), *deep]
+    for w in systems + random_systems(seed=21, count=6, mu_max=40, max_parts=5):
+        size, deepest = w.n + 1, 0
+        for _ in range(12):
+            target = tuple(rng.randint(0, 8) for _ in range(size))
+            base = reduce_monomial(target, w)
+            deepest = max(deepest, -min(m for _, m, _ in base.terms()))
+            j = rng.randrange(size)
+            l_j = sum(target) - F(w.mu * target[j], w.weights[j])
+            composed = (
+                (tau_dtau(base, w) + base.scale(l_j)).scale(F(-1, w.mu)).shift(-1)
+            )
+            bumped = target[:j] + (target[j] + 1,) + target[j + 1:]
+            assert composed == reduce_monomial(bumped, w), (w, target, j)
+        assert w not in deep or deepest >= 5, w
+
+
+def test_step_state_layout():
+    # flat[d] is (D*mu)^d times the coefficient of tau^(-d): flat[0] stays
+    # 1, the state ends in a nonzero entry, and read back in Fractions it
+    # is reduce_monomial's element, here along a shuffled path
+    rng = random.Random(21)
+    for tup in [(1, 2, 3), (2, 3, 7), (7, 93), (11, 85), (1, 2, 12, 15, 30)]:
+        w = make_weight_system(list(tup))
+        data = _step_data(w)
+        step_denom = spectrum_direct(w).denominator * w.mu
+        for _ in range(6):
+            target = tuple(rng.randint(0, 10) for _ in range(w.n + 1))
+            path = [j for j, c in enumerate(canonical_exponents(target, w)) for _ in range(c)]
+            rng.shuffle(path)
+            flat, b = [1], [0] * (w.n + 1)
+            for total, j in enumerate(path):
+                flat = _step(flat, j, b[j], total, data)
+                b[j] += 1
+                assert flat[0] == 1 and flat[-1], (tup, target, total)
+            coeffs = {
+                ((len(path) - d) % w.mu, -d): F(c, step_denom**d) for d, c in enumerate(flat)
+            }
+            assert GElement(w.mu, coeffs) == reduce_monomial(target, w), (tup, target)
 
 
 def _wrapping_targets(w) -> list[tuple[int, ...]]:
