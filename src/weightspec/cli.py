@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import lru_cache
 
 from . import report
 from .reflexive import DEFAULT_MAX_DIMENSION, DimensionTooLarge, enumerate_reflexive
@@ -39,7 +40,9 @@ def _parse_weights(text: str) -> list[int]:
     return [int(part) for part in fields]
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    # built by the first run, not at import; parse_args keeps no state on it
     parser = _Parser(prog="weightspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("spectrum", "frobenius", "jordan", "filtrations", "reflexive", "verify"):

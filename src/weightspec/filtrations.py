@@ -13,10 +13,9 @@ indices, and the orthogonality pattern of the metric across classes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .frobenius import _check_index, metric_partner
 from .spectrum import IdentityViolation, spectrum_direct
@@ -27,8 +26,7 @@ class UnknownEigenvalueClass(ValueError):
     """The requested fractional class does not occur in the spectrum."""
 
 
-@dataclass(frozen=True)
-class JordanBlock:
+class JordanBlock(NamedTuple):
     value: int
     start: int
     size: int
@@ -38,8 +36,7 @@ class JordanBlock:
         return range(self.start, self.start + self.size)
 
 
-@dataclass(frozen=True)
-class JordanData:
+class JordanData(NamedTuple):
     """Blocks in canonical index order plus per-index weight data.
 
     A block of value s stores s*D over ``denominator`` D = lcm(w), and
@@ -66,8 +63,7 @@ class JordanData:
         return Counter(b.size for b in self.blocks)
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
+class FiltrationReport(NamedTuple):
     """Index sets of all filtrations, the primitive indices and the
     conjugation involution."""
 

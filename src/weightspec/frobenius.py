@@ -13,7 +13,7 @@ so its eigenvalues are the mu critical values of the defining linear form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .spectrum import IdentityViolation, spectrum_direct
 from .weights import WeightSystem
@@ -37,8 +37,7 @@ def _dense(entries: dict[tuple[int, int], int], mu: int) -> tuple[tuple[int, ...
     return tuple(tuple(row) for row in rows)
 
 
-@dataclass(frozen=True)
-class FrobeniusInitialData:
+class FrobeniusInitialData(NamedTuple):
     """A0 = mu * cyclic shift, A_inf = diag(sigma), g = permutation matrix
     of ``partner``; ``sigma_scaled[k]`` is sigma(k) * ``denominator``.
     ``*_entries`` map (row, column) to nonzero ints, A_inf's over

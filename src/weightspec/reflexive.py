@@ -23,9 +23,8 @@ before it looks at the cache and returns a new list on each call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .spectrum import spectrum_direct
 from .weights import WeightSystem
@@ -41,17 +40,25 @@ class InconsistentRecord(ValueError):
     """A record whose q does not satisfy q_i * w_i = mu and sum 1/q_i = 1."""
 
 
-@dataclass(frozen=True)
-class ReflexiveRecord:
+class _ReflexiveFields(NamedTuple):
     weights: WeightSystem
     mu: int
     q: tuple[int, ...]
 
-    def __post_init__(self):
-        divides = all(qi * wi == self.mu for qi, wi in zip(self.q, self.weights.weights))
+
+class ReflexiveRecord(_ReflexiveFields):
+    __slots__ = ()
+
+    def __new__(cls, weights: WeightSystem, mu: int, q: tuple[int, ...]):
+        divides = all(qi * wi == mu for qi, wi in zip(q, weights.weights))
         # given q_i * w_i = mu, sum 1/q_i = sum w_i / mu is 1 iff sum w_i = mu
-        if not divides or self.weights.mu != self.mu:
-            raise InconsistentRecord(f"q = {self.q} is not mu / w_i with sum 1/q_i = 1")
+        if not divides or weights.mu != mu:
+            raise InconsistentRecord(f"q = {q} is not mu / w_i with sum 1/q_i = 1")
+        return super().__new__(cls, weights, mu, q)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check q there too
+        return cls(*iterable)
 
 
 def is_reflexive(w: WeightSystem) -> bool:

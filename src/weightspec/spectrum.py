@@ -8,7 +8,7 @@ sigma(k) = k - s(k) and the spectral polynomial is prod_k (S + sigma(k)).
 Every value is an integer over D = lcm(w): a ``Spectrum`` stores the
 integers s(k)*D and each ladder i(k), found by one sort of the integers
 l*(D/w_i)*(n+1) + i (by value, then by ladder).  The ints sigma*D and
-floor(sigma) are views built on first access.
+floor(sigma) are views built on first access and kept on the instance.
 
 The same data is generated by an integer step recursion: starting from
 the zero exponent vector, repeatedly increment the coordinate whose
@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .weights import WeightSystem
 
@@ -32,8 +32,7 @@ class IdentityViolation(RuntimeError):
     """An identity the paper states fails on the computed data."""
 
 
-@dataclass(frozen=True)
-class StepSequence:
+class StepSequence(NamedTuple):
     """The pairs (exponents[k], indices[k]) of the generating recursion.
 
     ``exponents[k]`` is the integer vector after k increments (entries sum
@@ -50,16 +49,22 @@ class StepSequence:
         return len(self.indices) - 1
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Exact spectral data as integers over ``denominator`` D = lcm(w):
-    s(k) = scaled[k] / D, and ``ladders[k]`` is the ladder i(k) that s(k)
-    belongs to.  Read-only views give sigma(k) = k - s(k) as the ints
-    sigma(k) * D, and floor(sigma(k)); alpha(k) = ceil(s(k)) - s(k) is -scaled[k] % D over D."""
-
+class _SpectrumFields(NamedTuple):
     denominator: int
     scaled: tuple[int, ...]
     ladders: tuple[int, ...]
+
+
+class Spectrum(_SpectrumFields):
+    """Exact spectral data as integers over ``denominator`` D = lcm(w):
+    s(k) = scaled[k] / D, and ``ladders[k]`` is the ladder i(k) that s(k)
+    belongs to.  Read-only views give sigma(k) = k - s(k) as the ints
+    sigma(k) * D, and floor(sigma(k)); alpha(k) = ceil(s(k)) - s(k) is -scaled[k] % D over D.
+    The views are cached in the ``__dict__`` this subclass has, so a
+    ``_replace`` copy computes its own."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Spectrum.{name}")
 
     @property
     def mu(self) -> int:

@@ -26,6 +26,7 @@ from .gaussmanin import (
     GElement,
     _derive,
     _reduce_walk,
+    _unscaled,
     bernstein_check,
     birkhoff_matrices,
     f_action,
@@ -198,7 +199,8 @@ def verify_reduction(w: WeightSystem) -> list[str]:
     u^(a(k)+1_i) are reduced in one ``_reduce_walk``, each from omega_0
     along its own coordinate-major path, and compared in integers: a class
     is omega_k iff its state is [denom] at total = k (mod mu), and the sum
-    of w_i [u^(a(k)+1_i)] over their lcm denominator is f_action(omega_k)."""
+    of w_i [u^(a(k)+1_i)] over their lcm denominator, read as an element by
+    ``_unscaled``, is f_action(omega_k)."""
     failures = []
     mu, row = w.mu, w.n + 2
     reduced = _reduce_walk(_reduction_targets(w), w)
@@ -215,9 +217,7 @@ def verify_reduction(w: WeightSystem) -> list[str]:
             factor = wi * (lcm // denom)
             for d, c in enumerate(flat):
                 via_monomials[d] += factor * c
-        total = images[0][2]
-        via = {((total - d) % mu, -d): c for d, c in enumerate(via_monomials) if c}
-        if GElement._raw(mu, via, lcm) != f_action(GElement.basis(mu, k), w):
+        if _unscaled(via_monomials, lcm, images[0][2], mu) != f_action(GElement.basis(mu, k), w):
             failures.append(f"reduction: two routes for f*omega_{k} disagree")
     return failures
 

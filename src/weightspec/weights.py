@@ -4,14 +4,14 @@ A weight system is a tuple of positive integers (w_0, ..., w_n) with
 gcd 1.  Everything downstream (spectra, connection matrices, filtrations)
 is computed from such a tuple exactly, in integers over one denominator
 (D = lcm(w) for the spectral data); :class:`fractions.Fraction` appears
-only at the API and report edge.
+only at the API and report edge.  ``WeightSystem`` and every other result
+record of the package is an immutable ``typing.NamedTuple``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class WeightSystemError(ValueError):
@@ -36,12 +36,21 @@ TWO_WEIGHT_WARNING = (
 )
 
 
-@dataclass(frozen=True)
-class WeightSystem:
-    """An ascending tuple of positive integers with gcd 1."""
+class WeightSystem(NamedTuple):
+    """An ascending tuple of positive integers with gcd 1; ``warnings`` are
+    notes, not part of the value, so equality and hash read ``weights``."""
 
     weights: tuple[int, ...]
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    warnings: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        return isinstance(other, WeightSystem) and self.weights == other.weights
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self.weights)
 
     @property
     def n(self) -> int:

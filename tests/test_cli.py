@@ -3,6 +3,7 @@ import json
 import pytest
 
 from weightspec import IdentityViolation, make_weight_system
+from weightspec import cli
 from weightspec.cli import run
 import weightspec.frobenius as frobenius_mod
 import weightspec.report as report_mod
@@ -247,3 +248,24 @@ def test_verify_all_and_suite_are_exclusive(capsys):
     assert code == 0 and len(out.splitlines()) == 13
     code, out, _ = invoke(capsys, "verify", "-w", "1,2,3", "--suite", "spectrum", "--suite", "jordan")
     assert code == 0 and out.split() == ["suite", "status", "spectrum", "ok", "jordan", "ok"]
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # --suite appends, the group remembers --all, and a usage error raises
+    # mid-parse: none of it may leak into the next call on the same parser
+    calls = [
+        ("verify", "-w", "1,2,3", "--suite", "spectrum", "--format", "json"),
+        ("verify", "-w", "1,2,3", "--all"),
+        ("verify", "-w", "1,2,3", "--suite", "spectrum", "--all"),
+        ("reflexive", "-n", "3", "--format", "csv"),
+    ]
+    cli._build_parser.cache_clear()
+    reused = [invoke(capsys, *argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(invoke(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 1, 0]
+    assert fresh[0][1].count('"spectrum"') == 1 and "jordan" not in fresh[0][1]

@@ -6,7 +6,6 @@ The integer suites are also compared with element and ``Fraction``
 oracles, with and without the same planted fault.
 """
 
-import dataclasses
 import inspect
 import random
 from fractions import Fraction
@@ -41,7 +40,7 @@ def _shifted(spec, k: int = 1):
     """The spectrum with s(k) lowered by 1/D, i.e. sigma(k) raised by 1/D."""
     scaled = list(spec.scaled)
     scaled[k] -= 1
-    return dataclasses.replace(spec, scaled=tuple(scaled))
+    return spec._replace(scaled=tuple(scaled))
 
 
 def _planted(module, old: str, new: str) -> dict:
@@ -167,7 +166,7 @@ def test_periodicity_fault(monkeypatch):
         # past mu, where only the periodicity suite reads the recursion
         exponents = list(seq.exponents)
         exponents[2 * w.mu - 1] = tuple(a + 1 for a in exponents[2 * w.mu - 1])
-        return dataclasses.replace(seq, exponents=tuple(exponents))
+        return seq._replace(exponents=tuple(exponents))
 
     monkeypatch.setattr(verify, "step_sequence", extension_off)
     w = make_weight_system([2, 3, 7])
@@ -223,7 +222,7 @@ def test_step_exponent_fault(monkeypatch):
         seq = real(w, k_max)
         exponents = list(seq.exponents)
         exponents[3] = (exponents[3][0] + 1,) + exponents[3][1:]
-        return dataclasses.replace(seq, exponents=tuple(exponents))
+        return seq._replace(exponents=tuple(exponents))
 
     w = make_weight_system([1, 2, 3])
     assert real(w).indices[3] == 2
@@ -292,7 +291,7 @@ def test_saito_fault(monkeypatch):
     def conjugation_broken(w):
         report = real(w)
         conj = report.conj[:-1] + (0,)  # conj(0) = 0, so conj(conj(mu-1)) != mu-1
-        return dataclasses.replace(report, conj=conj)
+        return report._replace(conj=conj)
 
     monkeypatch.setattr(verify, "saito_filtration", conjugation_broken)
     w = make_weight_system([2, 3, 7])
@@ -314,10 +313,10 @@ def test_jordan_fault(monkeypatch, weights):
         block = blocks[pos]
         half = block.size // 2
         blocks[pos:pos + 1] = [
-            dataclasses.replace(block, size=half),
-            dataclasses.replace(block, start=block.start + half, size=block.size - half),
+            block._replace(size=half),
+            block._replace(start=block.start + half, size=block.size - half),
         ]
-        return dataclasses.replace(data, blocks=tuple(blocks))
+        return data._replace(blocks=tuple(blocks))
 
     monkeypatch.setattr(verify, "jordan_blocks", largest_block_split)
     w = make_weight_system(list(weights))

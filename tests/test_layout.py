@@ -6,7 +6,8 @@ exactly what its `__init__` imports, a failed identity has one exception
 type, the CLI has one command path, monomial reduction has one integer
 step, multiplication by f is the derivative's operator, no module relies
 on ``assert``, ``report.to_json`` is the only JSON writer, every
-cache is bounded, and the conjugation, the metric identities, the index
+cache is bounded, importing the CLI loads neither ``dataclasses`` nor
+``inspect``, and the conjugation, the metric identities, the index
 check and the unit-fraction search each have one copy.
 
 The runtime stores A0, A_inf, g and N in structured form; ``linalg`` is
@@ -15,9 +16,10 @@ other package module may import it.
 """
 
 import ast
-import dataclasses
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import weightspec
@@ -105,7 +107,7 @@ def test_exports_match_imports():
 
 
 def test_integer_spectrum_and_reflexive_search():
-    assert [f.name for f in dataclasses.fields(Spectrum)] == [
+    assert list(Spectrum._fields) == [
         "denominator",
         "scaled",
         "ladders",
@@ -134,8 +136,8 @@ def test_integer_values_inside_fraction_only_at_the_edge():
     # sigma has one form, the ints sigma(k) * D of Spectrum.sigma_scaled
     for view in ("values", "fractional_parts", "spectral_numbers"):
         assert not hasattr(Spectrum, view), view
-    assert [f.name for f in dataclasses.fields(JordanBlock)] == ["value", "start", "size"]
-    assert [f.name for f in dataclasses.fields(FrobeniusInitialData)] == [
+    assert list(JordanBlock._fields) == ["value", "start", "size"]
+    assert list(FrobeniusInitialData._fields) == [
         "denominator",
         "sigma_scaled",
         "partner",
@@ -197,12 +199,14 @@ def test_one_reduction_step():
     for caller in ("reduce_monomial", "_reduce_walk"):
         assert _calls(functions[caller], "_step"), caller
     # the public batch and the suite share the walk; the suite compares its
-    # integer states, never reduced elements
+    # integer states, reduces no element one by one, and turns the f route's
+    # summed state into an element through the one layout reader, _unscaled
     assert _calls(functions["reduce_monomials"], "_reduce_walk")
-    assert _calls(_functions(verify)["verify_reduction"], "_reduce_walk")
+    for callee in ("_reduce_walk", "_unscaled"):
+        assert _calls(_functions(verify)["verify_reduction"], callee), callee
     path = Path(verify.__file__)
     tree = ast.parse(path.read_text(), filename=str(path))
-    for name in ("reduce_monomial", "reduce_monomials", "_unscaled"):
+    for name in ("reduce_monomial", "reduce_monomials", "_raw"):
         assert not _calls(tree, name), name
 
 
@@ -336,3 +340,35 @@ def test_every_cache_is_bounded():
     for value in cached:
         maxsize = value.cache_parameters()["maxsize"]
         assert type(maxsize) is int and maxsize > 0, (value.__qualname__, maxsize)
+
+
+# importing dataclasses costs about as much as the rest of start-up: it
+# pulls in inspect, ast, dis and tokenize, and each frozen dataclass execs
+# its generated methods; the records are NamedTuples instead
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_no_module_imports_dataclasses():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 1
+    offenders = [
+        path.name
+        for path in modules
+        if _imports(ast.parse(path.read_text(), filename=str(path)), "dataclasses")
+    ]
+    assert offenders == []
+
+
+def test_cli_import_loads_no_heavy_module():
+    # compares sys.modules before and after, so a module that site already
+    # loaded does not count against the package
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import weightspec.cli\n"
+        "print(sorted(set(sys.argv[2:]) & (set(sys.modules) - before)))\n"
+    )
+    argv = [sys.executable, "-c", script, str(PACKAGE.parent), *HEAVY_MODULES]
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout == "[]\n"

@@ -211,6 +211,9 @@ def test_inconsistent_record_raises():
     # q_i * w_i = mu holds, but mu is not sum(w), so sum 1/q_i = 1/2
     with pytest.raises(InconsistentRecord):
         ReflexiveRecord(w, 6, (6, 6, 6))
+    record = ReflexiveRecord(w, 3, (3, 3, 3))
+    with pytest.raises(InconsistentRecord):
+        record._replace(q=(3, 3, 2))
 
 
 def test_dimension_bounds():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -64,10 +63,10 @@ def test_spectrum_examples():
     assert spec.denominator == 6
     assert spec.scaled == (0, 0, 0, 12, 18, 24)  # s = 0, 0, 0, 2, 3, 4
     assert spec.floors == (0, 1, 2, 1, 1, 1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        spec.scaled = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        spec.sigma_scaled = ()
+    for name in ("scaled", "sigma_scaled", "floors"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, ())
+    assert spec.floors == (0, 1, 2, 1, 1, 1)
 
     spec = spectrum(1, 1, 3)
     assert (spec.denominator, spec.scaled) == (3, (0, 0, 0, 5, 10))  # 5/3, 10/3

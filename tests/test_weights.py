@@ -34,6 +34,13 @@ def test_gcd_normalize_flag():
     w = make_weight_system([2, 4, 6], allow_gcd_normalize=True)
     assert w.weights == (1, 2, 3)
     assert any("common factor 2" in msg for msg in w.warnings)
+    # warnings are notes, not part of the value
+    a, b = make_weight_system([2, 4], allow_gcd_normalize=True), make_weight_system([1, 2])
+    assert a.warnings != b.warnings
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert make_weight_system([1, 3]) != b
+    with pytest.raises(AttributeError):
+        a.weights = (1, 2)  # type: ignore[misc]
 
 
 def test_too_few():
