@@ -3,9 +3,12 @@
 An element is a finite sum of terms c * tau^m * omega_k over the basis
 omega_0, ..., omega_{mu-1}, stored sparsely as the map (k, m) -> nonzero
 integer numerator over one positive denominator, in lowest terms, so every
-operation costs time in the number of terms, not in mu; ``Fraction`` is
-only the ``coeffs`` and ``terms`` view.  The logarithmic derivative acts on
-basis elements by
+operation costs time in the number of terms, not in mu.  ``Fraction`` is
+only the API edge: the ``coeffs`` and ``terms`` views, ``v_order``, and a
+coefficient handed to ``GElement`` or ``scale``, which import ``fractions``
+when called, so the integer kernels and the CLI never load it.
+``GElement.basis`` with an int coefficient needs none.  The logarithmic
+derivative acts on basis elements by
 
     tau_dtau(omega_k) = -sigma(k) * omega_k - mu * tau * omega_{k+1 mod mu}
 
@@ -31,19 +34,28 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .spectrum import IdentityViolation, spectrum_direct
 from .weights import WeightSystem
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Scalar = int | Fraction
 
 
 class DimensionMismatch(ValueError):
     """An element's mu or basis index does not fit the weight system, or a
     basis index or tau-power is not an int."""
+
+
+def _check_key(mu: int, k: int, m: int) -> None:
+    if type(k) is not int or type(m) is not int:
+        raise DimensionMismatch(f"basis index {k!r} and tau-power {m!r} must be ints")
+    if not 0 <= k < mu:
+        raise DimensionMismatch(f"basis index {k} outside 0..{mu - 1}")
 
 
 def _add_term(out: dict, key: tuple[int, int], c: int) -> None:
@@ -67,13 +79,13 @@ class GElement:
         self, mu: int, coeffs: Mapping[tuple[int, int], Scalar] | None = None
     ):
         clean: dict[tuple[int, int], Fraction] = {}
-        for (k, m), c in (coeffs or {}).items():
-            if type(k) is not int or type(m) is not int:
-                raise DimensionMismatch(f"basis index {k!r} and tau-power {m!r} must be ints")
-            if not 0 <= k < mu:
-                raise DimensionMismatch(f"basis index {k} outside 0..{mu - 1}")
-            if c:
-                clean[k, m] = Fraction(c)
+        if coeffs:
+            from fractions import Fraction
+
+            for (k, m), c in coeffs.items():
+                _check_key(mu, k, m)
+                if c:
+                    clean[k, m] = Fraction(c)
         # each prime power of den is some reduced denominator: gcd(den, *nums) = 1
         den = math.lcm(*[c.denominator for c in clean.values()])
         self.mu = mu
@@ -99,12 +111,18 @@ class GElement:
     def basis(
         cls, mu: int, k: int, tau_power: int = 0, coefficient: Scalar = 1
     ) -> "GElement":
-        """coefficient * tau**tau_power * omega_k."""
-        return cls(mu, {(k, tau_power): coefficient})
+        """coefficient * tau**tau_power * omega_k; an int coefficient is
+        stored as it is, with no ``Fraction``."""
+        if type(coefficient) is not int:
+            return cls(mu, {(k, tau_power): coefficient})
+        _check_key(mu, k, tau_power)
+        return cls._raw(mu, {(k, tau_power): coefficient} if coefficient else {}, 1)
 
     @property
     def coeffs(self) -> Mapping[tuple[int, int], Fraction]:
         """The map (k, m) -> nonzero Fraction coefficient, read-only."""
+        from fractions import Fraction
+
         return MappingProxyType({key: Fraction(c, self._den) for key, c in self._nums.items()})
 
     def __eq__(self, other: object) -> bool:
@@ -132,6 +150,8 @@ class GElement:
         return self._plus(other, -1)
 
     def scale(self, factor: Scalar) -> "GElement":
+        from fractions import Fraction
+
         factor = Fraction(factor)
         if not factor:
             return GElement.zero(self.mu)
@@ -152,6 +172,8 @@ class GElement:
     def terms(self) -> list[tuple[int, int, Fraction]]:
         """All stored terms as (basis index k, tau power m, coefficient),
         sorted by (k, m)."""
+        from fractions import Fraction
+
         return [(k, m, Fraction(c, self._den)) for (k, m), c in sorted(self._nums.items())]
 
     def __repr__(self) -> str:
@@ -381,6 +403,8 @@ def f_action(x: GElement | Sequence[int], w: WeightSystem) -> GElement:
 def v_order(x: GElement, w: WeightSystem) -> Fraction | None:
     """max over stored terms tau^m * omega_k of sigma(k) + m; None for the
     zero element, which has no order."""
+    from fractions import Fraction
+
     _require_mu(x, w)
     spec = spectrum_direct(w)
     order = max((spec.sigma_scaled[k] + m * spec.denominator for k, m in x._nums), default=None)

@@ -5,30 +5,26 @@ a float.  JSON output is canonical: sorted keys, a two-space indent and
 ASCII escapes, so that parse + re-serialize is byte-identical.  The
 module's own emitter writes it, byte-equal to
 ``json.dumps(doc, sort_keys=True, indent=2)``, whose ``indent`` would send
-CPython to its pure-Python encoder.
+CPython to its pure-Python encoder.  Strings go through the C escaper
+that ``json.encoder`` wraps, imported from ``_json`` so that a command
+does not load the ``json`` package.  CSV and table text writes a rational
+with ``spectrum.rational_text``.
 """
 
 from __future__ import annotations
 
-import math
-from json.encoder import encode_basestring_ascii
-from numbers import Rational
-from typing import Any
+from _json import encode_basestring_ascii
+from typing import TYPE_CHECKING, Any
 
 from . import __version__
 from .filtrations import jordan_blocks, saito_filtration
 from .frobenius import initial_data
 from .reflexive import ReflexiveRecord
-from .spectrum import _root_counts, spectrum_direct
+from .spectrum import _lowest_terms, _root_counts, rational_text, spectrum_direct
 from .weights import WeightSystem
 
-
-def _lowest_terms(value: Rational, den: int) -> tuple[int, int]:
-    # an exact int is its own numerator: only other Rationals are unpacked
-    if type(value) is not int:
-        value, den = value.numerator, value.denominator * den
-    g = math.gcd(value, den)
-    return value // g, den // g
+if TYPE_CHECKING:
+    from numbers import Rational
 
 
 def encode_rational(value: Rational, den: int = 1) -> dict[str, int]:
@@ -37,12 +33,6 @@ def encode_rational(value: Rational, den: int = 1) -> dict[str, int]:
     read through its numerator and denominator."""
     num, den = _lowest_terms(value, den)
     return {"num": num, "den": den}
-
-
-def rational_text(value: Rational, den: int = 1) -> str:
-    """value/den in lowest terms as CSV and table text: "n" or "n/d"."""
-    num, den = _lowest_terms(value, den)
-    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def envelope(

@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .weights import WeightSystem
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from numbers import Rational
 
 
 class IdentityViolation(RuntimeError):
@@ -149,11 +152,28 @@ def _root_counts(spec: Spectrum) -> list[tuple[int, int]]:
     return sorted(Counter(spec.sigma_scaled).items())
 
 
+def _lowest_terms(value: Rational, den: int) -> tuple[int, int]:
+    # an exact int is its own numerator: only other Rationals are unpacked
+    if type(value) is not int:
+        value, den = value.numerator, value.denominator * den
+    g = math.gcd(value, den)
+    return value // g, den // g
+
+
+def rational_text(value: Rational, den: int = 1) -> str:
+    """value/den (den > 0) in lowest terms as text, "n" or "n/d": the
+    ``str`` of the ``Fraction``, for reports and failure messages."""
+    num, den = _lowest_terms(value, den)
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def spectral_polynomial(w: WeightSystem) -> list[tuple[Fraction, int]]:
     """Roots with multiplicities of prod_k (S + sigma(k)), sorted by root.
 
     The roots are counted as the ints sigma*D over D = lcm(w); the
     ``Fraction`` roots are built here, for the caller."""
+    from fractions import Fraction
+
     spec = spectrum_direct(w)
     return [(Fraction(x, spec.denominator), m) for x, m in _root_counts(spec)]
 
@@ -174,19 +194,19 @@ def check_symmetry(spec: Spectrum, w: WeightSystem | None = None) -> list[str]:
     n = spec.scaled.count(0) - 1
     if w is not None and (w.mu, w.n) != (mu, n):
         return [f"dimension mismatch: spectrum has (mu, n) = ({mu}, {n})"]
-    d, s = spec.denominator, spec.scaled  # Fraction only in the messages
+    d, s = spec.denominator, spec.scaled
     sigma = [k * d - v for k, v in enumerate(s)]
     bad: list[str] = []
     for k in range(n + 1, mu):
         if s[k] + s[mu + n - k] != mu * d:
-            bad.append(f"sym: s({k}) + s({mu + n - k}) = {Fraction(s[k] + s[mu + n - k], d)} != {mu}")
+            bad.append(f"sym: s({k}) + s({mu + n - k}) = {rational_text(s[k] + s[mu + n - k], d)} != {mu}")
     for k in range(mu):
         nxt = sigma[k + 1] if k + 1 < mu else 0
         if nxt > sigma[k] + d:
-            bad.append(f"alphaleq: sigma({k + 1}) = {Fraction(nxt, d)} > sigma({k}) + 1")
+            bad.append(f"alphaleq: sigma({k + 1}) = {rational_text(nxt, d)} > sigma({k}) + 1")
     for k in range(mu):
         if not 0 <= sigma[k] <= n * d:
-            bad.append(f"range: sigma({k}) = {Fraction(sigma[k], d)} outside [0, {n}]")
+            bad.append(f"range: sigma({k}) = {rational_text(sigma[k], d)} outside [0, {n}]")
         if sigma[k] == 0 and k != 0:
             bad.append(f"range: sigma({k}) = 0 at k != 0")
         if sigma[k] == n * d and k != n:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 
 from .filtrations import (
     eigenvalue_classes,
@@ -35,6 +34,7 @@ from .reflexive import has_integral_spectrum, is_reflexive
 from .spectrum import (
     IdentityViolation,
     check_symmetry,
+    rational_text,
     spectrum_direct,
     spectrum_from_steps,
     step_sequence,
@@ -128,7 +128,7 @@ def verify_jordan(w: WeightSystem) -> list[str]:
         largest = max(b.size for b in blocks)
         chain = _longest_chain(classes.get(alpha, ()), values)
         if chain != largest:
-            alpha = Fraction(alpha, data.denominator)
+            alpha = rational_text(alpha, data.denominator)
             failures.append(f"jordan: N has index {chain} != {largest} on class {alpha}")
     return failures
 
@@ -174,7 +174,7 @@ def verify_orthogonality(w: WeightSystem) -> list[str]:
     for key in sorted(eigenvalue_classes(w)):  # alpha*D; 0 is always a class
         for p in range(w.n + 2):
             if not orthogonality_check(w, key, p):
-                failures.append(f"orthogonality: fails at alpha = {Fraction(key, d)}, p = {p}")
+                failures.append(f"orthogonality: fails at alpha = {rational_text(key, d)}, p = {p}")
     return failures
 
 
@@ -236,7 +236,7 @@ def verify_v_order(w: WeightSystem) -> list[str]:
         shifted = sigma[(k + 1) % mu] + d
         expected = shifted if sigma[k] == 0 else max(sigma[k], shifted)
         if order != expected:
-            shown = None if order is None else Fraction(order, d)
+            shown = None if order is None else rational_text(order, d)
             failures.append(f"v_order: tau_dtau(omega_{k}) has order {shown}")
         if order is None or order > sigma[k] + 2 * d:
             failures.append(f"v_order: bound exceeded at k = {k}")

@@ -4,8 +4,10 @@ A weight system is a tuple of positive integers (w_0, ..., w_n) with
 gcd 1.  Everything downstream (spectra, connection matrices, filtrations)
 is computed from such a tuple exactly, in integers over one denominator
 (D = lcm(w) for the spectral data); :class:`fractions.Fraction` appears
-only at the API and report edge.  ``WeightSystem`` and every other result
-record of the package is an immutable ``typing.NamedTuple``.
+only at the API edge, where the functions that return or take one import
+``fractions`` when called; the reports write rationals from integers.
+``WeightSystem`` and every other result record of the package is an
+immutable ``typing.NamedTuple``.
 """
 
 from __future__ import annotations

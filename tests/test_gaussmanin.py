@@ -87,6 +87,8 @@ def test_gelement_matches_fraction_model(a, b, factor, power):
     for element, model in cases:
         assert dict(element.coeffs) == model
         assert element.terms() == [(k, m, c) for (k, m), c in sorted(model.items())]
+        assert all(type(c) is Fraction for c in element.coeffs.values())
+        assert all(type(c) is Fraction for _, _, c in element.terms())
         assert element.is_zero() == (not model)
         assert _in_lowest_terms(element)
     assert (x == y) == (ma == mb)
@@ -120,6 +122,26 @@ def test_basis_index_out_of_range():
         with pytest.raises(DimensionMismatch):
             basis(3, 0).shift(power)
     assert GElement(3, {(0, 0): 0, (2, -1): 1}) == basis(3, 2).shift(-1)
+
+
+def test_basis_matches_constructor():
+    # an int coefficient skips Fraction; the element and its checks are the
+    # general constructor's
+    for coefficient in (0, -3, 5):
+        for k, power in ((0, 0), (3, -2), (1, 4)):
+            x = GElement.basis(4, k, tau_power=power, coefficient=coefficient)
+            y = GElement(4, {(k, power): coefficient})
+            assert (x.mu, x._nums, x._den) == (y.mu, y._nums, y._den)
+            assert x == y and hash(x) == hash(y)
+            assert x.is_zero() == (coefficient == 0)
+            assert all(type(c) is Fraction for c in x.coeffs.values())
+    for k, power in ((4, 0), (-1, -2), (True, 0), (1.0, 0), (0, False), (0, -1.0)):
+        for coefficient in (0, -3, 5, F(1, 2)):
+            with pytest.raises(DimensionMismatch):
+                GElement.basis(4, k, tau_power=power, coefficient=coefficient)
+    x = GElement.basis(4, 2, tau_power=-1, coefficient=F(-6, 4))
+    assert (x._nums, x._den) == ({(2, -1): -3}, 2)
+    assert x.terms() == [(2, -1, F(-3, 2))]
 
 
 def test_tau_dtau_examples():
@@ -383,6 +405,7 @@ def test_v_order_examples():
     for k in range(6):
         assert v_order(basis(6, k), w) == sigma[k]
     assert v_order(basis(6, 0, tau_power=1), w) == 1
+    assert type(v_order(basis(6, 0, tau_power=1), w)) is Fraction
     w111 = make_weight_system([1, 1, 1])
     assert v_order(basis(3, 2) + basis(3, 0, tau_power=1), w111) == 2
     assert v_order(GElement.zero(3), w111) is None

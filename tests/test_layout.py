@@ -6,9 +6,10 @@ exactly what its `__init__` imports, a failed identity has one exception
 type, the CLI has one command path, monomial reduction has one integer
 step, multiplication by f is the derivative's operator, no module relies
 on ``assert``, ``report.to_json`` is the only JSON writer, every
-cache is bounded, importing the CLI loads neither ``dataclasses`` nor
-``inspect``, and the conjugation, the metric identities, the index
-check and the unit-fraction search each have one copy.
+cache is bounded, neither importing the CLI nor running its commands
+loads ``dataclasses``, ``inspect``, ``fractions`` or the ``json``
+package, and the conjugation, the metric identities, the index check and
+the unit-fraction search each have one copy.
 
 The runtime stores A0, A_inf, g and N in structured form; ``linalg`` is
 kept as the dense exact reference that tests compare against, so no
@@ -21,6 +22,7 @@ import inspect
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import weightspec
 from weightspec import (
@@ -41,8 +43,28 @@ from weightspec import (
 PACKAGE = Path(weightspec.__file__).parent
 
 
-def _imports(tree: ast.AST, name: str) -> bool:
-    for node in ast.walk(tree):
+def _run_on_load(tree: ast.Module) -> Iterator[ast.AST]:
+    """The nodes of the statements that importing the module runs: all but
+    function bodies and ``if TYPE_CHECKING:`` blocks."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in (
+            getattr(node.test, "id", None),
+            getattr(node.test, "attr", None),
+        ):
+            stack.extend(node.orelse)
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _imports(tree: ast.AST, name: str, *, on_load: bool = False) -> bool:
+    """Whether ``tree`` imports ``name`` in any form; with ``on_load``, only
+    in the statements that importing the module runs."""
+    for node in _run_on_load(tree) if on_load else ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = (node.module or "").split(".")
             if name in module or any(a.name == name for a in node.names):
@@ -65,6 +87,22 @@ def test_guard_detects_every_import_form():
     assert not _imports(ast.parse("from . import report"), "linalg")
     for source in ("from fractions import Fraction", "import fractions"):
         assert _imports(ast.parse(source), "fractions"), source
+    for source in (
+        "from fractions import Fraction",
+        "class C:\n    from fractions import Fraction",
+        "try:\n    import fractions\nexcept ImportError:\n    pass",
+        "if sys.version_info >= (3, 10):\n    import fractions",
+        "if typing.TYPE_CHECKING:\n    pass\nelse:\n    import fractions",
+    ):
+        assert _imports(ast.parse(source), "fractions", on_load=True), source
+    for source in (
+        "def f():\n    from fractions import Fraction",
+        "class C:\n    def f(self):\n        import fractions",
+        "if TYPE_CHECKING:\n    from fractions import Fraction",
+        "if typing.TYPE_CHECKING:\n    import fractions",
+    ):
+        assert not _imports(ast.parse(source), "fractions", on_load=True), source
+    assert not _imports(ast.parse("from _json import encode_basestring_ascii"), "json")
 
 
 def test_runtime_does_not_import_linalg():
@@ -344,8 +382,13 @@ def test_every_cache_is_bounded():
 
 # importing dataclasses costs about as much as the rest of start-up: it
 # pulls in inspect, ast, dis and tokenize, and each frozen dataclass execs
-# its generated methods; the records are NamedTuples instead
-HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# its generated methods; the records are NamedTuples instead.  fractions
+# (which loads decimal and numbers) and the json package were the largest
+# imports left: the commands write rationals from ints, and report escapes
+# strings with the C function json.encoder wraps, from _json
+HEAVY_MODULES = (
+    "dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "numbers", "json"
+)
 
 
 def test_no_module_imports_dataclasses():
@@ -359,16 +402,57 @@ def test_no_module_imports_dataclasses():
     assert offenders == []
 
 
-def test_cli_import_loads_no_heavy_module():
-    # compares sys.modules before and after, so a module that site already
-    # loaded does not count against the package
+def test_fractions_numbers_and_json_stay_off_import():
+    # Fraction is the API edge: imported inside the functions that return
+    # one; linalg, the dense test oracle, is the exception
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 1
+    offenders = [
+        (path.name, name)
+        for path in modules
+        if path.name != "linalg.py"
+        for name in ("fractions", "numbers")
+        if _imports(ast.parse(path.read_text(), filename=str(path)), name, on_load=True)
+    ]
+    assert offenders == []
+    path = PACKAGE / "report.py"
+    assert not _imports(ast.parse(path.read_text(), filename=str(path)), "json")
+
+
+def _newly_loaded(*calls: list[str]) -> str:
+    """The sorted list, as printed, of the HEAVY_MODULES that a fresh
+    interpreter loads to import weightspec.cli and run ``cli.run`` on each
+    call, each of which must exit 0.  It compares sys.modules before and after, so a module that
+    site already loaded does not count against the package."""
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
         "sys.path.insert(0, sys.argv[1])\n"
-        "import weightspec.cli\n"
-        "print(sorted(set(sys.argv[2:]) & (set(sys.modules) - before)))\n"
+        "from weightspec import cli\n"
+        "for call in sys.argv[2:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        if cli.run(call.split()) != 0:\n"
+        "            sys.exit(f'exit code not 0: {call}')\n"
+        f"print(sorted(set({HEAVY_MODULES!r}) & (set(sys.modules) - before)))\n"
     )
-    argv = [sys.executable, "-c", script, str(PACKAGE.parent), *HEAVY_MODULES]
+    argv = [sys.executable, "-c", script, str(PACKAGE.parent), *(" ".join(c) for c in calls)]
     result = subprocess.run(argv, capture_output=True, text=True, timeout=60, check=True)
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+def test_cli_import_loads_no_heavy_module():
+    assert _newly_loaded() == "[]\n"
+
+
+def test_cli_commands_load_no_heavy_module():
+    # one call of each command and format the benchmark workloads make, so
+    # an import is not merely moved from start-up into the first call
+    calls = [
+        ["verify", "-w", "2,3,7", "--all", "--format", "json"],
+        *(
+            [command, "-w", "7,11,13", "--format", "json"]
+            for command in ("spectrum", "jordan", "filtrations", "frobenius")
+        ),
+        *(["reflexive", "-n", "3", "--format", fmt] for fmt in ("json", "csv", "table")),
+    ]
+    assert _newly_loaded(*calls) == "[]\n"

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightspec import WeightSystem
+from weightspec import WeightSystem, spectrum
 from weightspec.report import (
     encode_rational,
     frobenius_payload,
@@ -99,15 +99,18 @@ def test_encoders_reduce_like_fraction():
             assert rational_text(num, den) == str(value)
             assert rational_text(value) == str(value)
     assert encode_rational(F(3, 4), 6) == enc(F(1, 8))
-    # zero, negative and large numerators over the session's D of three primes
-    d = 1319 * 1321 * 1361
+    # zero, negative and large numerators over 1 and over the session's D
+    # of three primes
     large = 3**200
-    for num in (0, 1, -1, 1319, -1321 * 1361, d, -d, -7 * d + 1361, large, -large * 1319, 2**64 * d):
-        value = F(num, d)
-        assert encode_rational(num, d) == enc(value)
-        assert encode_rational(value) == enc(value)
-        assert rational_text(num, d) == str(value)
-        assert rational_text(value) == str(value)
+    for d in (1, 1319 * 1321 * 1361):
+        for num in (0, 1, -1, 1319, -1321 * 1361, d, -d, -7 * d + 1361, large, -large * 1319, 2**64 * d):
+            value = F(num, d)
+            assert encode_rational(num, d) == enc(value)
+            assert encode_rational(value) == enc(value)
+            assert rational_text(num, d) == str(value)
+            assert rational_text(value) == str(value)
+    # the reports and the failure messages share one formatter
+    assert rational_text is spectrum.rational_text
 
 
 # quotes, backslashes, control and non-ASCII characters, and astral ones

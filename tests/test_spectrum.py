@@ -88,6 +88,7 @@ def test_spectral_polynomial_examples():
     for n in range(2, 6):
         roots = spectral_polynomial(make_weight_system([1] * (n + 1)))
         assert roots == [(F(k), 1) for k in range(n + 1)]
+        assert all(type(root) is Fraction for root, _ in roots)
     assert spectral_polynomial(make_weight_system([1, 2, 3])) == [
         (F(0), 1),
         (F(1), 4),
