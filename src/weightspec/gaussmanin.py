@@ -5,10 +5,10 @@ omega_0, ..., omega_{mu-1}, stored sparsely as the map (k, m) -> nonzero
 integer numerator over one positive denominator, in lowest terms, so every
 operation costs time in the number of terms, not in mu.  ``Fraction`` is
 only the API edge: the ``coeffs`` and ``terms`` views, ``v_order``, and a
-coefficient handed to ``GElement`` or ``scale``, which import ``fractions``
-when called, so the integer kernels and the CLI never load it.
-``GElement.basis`` with an int coefficient needs none.  The logarithmic
-derivative acts on basis elements by
+non-int coefficient handed to ``GElement`` or any factor handed to
+``scale``, which import ``fractions`` when called, so the integer kernels
+and the CLI never load it.  The logarithmic derivative acts on basis
+elements by
 
     tau_dtau(omega_k) = -sigma(k) * omega_k - mu * tau * omega_{k+1 mod mu}
 
@@ -51,13 +51,6 @@ class DimensionMismatch(ValueError):
     basis index or tau-power is not an int."""
 
 
-def _check_key(mu: int, k: int, m: int) -> None:
-    if type(k) is not int or type(m) is not int:
-        raise DimensionMismatch(f"basis index {k!r} and tau-power {m!r} must be ints")
-    if not 0 <= k < mu:
-        raise DimensionMismatch(f"basis index {k} outside 0..{mu - 1}")
-
-
 def _add_term(out: dict, key: tuple[int, int], c: int) -> None:
     """out[key] += c, dropping the key when the sum vanishes."""
     s = out.get(key, 0) + c
@@ -78,14 +71,18 @@ class GElement:
     def __init__(
         self, mu: int, coeffs: Mapping[tuple[int, int], Scalar] | None = None
     ):
-        clean: dict[tuple[int, int], Fraction] = {}
-        if coeffs:
-            from fractions import Fraction
+        clean: dict[tuple[int, int], Scalar] = {}
+        for (k, m), c in (coeffs or {}).items():
+            if type(k) is not int or type(m) is not int:
+                raise DimensionMismatch(f"basis index {k!r} and tau-power {m!r} must be ints")
+            if not 0 <= k < mu:
+                raise DimensionMismatch(f"basis index {k} outside 0..{mu - 1}")
+            if c:
+                if type(c) is not int:  # an int has numerator and denominator too
+                    from fractions import Fraction
 
-            for (k, m), c in coeffs.items():
-                _check_key(mu, k, m)
-                if c:
-                    clean[k, m] = Fraction(c)
+                    c = Fraction(c)
+                clean[k, m] = c
         # each prime power of den is some reduced denominator: gcd(den, *nums) = 1
         den = math.lcm(*[c.denominator for c in clean.values()])
         self.mu = mu
@@ -111,12 +108,8 @@ class GElement:
     def basis(
         cls, mu: int, k: int, tau_power: int = 0, coefficient: Scalar = 1
     ) -> "GElement":
-        """coefficient * tau**tau_power * omega_k; an int coefficient is
-        stored as it is, with no ``Fraction``."""
-        if type(coefficient) is not int:
-            return cls(mu, {(k, tau_power): coefficient})
-        _check_key(mu, k, tau_power)
-        return cls._raw(mu, {(k, tau_power): coefficient} if coefficient else {}, 1)
+        """coefficient * tau**tau_power * omega_k."""
+        return cls(mu, {(k, tau_power): coefficient})
 
     @property
     def coeffs(self) -> Mapping[tuple[int, int], Fraction]:

@@ -7,13 +7,13 @@ module's own emitter writes it, byte-equal to
 ``json.dumps(doc, sort_keys=True, indent=2)``, whose ``indent`` would send
 CPython to its pure-Python encoder.  Strings go through the C escaper
 that ``json.encoder`` wraps, imported from ``_json`` so that a command
-does not load the ``json`` package.  CSV and table text writes a rational
-with ``spectrum.rational_text``.
+does not load the ``json`` package; where ``_json`` is missing, as
+``json.encoder`` does, it falls back to that module's pure-Python escaper.
+CSV and table text writes a rational with ``spectrum.rational_text``.
 """
 
 from __future__ import annotations
 
-from _json import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any
 
 from . import __version__
@@ -22,6 +22,11 @@ from .frobenius import initial_data
 from .reflexive import ReflexiveRecord
 from .spectrum import _lowest_terms, _root_counts, rational_text, spectrum_direct
 from .weights import WeightSystem
+
+try:
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 if TYPE_CHECKING:
     from numbers import Rational

@@ -125,8 +125,8 @@ def test_basis_index_out_of_range():
 
 
 def test_basis_matches_constructor():
-    # an int coefficient skips Fraction; the element and its checks are the
-    # general constructor's
+    # the constructor stores an int coefficient as it is, with no Fraction,
+    # and a Fraction one reduced; the checks are the same for both
     for coefficient in (0, -3, 5):
         for k, power in ((0, 0), (3, -2), (1, 4)):
             x = GElement.basis(4, k, tau_power=power, coefficient=coefficient)

@@ -5,13 +5,18 @@ rational through the plain ``Fraction`` encoder.  The JSON emitter against
 
 import json
 import math
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from json.encoder import py_encode_basestring_ascii
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightspec import WeightSystem, spectrum
+from weightspec import WeightSystem, report, spectrum
 from weightspec.report import (
     encode_rational,
     frobenius_payload,
@@ -156,7 +161,27 @@ _documents = st.recursive(
 @settings(max_examples=100, deadline=None)
 @given(_documents)
 def test_to_json_matches_json_dumps(doc):
-    assert to_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert to_json(doc) == expected
+    # the pure-Python escaper report falls back to where _json is missing
+    with mock.patch.object(report, "encode_basestring_ascii", py_encode_basestring_ascii):
+        assert to_json(doc) == expected
+
+
+def test_report_imports_without_json_accelerator():
+    # a fresh interpreter where the C module _json cannot be imported
+    script = (
+        "import sys\n"
+        "sys.modules['_json'] = None\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import json, json.encoder\n"
+        "from weightspec import report\n"
+        "assert report.encode_basestring_ascii is json.encoder.py_encode_basestring_ascii\n"
+        "doc = {'\\u00e9 \"\\\\\\n\\x7f\\U0001f600': ['', '\\t', {'num': -3, 'den': 4}]}\n"
+        "assert report.to_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + '\\n'\n"
+    )
+    package_root = Path(report.__file__).parent.parent
+    subprocess.run([sys.executable, "-c", script, str(package_root)], check=True, timeout=60)
 
 
 def test_to_json_rejects_what_it_does_not_write():
