@@ -1,26 +1,33 @@
 """Report envelopes and the JSON / CSV / table renderers.
 
-Every rational value is serialized as {"num": int, "den": int} — never as
-a float.  JSON output is canonical: sorted keys, a two-space indent and
-ASCII escapes, so that parse + re-serialize is byte-identical.  The
-module's own emitter writes it, byte-equal to
-``json.dumps(doc, sort_keys=True, indent=2)``, whose ``indent`` would send
-CPython to its pure-Python encoder.  Strings go through the C escaper
-that ``json.encoder`` wraps, imported from ``_json`` so that a command
-does not load the ``json`` package; where ``_json`` is missing, as
+Every rational value is serialized as {"num": int, "den": int} in lowest
+terms — never as a float.  The payloads carry no such dicts: they hold
+ints over one denominator, as column nodes: :class:`RationalColumn` for a
+list of rationals, :class:`RecordList` for a list of same-keyed dicts
+stored by column and :class:`GroupedColumn` for a column cut into
+consecutive lists.  Only the emitter writes the leaves, one template per
+list with the gcd reduction inline.  JSON output is canonical: sorted
+keys, a two-space indent and ASCII escapes, so that parse + re-serialize
+is byte-identical.  The module's own emitter writes it, byte-equal to
+``json.dumps(doc, sort_keys=True, indent=2)`` of the document with each
+node expanded to its lists and dicts; that ``indent`` would send CPython
+to its pure-Python encoder.  Strings go through the C escaper that
+``json.encoder`` wraps, imported from ``_json`` so that a command does not
+load the ``json`` package; where ``_json`` is missing, as
 ``json.encoder`` does, it falls back to that module's pure-Python escaper.
 CSV and table text writes a rational with ``spectrum.rational_text``.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import TYPE_CHECKING, Any
 
 from . import __version__
 from .filtrations import jordan_blocks, saito_filtration
 from .frobenius import initial_data
 from .reflexive import ReflexiveRecord
-from .spectrum import _lowest_terms, _root_counts, rational_text, spectrum_direct
+from .spectrum import _root_counts, rational_text, spectrum_direct
 from .weights import WeightSystem
 
 try:
@@ -29,15 +36,104 @@ except ImportError:
     from json.encoder import encode_basestring_ascii
 
 if TYPE_CHECKING:
-    from numbers import Rational
+    from collections.abc import Sequence
+    from typing import Union
+
+    Column = Union[list[int], "RationalColumn", "RecordList", "GroupedColumn"]
 
 
-def encode_rational(value: Rational, den: int = 1) -> dict[str, int]:
-    """value/den in lowest terms.  The spectrum, Jordan and Frobenius data
-    pass an int over D = lcm(w), reduced as it is; a ``Fraction`` value is
-    read through its numerator and denominator."""
-    num, den = _lowest_terms(value, den)
-    return {"num": num, "den": den}
+class RationalColumn:
+    """The ints ``nums`` over one denominator ``den`` > 0.  In JSON, a list
+    of {"num": int, "den": int} leaves, each in lowest terms."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: Sequence[int], den: int = 1) -> None:
+        self.nums, self.den = nums, den
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def texts(self, indent: str) -> list[str]:
+        """The JSON text of each leaf, closed at ``indent``."""
+        nums, den = self.nums, self.den
+        _check_ints(nums)
+        template = f'{{\n{indent}  "den": %d,\n{indent}  "num": %d\n{indent}}}'
+        return [template % (den // (g := gcd(v, den)), v // g) for v in nums]
+
+
+class RecordList:
+    """A list of dicts that all have the keys of ``columns``, stored by
+    column: each key maps to its values in record order, as a list of ints,
+    a :class:`RationalColumn` or a :class:`GroupedColumn`."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict[str, Column]) -> None:
+        if len({len(column) for column in columns.values()}) > 1:
+            raise ValueError("record columns differ in length")
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def texts(self, indent: str) -> list[str]:
+        """The JSON text of each record, closed at ``indent``."""
+        inner = indent + "  "
+        keys = sorted(self.columns)  # encode_basestring_ascii rejects a non-str key
+        heads = [inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
+        template = "{\n" + ",\n".join(heads) + "\n" + indent + "}"
+        return [template % row for row in zip(*(_texts(self.columns[key], inner) for key in keys))]
+
+
+class GroupedColumn:
+    """``column`` cut into consecutive groups of the given ``sizes``.  In
+    JSON, a list of lists."""
+
+    __slots__ = ("column", "sizes")
+
+    def __init__(self, column: Column, sizes: Sequence[int]) -> None:
+        if sum(sizes) != len(column):
+            raise ValueError("group sizes do not add up to the column length")
+        self.column, self.sizes = column, sizes
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def texts(self, indent: str) -> list[str]:
+        """The JSON text of each group, closed at ``indent``; every item is
+        written in one pass first."""
+        flat = _texts(self.column, indent + "  ")
+        groups, start = [], 0
+        for size in self.sizes:
+            groups.append(_list_text(flat[start : start + size], indent))
+            start += size
+        return groups
+
+
+_NODES = (RationalColumn, RecordList, GroupedColumn)
+
+
+def _check_ints(values: Sequence[int]) -> None:
+    for kind in set(map(type, values)):
+        if kind is not int:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _texts(column: Column, indent: str) -> list[str]:
+    # the JSON text of each value of a column, closed at indent
+    if type(column) in _NODES:
+        return column.texts(indent)
+    _check_ints(column)
+    return list(map(str, column))
+
+
+def _list_text(texts: list[str], indent: str) -> str:
+    # a JSON list closed at indent whose items are texts
+    if not texts:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
 
 
 def envelope(
@@ -61,7 +157,8 @@ def envelope(
 
 def to_json(doc: dict[str, Any]) -> str:
     """The canonical text of ``doc`` and a newline: the bytes of
-    ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``."""
+    ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, where each
+    column node is read as the list it stands for."""
     out: list[str] = []
     _emit(doc, "", "", out)
     out.append("\n")
@@ -74,9 +171,8 @@ def _emit(value: Any, head: str, indent: str, out: list[str]) -> None:
     ``head`` is what precedes the value (separator, newline, indent and
     ``"key": ``); a scalar goes into ``out`` with it as one string, which
     keeps the list short.  Two shapes go in as one string too: a list of
-    ints, joined, and a rational leaf, a dict of exactly the keys "num"
-    and "den" with int values, written "den" first as sorting puts it.
-    Only dicts with str keys, lists, str and int are JSON here: anything
+    ints, joined, and a column node, from its item texts.  Only dicts with
+    str keys, lists, str, int and the column nodes are JSON here: anything
     else, bool and None included, is a TypeError.
     """
     kind = type(value)
@@ -84,14 +180,6 @@ def _emit(value: Any, head: str, indent: str, out: list[str]) -> None:
         out.append(head + str(value))
     elif kind is str:
         out.append(head + encode_basestring_ascii(value))
-    elif (
-        kind is dict
-        and len(value) == 2
-        and type(num := value.get("num")) is int
-        and type(den := value.get("den")) is int
-    ):
-        inner = indent + "  "
-        out.append(f'{head}{{\n{inner}"den": {den},\n{inner}"num": {num}\n{indent}}}')
     elif kind is list or kind is dict:
         opening, closing = ("[", "]") if kind is list else ("{", "}")
         if not value:
@@ -110,6 +198,8 @@ def _emit(value: Any, head: str, indent: str, out: list[str]) -> None:
                 _emit(item, head, inner, out)
                 head = ",\n" + inner
         out.append("\n" + indent + closing)
+    elif kind in _NODES:
+        out.append(head + _list_text(value.texts(indent + "  "), indent))
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -117,14 +207,17 @@ def _emit(value: Any, head: str, indent: str, out: list[str]) -> None:
 def spectrum_payload(w: WeightSystem) -> dict[str, Any]:
     spec = spectrum_direct(w)
     d, scaled = spec.denominator, spec.scaled
+    roots = _root_counts(spec)
     return {
-        "s": [encode_rational(v, d) for v in scaled],
-        "sigma": [encode_rational(x, d) for x in spec.sigma_scaled],
-        "alpha": [encode_rational(-v % d, d) for v in scaled],
-        "spectral_polynomial": [
-            {"root": encode_rational(x, d), "multiplicity": mult}
-            for x, mult in _root_counts(spec)
-        ],
+        "s": RationalColumn(scaled, d),
+        "sigma": RationalColumn(spec.sigma_scaled, d),
+        "alpha": RationalColumn([-v % d for v in scaled], d),
+        "spectral_polynomial": RecordList(
+            {
+                "root": RationalColumn([x for x, _ in roots], d),
+                "multiplicity": [mult for _, mult in roots],
+            }
+        ),
     }
 
 
@@ -132,35 +225,37 @@ def frobenius_payload(w: WeightSystem) -> dict[str, Any]:
     data = initial_data(w)
     g = [list(row) for row in data.metric]  # the residue pairing is g
     return {
-        "a0": [[encode_rational(x) for x in row] for row in data.a0],
-        "ainf_diagonal": [encode_rational(x, data.denominator) for x in data.sigma_scaled],
+        "a0": [RationalColumn(row) for row in data.a0],
+        "ainf_diagonal": RationalColumn(data.sigma_scaled, data.denominator),
         "g": g,
         "e0": data.unit_index,
         "pairing": g,
-        "charpoly": [encode_rational(c) for c in data.charpoly()],
+        "charpoly": RationalColumn(data.charpoly()),
     }
 
 
 def jordan_payload(w: WeightSystem) -> dict[str, Any]:
     data = jordan_blocks(w)
     d = data.denominator
-    classes = []
-    for alpha, blocks in sorted(data.classes().items()):
-        classes.append(
-            {
-                "alpha": encode_rational(alpha, d),
-                "blocks": [
-                    {
-                        "start": b.start,
-                        "size": b.size,
-                        "value": encode_rational(b.value, d),
-                    }
-                    for b in blocks
-                ],
-            }
-        )
+    classes = data.classes()
+    alphas = sorted(classes)
+    blocks = [b for alpha in alphas for b in classes[alpha]]
     return {
-        "classes": classes,
+        "classes": RecordList(
+            {
+                "alpha": RationalColumn(alphas, d),
+                "blocks": GroupedColumn(
+                    RecordList(
+                        {
+                            "start": [b.start for b in blocks],
+                            "size": [b.size for b in blocks],
+                            "value": RationalColumn([b.value for b in blocks], d),
+                        }
+                    ),
+                    [len(classes[alpha]) for alpha in alphas],
+                ),
+            }
+        ),
         "nu": list(data.nu),
         "offsets": list(data.offset),
         "size_multiset": {

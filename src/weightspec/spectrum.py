@@ -152,18 +152,14 @@ def _root_counts(spec: Spectrum) -> list[tuple[int, int]]:
     return sorted(Counter(spec.sigma_scaled).items())
 
 
-def _lowest_terms(value: Rational, den: int) -> tuple[int, int]:
+def rational_text(value: Rational, den: int = 1) -> str:
+    """value/den (den > 0) in lowest terms as text, "n" or "n/d": the
+    ``str`` of the ``Fraction``, for reports and failure messages."""
     # an exact int is its own numerator: only other Rationals are unpacked
     if type(value) is not int:
         value, den = value.numerator, value.denominator * den
     g = math.gcd(value, den)
-    return value // g, den // g
-
-
-def rational_text(value: Rational, den: int = 1) -> str:
-    """value/den (den > 0) in lowest terms as text, "n" or "n/d": the
-    ``str`` of the ``Fraction``, for reports and failure messages."""
-    num, den = _lowest_terms(value, den)
+    num, den = value // g, den // g
     return str(num) if den == 1 else f"{num}/{den}"
 
 

@@ -5,7 +5,8 @@ form, the package exports
 exactly what its `__init__` imports, a failed identity has one exception
 type, the CLI has one command path, monomial reduction has one integer
 step, multiplication by f is the derivative's operator, no module relies
-on ``assert``, ``report.to_json`` is the only JSON writer, every
+on ``assert``, ``report.to_json`` is the only JSON writer and its
+template the only place that writes a ``{"num", "den"}`` leaf, every
 cache is bounded, neither importing the CLI nor running its commands
 loads ``dataclasses``, ``inspect``, ``fractions`` or the ``json``
 package, and the conjugation, the metric identities, the index check and
@@ -21,6 +22,7 @@ import importlib
 import inspect
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import weightspec
@@ -35,6 +37,7 @@ from weightspec import (
     frobenius,
     gaussmanin,
     reflexive,
+    report,
     spectrum,
     verify,
 )
@@ -273,6 +276,63 @@ def test_one_json_writer():
         if any(_calls(ast.parse(path.read_text(), filename=str(path)), name) for name in ("dump", "dumps"))
     ]
     assert offenders == []
+
+
+def _rational_dicts(tree: ast.AST) -> list[int]:
+    """Lines that build a dict with a "num" or "den" key, as a literal or
+    through ``dict(...)``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys = [k.value for k in node.keys if isinstance(k, ast.Constant)]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+            keys = [k.arg for k in node.keywords]
+        else:
+            continue
+        if {"num", "den"} & set(keys):
+            lines.append(node.lineno)
+    return lines
+
+
+def _key_texts(tree: ast.AST) -> list[str]:
+    """The string constants, docstrings aside, that hold a "num" or "den"
+    JSON key."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+    }
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and id(node) not in docstrings
+        and ('"num"' in node.value or '"den"' in node.value)
+    ]
+
+
+def test_rationals_leave_as_integer_columns():
+    # a rational is ints over one denominator up to the emitter, which alone
+    # writes the {"num", "den"} leaves, from its template
+    for source in ('{"num": n, "den": d}', '{"den": d, **rest}', "dict(num=n, den=d)"):
+        assert _rational_dicts(ast.parse(source)), source
+    assert not _rational_dicts(ast.parse('{"numerator": n, "k": d}'))
+    assert _key_texts(ast.parse("t = f'{i}  \"num\": %d'"))
+    assert not _key_texts(ast.parse('def f():\n    """{"num": n}"""'))
+    assert not hasattr(report, "encode_rational")
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = _rational_dicts(tree)
+        if lines or (path.name != "report.py" and _key_texts(tree)):
+            offenders[path.name] = lines
+    assert offenders == {}
+    method = ast.parse(textwrap.dedent(inspect.getsource(report.RationalColumn.texts)))
+    template = _key_texts(method)
+    assert template and template == _key_texts(ast.parse((PACKAGE / "report.py").read_text()))
 
 
 def _is_lru_cache(node: ast.AST) -> bool:

@@ -1,7 +1,9 @@
-"""The report payloads against dicts built apart from the program, in
-``Fraction`` arithmetic: the spectrum from the ladder triples, every
-rational through the plain ``Fraction`` encoder.  The JSON emitter against
-``json.dumps(doc, sort_keys=True, indent=2)`` on generated documents."""
+"""The report payloads, read back from their JSON text, against dicts
+built apart from the program in ``Fraction`` arithmetic: the spectrum from
+the ladder triples, every rational through the plain ``Fraction``
+encoder.  The JSON emitter against ``json.dumps(doc, sort_keys=True,
+indent=2)`` on generated documents, and on generated column nodes against
+``json.dumps`` of the lists they stand for."""
 
 import json
 import math
@@ -18,7 +20,10 @@ from hypothesis import given, settings, strategies as st
 
 from weightspec import WeightSystem, report, spectrum
 from weightspec.report import (
-    encode_rational,
+    GroupedColumn,
+    RationalColumn,
+    RecordList,
+    envelope,
     frobenius_payload,
     jordan_payload,
     rational_text,
@@ -78,11 +83,16 @@ def expected_frobenius(w: WeightSystem, s: list[Fraction]) -> dict:
     }
 
 
+def _document(kind: str, payload: dict, w: WeightSystem) -> dict:
+    # the payload as a report reader sees it: parsed from the JSON text
+    return json.loads(to_json(envelope(kind, payload, w)))["payload"][kind]
+
+
 def _assert_payloads(w: WeightSystem) -> None:
     s = [v for v, _, _ in ladder_triples(w)]
-    assert spectrum_payload(w) == expected_spectrum(s)
-    assert jordan_payload(w) == expected_jordan(s)
-    assert frobenius_payload(w) == expected_frobenius(w, s)
+    assert _document("spectrum", spectrum_payload(w), w) == expected_spectrum(s)
+    assert _document("jordan", jordan_payload(w), w) == expected_jordan(s)
+    assert _document("frobenius", frobenius_payload(w), w) == expected_frobenius(w, s)
 
 
 def test_payloads_against_fraction_oracle_small_corpus():
@@ -95,23 +105,27 @@ def test_payloads_against_fraction_oracle_three_primes():
     _assert_payloads(WeightSystem((7, 11, 13)))
 
 
+def _column(nums: list[int], den: int) -> list:
+    return json.loads(to_json(RationalColumn(nums, den)))
+
+
 def test_encoders_reduce_like_fraction():
+    nums = list(range(-30, 31))
     for den in range(1, 13):
-        for num in range(-30, 31):
+        assert _column(nums, den) == [enc(F(num, den)) for num in nums]
+        for num in nums:
             value = F(num, den)
-            assert encode_rational(num, den) == enc(value)
-            assert encode_rational(value) == enc(value)
             assert rational_text(num, den) == str(value)
             assert rational_text(value) == str(value)
-    assert encode_rational(F(3, 4), 6) == enc(F(1, 8))
+    assert rational_text(F(3, 4), 6) == "1/8"
     # zero, negative and large numerators over 1 and over the session's D
     # of three primes
     large = 3**200
     for d in (1, 1319 * 1321 * 1361):
-        for num in (0, 1, -1, 1319, -1321 * 1361, d, -d, -7 * d + 1361, large, -large * 1319, 2**64 * d):
+        nums = [0, 1, -1, 1319, -1321 * 1361, d, -d, -7 * d + 1361, large, -large * 1319, 2**64 * d]
+        assert _column(nums, d) == [enc(F(num, d)) for num in nums]
+        for num in nums:
             value = F(num, d)
-            assert encode_rational(num, d) == enc(value)
-            assert encode_rational(value) == enc(value)
             assert rational_text(num, d) == str(value)
             assert rational_text(value) == str(value)
     # the reports and the failure messages share one formatter
@@ -121,7 +135,7 @@ def test_encoders_reduce_like_fraction():
 # quotes, backslashes, control and non-ASCII characters, and astral ones
 # that json writes as surrogate pairs
 _texts = st.text(
-    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'), st.characters())
+    st.one_of(st.sampled_from('"\\/%\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'), st.characters())
 )
 # "10" sorts before "2" as text and after it as a number
 _keys = st.one_of(_texts, st.integers(0, 120).map(str))
@@ -193,8 +207,98 @@ def test_to_json_rejects_what_it_does_not_write():
     for doc in ({1: "x"}, {"a": {2: []}}):
         with pytest.raises(TypeError):
             to_json(doc)
-    # a rational-shaped dict goes in as one piece only when both values are
-    # int; the loop above has {"num": True, "den": 1} and {"num": 1, "den": None}
+    # a rational-shaped dict is an ordinary dict, whatever its values; the
+    # loop above has {"num": True, "den": 1} and {"num": 1, "den": None}
     for doc in ({"num": 1.5, "den": 2}, [{"num": 1, "den": 2}, {"num": False, "den": 1}]):
         with pytest.raises(TypeError):
             to_json(doc)
+    # a column holds ints only, a record list str keys only
+    for bad in (True, 1.5, None, F(1, 2)):
+        for doc in (
+            RationalColumn([0, bad], 3),
+            RecordList({"k": [1, bad]}),
+            RecordList({"k": GroupedColumn([1, bad], [0, 2])}),
+        ):
+            with pytest.raises(TypeError):
+                to_json(doc)
+    with pytest.raises(TypeError):
+        to_json(RecordList({1: [0]}))
+    # a record list's columns have one length, a grouping covers its column
+    with pytest.raises(ValueError):
+        RecordList({"a": [1, 2], "b": RationalColumn([1], 2)})
+    with pytest.raises(ValueError):
+        GroupedColumn([1, 2, 3], [1, 1])
+
+
+# --- column nodes against the lists they stand for -------------------------
+
+_dens = st.one_of(
+    st.just(1), st.integers(1, 60), st.just(1319 * 1321 * 1361), st.integers(2**64, 2**70)
+)
+
+
+@st.composite
+def _rational_columns(draw, length: int) -> RationalColumn:
+    den = draw(_dens)
+    # multiples of den reduce to den 1
+    nums = st.one_of(_ints, st.just(0), st.integers(-5, 5).map(lambda k: k * den))
+    return RationalColumn(draw(st.lists(nums, min_size=length, max_size=length)), den)
+
+
+@st.composite
+def _columns(draw, length: int, depth: int):
+    kinds = ["ints", "rationals"] + (["grouped", "records"] if depth < 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "ints":
+        return draw(st.lists(_ints, min_size=length, max_size=length))
+    if kind == "rationals":
+        return draw(_rational_columns(length))
+    if kind == "grouped":
+        # empty groups included
+        sizes = draw(st.lists(st.integers(0, 3), min_size=length, max_size=length))
+        return GroupedColumn(draw(_columns(sum(sizes), depth + 1)), sizes)
+    return draw(_record_lists(length, depth + 1))
+
+
+@st.composite
+def _record_lists(draw, length: int, depth: int) -> RecordList:
+    # a record list of length rows has at least one key unless it has none;
+    # the keys go into a %-template
+    keys = st.one_of(_keys, st.sampled_from(["%", "%s", "%(k)d%%"]))
+    keys = draw(st.lists(keys, min_size=min(length, 1), max_size=3, unique=True))
+    return RecordList({key: draw(_columns(length, depth)) for key in keys})
+
+
+def _expand(column):
+    """The plain lists and dicts a column node stands for, its rationals
+    through ``Fraction``."""
+    if isinstance(column, RationalColumn):
+        return [enc(F(num, column.den)) for num in column.nums]
+    if isinstance(column, RecordList):
+        keys = list(column.columns)
+        values = [_expand(c) for c in column.columns.values()]
+        return [dict(zip(keys, row)) for row in zip(*values)]
+    if isinstance(column, GroupedColumn):
+        flat, groups = _expand(column.column), []
+        for size in column.sizes:
+            groups.append(flat[:size])
+            flat = flat[size:]
+        return groups
+    return list(column)
+
+
+_nodes = st.one_of(
+    st.integers(0, 5).flatmap(_rational_columns),
+    st.integers(0, 4).flatmap(lambda length: _record_lists(length, 0)),
+    st.integers(0, 4).flatmap(lambda length: _columns(length, 1)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_nodes, st.lists(st.booleans(), max_size=3))
+def test_column_nodes_match_json_dumps(node, wrappers):
+    # each wrapper puts the node one indent further in, in a list or a dict
+    doc, expected = node, _expand(node)
+    for in_list in wrappers:
+        doc, expected = ([0, doc], [0, expected]) if in_list else ({"k": doc, "z": []}, {"k": expected, "z": []})
+    assert to_json(doc) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
