@@ -4,9 +4,9 @@ Stored in structured form: A0 is mu times the cyclic shift k -> k+1 mod
 mu, A_inf the diagonal of the ints sigma(k) * D over D = lcm(w), the 0/1
 metric g the involution ``partner`` pairing k with n-k (k <= n) or mu+n-k
 (k >= n+1), and the unit is basis index 0.  The residue pairing is g
-itself, so it has no builder of its own: ``FrobeniusInitialData.metric``
-is the one dense form of both, built only on access, for the JSON report
-and test oracles.  The identities are checked in O(mu) on ``partner`` and
+itself, so it has no builder of its own.  No dense mu x mu form is kept:
+the ``frobenius`` report writes the rows of A0 and g from ``mu`` and
+``partner``.  The identities are checked in O(mu) on ``partner`` and
 ``sigma_scaled``.  The characteristic polynomial of A0 is T^mu - mu^mu,
 so its eigenvalues are the mu critical values of the defining linear form.
 """
@@ -30,18 +30,13 @@ def _check_index(k: int, w: WeightSystem) -> None:
         raise IndexOutOfRange(f"index {k!r} is not an int in 0..{w.mu - 1}")
 
 
-def _dense(entries: dict[tuple[int, int], int], mu: int) -> tuple[tuple[int, ...], ...]:
-    rows = [[0] * mu for _ in range(mu)]
-    for (j, k), c in entries.items():
-        rows[j][k] = c
-    return tuple(tuple(row) for row in rows)
-
-
 class FrobeniusInitialData(NamedTuple):
     """A0 = mu * cyclic shift, A_inf = diag(sigma), g = permutation matrix
     of ``partner``; ``sigma_scaled[k]`` is sigma(k) * ``denominator``.
     ``*_entries`` map (row, column) to nonzero ints, A_inf's over
-    ``denominator``; ``a0`` and ``metric`` build dense tuples on access."""
+    ``denominator``; g, which is also the residue pairing, is 1 at
+    (k, partner[k]) in units of the normalized value at (0, n) times
+    tau^(-n), else 0."""
 
     denominator: int
     sigma_scaled: tuple[int, ...]
@@ -59,17 +54,6 @@ class FrobeniusInitialData(NamedTuple):
     @property
     def a_inf_entries(self) -> dict[tuple[int, int], int]:
         return {(k, k): s for k, s in enumerate(self.sigma_scaled) if s}
-
-    @property
-    def a0(self) -> tuple[tuple[int, ...], ...]:
-        return _dense(self.a0_entries, self.mu)
-
-    @property
-    def metric(self) -> tuple[tuple[int, ...], ...]:
-        """g, which is also the residue pairing: 1 at (k, partner[k]), in
-        units of the normalized value at (0, n) times tau^(-n), else 0."""
-        entries = {(k, p): 1 for k, p in enumerate(self.partner)}
-        return _dense(entries, self.mu)
 
     def charpoly(self) -> list[int]:
         """det(T*I - A0), leading coefficient first.  A0 is monomial, so

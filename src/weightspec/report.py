@@ -221,11 +221,23 @@ def spectrum_payload(w: WeightSystem) -> dict[str, Any]:
     }
 
 
+def _monomial_rows(columns: Sequence[int], value: int) -> list[list[int]]:
+    # dense rows of a monomial matrix: row j holds value at columns[j]
+    rows = []
+    for k in columns:
+        row = [0] * len(columns)
+        row[k] = value
+        rows.append(row)
+    return rows
+
+
 def frobenius_payload(w: WeightSystem) -> dict[str, Any]:
     data = initial_data(w)
-    g = [list(row) for row in data.metric]  # the residue pairing is g
+    mu = data.mu
+    g = _monomial_rows(data.partner, 1)  # the residue pairing is g
     return {
-        "a0": [RationalColumn(row) for row in data.a0],
+        # A0 = mu * cyclic shift: row j holds mu at column (j - 1) mod mu
+        "a0": [RationalColumn(row) for row in _monomial_rows(range(-1, mu - 1), mu)],
         "ainf_diagonal": RationalColumn(data.sigma_scaled, data.denominator),
         "g": g,
         "e0": data.unit_index,

@@ -28,7 +28,6 @@ from .weights import WeightSystem
 
 if TYPE_CHECKING:
     from fractions import Fraction
-    from numbers import Rational
 
 
 class IdentityViolation(RuntimeError):
@@ -152,14 +151,11 @@ def _root_counts(spec: Spectrum) -> list[tuple[int, int]]:
     return sorted(Counter(spec.sigma_scaled).items())
 
 
-def rational_text(value: Rational, den: int = 1) -> str:
-    """value/den (den > 0) in lowest terms as text, "n" or "n/d": the
+def rational_text(num: int, den: int) -> str:
+    """The int num/den (den > 0) in lowest terms as text, "n" or "n/d": the
     ``str`` of the ``Fraction``, for reports and failure messages."""
-    # an exact int is its own numerator: only other Rationals are unpacked
-    if type(value) is not int:
-        value, den = value.numerator, value.denominator * den
-    g = math.gcd(value, den)
-    num, den = value // g, den // g
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
     return str(num) if den == 1 else f"{num}/{den}"
 
 

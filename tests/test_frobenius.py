@@ -75,6 +75,26 @@ def charpoly_by_interpolation(matrix):
     return coeffs
 
 
+# --- dense oracle forms of the structured A0 and g -------------------------
+
+
+def dense(entries, mu):
+    """The mu x mu int rows of the matrix with these (row, column) nonzeros."""
+    rows = [[0] * mu for _ in range(mu)]
+    for (j, k), c in entries.items():
+        rows[j][k] = c
+    return rows
+
+
+def a0_rows(data):
+    return dense(data.a0_entries, data.mu)
+
+
+def metric_rows(data):
+    """g, which is also the residue pairing: 1 at (k, partner[k])."""
+    return dense({(k, p): 1 for k, p in enumerate(data.partner)}, data.mu)
+
+
 def test_bareiss_oracle_on_known_determinants():
     assert bareiss_det([[2, 0], [0, 3]]) == 6
     assert bareiss_det([[0, 1], [1, 0]]) == -1
@@ -93,7 +113,7 @@ def test_initial_data_examples():
     data = initial_data(make_weight_system([1, 1, 1]))
     assert (data.denominator, data.sigma_scaled) == (1, (0, 1, 2))
     assert data.a_inf_entries == {(1, 1): 1, (2, 2): 2}
-    assert [row.index(1) for row in data.metric] == [2, 1, 0]
+    assert [row.index(1) for row in metric_rows(data)] == [2, 1, 0]
 
     # A_inf over D = 3: sigma = 0, 1, 2, 4/3, 2/3
     data = initial_data(make_weight_system([1, 1, 3]))
@@ -101,7 +121,7 @@ def test_initial_data_examples():
     assert data.a_inf_entries == {(1, 1): 3, (2, 2): 6, (3, 3): 4, (4, 4): 2}
 
     data = initial_data(make_weight_system([1, 2, 3]))
-    assert [row.index(1) for row in data.metric] == [2, 1, 0, 5, 4, 3]
+    assert [row.index(1) for row in metric_rows(data)] == [2, 1, 0, 5, 4, 3]
 
     for n in (3, 4, 5):
         data = initial_data(make_weight_system([1] * (n + 1)))
@@ -112,24 +132,24 @@ def test_initial_data_examples():
 
 def test_a0_shape():
     w = make_weight_system([1, 1, 2])
-    data = initial_data(w)
+    a0 = a0_rows(initial_data(w))
     for j in range(4):
         for k in range(4):
-            assert data.a0[j][k] == (4 if j == (k + 1) % 4 else 0)
+            assert a0[j][k] == (4 if j == (k + 1) % 4 else 0)
 
 
 def test_pairing_examples():
-    c = initial_data(make_weight_system([1, 1, 1])).metric
+    c = metric_rows(initial_data(make_weight_system([1, 1, 1])))
     expected = {(0, 2), (1, 1), (2, 0)}
     assert {(k, l) for k in range(3) for l in range(3) if c[k][l]} == expected
 
-    c = initial_data(make_weight_system([1, 2, 3])).metric
+    c = metric_rows(initial_data(make_weight_system([1, 2, 3])))
     high = {(k, l) for k in range(3, 6) for l in range(6) if c[k][l]}
     assert high == {(3, 5), (4, 4), (5, 3)}
 
     for tup in [(1, 1, 2), (2, 3, 7), (1, 1, 4, 6)]:
         w = make_weight_system(list(tup))
-        assert initial_data(w).metric[0][w.n] == 1
+        assert metric_rows(initial_data(w))[0][w.n] == 1
 
 
 def test_charpoly_examples():
@@ -144,7 +164,7 @@ def test_charpoly_against_oracle_small_mu():
         if w.mu in seen:  # A0 depends only on mu
             continue
         seen.add(w.mu)
-        a0 = [list(row) for row in initial_data(w).a0]
+        a0 = a0_rows(initial_data(w))
         assert all(type(x) is int for row in a0 for x in row)
         coeffs = charpoly_A0(w)
         assert coeffs == charpoly_by_interpolation(a0)
@@ -155,15 +175,15 @@ def test_charpoly_against_oracle_small_mu():
     # structured cycle route against the dense Hessenberg oracle
     for mu in range(2, 41):
         w = WeightSystem(tuple([1] * mu))
-        dense = [F(c) for c in linalg.char_poly(initial_data(w).a0)]
-        assert charpoly_A0(w) == dense
+        hessenberg = [F(c) for c in linalg.char_poly(a0_rows(initial_data(w)))]
+        assert charpoly_A0(w) == hessenberg
 
 
 def test_metric_identities_small_corpus():
     for tup in weight_systems_up_to(exhaustive_mu(14)):
         w = WeightSystem(tup)
         data = initial_data(w)
-        g = [list(row) for row in data.metric]
+        g = metric_rows(data)
         a_inf = [
             [F(s, data.denominator) if j == k else 0 for k in range(w.mu)]
             for j, s in enumerate(data.sigma_scaled)

@@ -12,9 +12,11 @@ loads ``dataclasses``, ``inspect``, ``fractions`` or the ``json``
 package, and the conjugation, the metric identities, the index check and
 the unit-fraction search each have one copy.
 
-The runtime stores A0, A_inf, g and N in structured form; ``linalg`` is
-kept as the dense exact reference that tests compare against, so no
-other package module may import it.
+The runtime stores A0, A_inf, g and N in structured form:
+``FrobeniusInitialData`` has no dense ``a0`` or ``metric`` view and
+``frobenius`` no ``_dense`` builder, since only the ``frobenius`` report
+writes dense rows.  ``linalg`` is kept as the dense exact reference that
+tests compare against, so no other package module may import it.
 """
 
 import ast
@@ -81,6 +83,12 @@ def test_runtime_does_not_import_linalg():
         and _imports(ast.parse(path.read_text(), filename=str(path)), "linalg")
     ]
     assert offenders == []
+
+
+def test_initial_data_keeps_no_dense_view():
+    for gone in ("a0", "metric"):
+        assert not hasattr(FrobeniusInitialData, gone), gone
+    assert "_dense" not in _functions(frobenius)
 
 
 def _init_imports() -> set[str]:
