@@ -37,7 +37,10 @@ def _parse_weights(text: str) -> list[int]:
     for part in fields:
         if not re.fullmatch(r"[+-]?[0-9]+", part):
             raise _UsageError(f"bad weight list {text!r}: {part!r} is not a decimal integer")
-    return [int(part) for part in fields]
+    try:
+        return [int(part) for part in fields]
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise _UsageError(f"bad weight list: {exc}") from None
 
 
 @lru_cache(maxsize=1)

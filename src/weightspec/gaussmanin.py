@@ -28,6 +28,8 @@ d scaled by (D*mu)^d, so ``flat[0]`` is 1.  A step keeps the coefficient of
 a term that stays at d; only a term moved to d+1 gains a factor over D*mu,
 which the extra D*mu in the scale of entry d+1 absorbs.  So a step rescales
 nothing, and the integers grow with the depth d, not with the number of steps.
+A reduced class stays in this layout as ``(flat, total)``, and ``_unscaled``
+is the one reader that turns such a state into an element.
 """
 
 from __future__ import annotations
@@ -253,7 +255,6 @@ def birkhoff_matrices(
 
 # what the integer step reads: mu, the weights, D = lcm(w) and sigma(k) * D
 _StepData = tuple[int, tuple[int, ...], int, tuple[int, ...]]
-_Reduced = tuple[list[int], int, int]
 
 
 def _step_data(w: WeightSystem) -> _StepData:
@@ -268,8 +269,8 @@ def _step(flat: list[int], j: int, b_j: int, total: int, data: _StepData) -> lis
     zero, because every term has k = total + m (mod mu).  A term that stays
     at d keeps its coefficient and one that moves to d+1 gains -t/(D*mu),
     t = (L_j(b) - d - sigma(k)) * D, so in this layout the step is integer,
-    gcd-free and rescales nothing, ``flat[0]`` stays 1, and
-    ``_over_one_denominator`` turns a state back into coefficients."""
+    gcd-free and rescales nothing, ``flat[0]`` stays 1, and only
+    ``_unscaled`` reads a state back as an element."""
     mu, weights, scale, sigma_scaled = data
     l_scaled = total * scale - mu * b_j * (scale // weights[j])
     nxt = flat + [0]
@@ -281,16 +282,13 @@ def _step(flat: list[int], j: int, b_j: int, total: int, data: _StepData) -> lis
     return nxt
 
 
-def _over_one_denominator(flat: list[int], step_denom: int) -> tuple[list[int], int]:
-    """A ``_step`` state as numerators over the one denominator
-    step_denom^top = (D*mu)^top, top = len(flat) - 1: entry d, scaled by
-    (D*mu)^d, gains the missing (D*mu)^(top - d)."""
-    top = len(flat) - 1
-    return [c * step_denom ** (top - d) for d, c in enumerate(flat)], step_denom ** top
-
-
-def _unscaled(flat: list[int], denom: int, total: int, mu: int) -> GElement:
-    return GElement._raw(mu, {((total - d) % mu, -d): c for d, c in enumerate(flat) if c}, denom)
+def _unscaled(flat: list[int], total: int, w: WeightSystem) -> GElement:
+    """The element of a ``_step`` state, or of a sum of states scaled alike,
+    after ``total`` steps: over (D*mu)^top, top = len(flat) - 1, entry d,
+    scaled by (D*mu)^d, gains the missing (D*mu)^(top - d)."""
+    mu, step_denom, top = w.mu, spectrum_direct(w).denominator * w.mu, len(flat) - 1
+    nums = {((total - d) % mu, -d): c * step_denom ** (top - d) for d, c in enumerate(flat) if c}
+    return GElement._raw(mu, nums, step_denom ** top)
 
 
 def reduce_monomial(
@@ -329,13 +327,13 @@ def reduce_monomial(
     for total, j in enumerate(path):
         flat = _step(flat, j, current[j], total, data)
         current[j] += 1
-    return _unscaled(*_over_one_denominator(flat, data[2] * w.mu), len(path), w.mu)
+    return _unscaled(flat, len(path), w)
 
 
-def _reduce_walk(targets: Sequence[Sequence[int]], w: WeightSystem) -> list[_Reduced]:
-    """The reduced class of each target as ``(flat, denom, total)``: the
-    ``_step`` state over one denominator (``_over_one_denominator``), both
-    divided by their gcd, with total the sum of the canonical exponents.
+def _reduce_walk(targets: Sequence[Sequence[int]], w: WeightSystem) -> list[tuple[list[int], int]]:
+    """The reduced class of each target as its ``_step`` state
+    ``(flat, total)``, total the sum of the canonical exponents, which
+    ``_unscaled`` reads as an element.
 
     Every class is still reduced from omega_0 along the coordinate-major
     path of its canonical exponents; the walk only skips the prefix that
@@ -350,10 +348,9 @@ def _reduce_walk(targets: Sequence[Sequence[int]], w: WeightSystem) -> list[_Red
     canonical = [canonical_exponents(a, w) for a in targets]
     data = _step_data(w)
     size = w.n + 1
-    step_denom = data[2] * w.mu
     previous = (0,) * size
     checkpoints = [[1]] * size
-    reduced: dict[tuple[int, ...], _Reduced] = {}
+    reduced: dict[tuple[int, ...], tuple[list[int], int]] = {}
     for target in sorted(set(canonical)):
         # only the zero vector, sorted first, equals its previous: omega_0
         j = next((i for i in range(size) if target[i] != previous[i]), size - 1)
@@ -366,16 +363,14 @@ def _reduce_walk(targets: Sequence[Sequence[int]], w: WeightSystem) -> list[_Red
                 total += 1
             checkpoints[i] = flat
             b_j = 0
-        flat, denom = _over_one_denominator(flat, step_denom)
-        g = math.gcd(denom, *flat)
-        reduced[target] = [c // g for c in flat], denom // g, total
+        reduced[target] = flat, total
         previous = target
     return [reduced[t] for t in canonical]
 
 
 def reduce_monomials(targets: Sequence[Sequence[int]], w: WeightSystem) -> list[GElement]:
     """``[reduce_monomial(a, w) for a in targets]``, in one ``_reduce_walk``."""
-    return [_unscaled(*state, w.mu) for state in _reduce_walk(targets, w)]
+    return [_unscaled(flat, total, w) for flat, total in _reduce_walk(targets, w)]
 
 
 def f_action(x: GElement | Sequence[int], w: WeightSystem) -> GElement:

@@ -10,7 +10,6 @@ metric involution, chains of the nilpotent shift), never on dense matrices.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 
 from .filtrations import (
@@ -197,27 +196,26 @@ def verify_reduction(w: WeightSystem) -> list[str]:
     """Monomial reduction reproduces the basis along the step sequence and
     the exact multiplication rule for f.  The classes of u^a(k) and of
     u^(a(k)+1_i) are reduced in one ``_reduce_walk``, each from omega_0
-    along its own coordinate-major path, and compared in integers: a class
-    is omega_k iff its state is [denom] at total = k (mod mu), and the sum
-    of w_i [u^(a(k)+1_i)] over their lcm denominator, read as an element by
-    ``_unscaled``, is f_action(omega_k)."""
+    along its own coordinate-major path, and compared as ``_step`` states:
+    a class is omega_k iff its state is [1] at total = k (mod mu), and as
+    every state scales entry d by (D*mu)^d, the w_i * flat_i of the classes
+    of u^(a(k)+1_i) add entry by entry to the state that ``_unscaled`` must
+    read as f_action(omega_k)."""
     failures = []
     mu, row = w.mu, w.n + 2
     reduced = _reduce_walk(_reduction_targets(w), w)
     for k in range(mu):
-        flat, denom, total = reduced[k * row]
-        if flat != [denom] or total % mu != k:
+        flat, total = reduced[k * row]
+        if flat != [1] or total % mu != k:
             failures.append(f"reduction: class of u^a({k}) != omega_{k}")
     for k in range(mu):
         # the totals of u^(a(k)+1_i) agree mod mu, so equal d is equal (k, m)
         images = reduced[k * row + 1:(k + 1) * row]
-        lcm = math.lcm(*(denom for _, denom, _ in images))
-        via_monomials = [0] * max(len(flat) for flat, _, _ in images)
-        for wi, (flat, denom, _) in zip(w.weights, images):
-            factor = wi * (lcm // denom)
+        via_monomials = [0] * max(len(flat) for flat, _ in images)
+        for wi, (flat, _) in zip(w.weights, images):
             for d, c in enumerate(flat):
-                via_monomials[d] += factor * c
-        if _unscaled(via_monomials, lcm, images[0][2], mu) != f_action(GElement.basis(mu, k), w):
+                via_monomials[d] += wi * c
+        if _unscaled(via_monomials, images[0][1], w) != f_action(GElement.basis(mu, k), w):
             failures.append(f"reduction: two routes for f*omega_{k} disagree")
     return failures
 

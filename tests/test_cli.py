@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -62,6 +63,12 @@ def test_bad_weight_text_exits_1(capsys):
         code, out, err = invoke(capsys, "spectrum", "-w", text)
         assert code == 1 and out == ""
         assert "error:" in err
+    # one digit past the int string conversion limit, where there is one
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        code, out, err = invoke(capsys, "spectrum", "-w", "1," + "9" * (limit + 1))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
     # surrounding whitespace and a plus sign stay accepted
     spaced = invoke(capsys, "spectrum", "-w", " 1, +2 ")
     assert spaced == invoke(capsys, "spectrum", "-w", "1,2") and spaced[0] == 0

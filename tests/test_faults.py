@@ -88,12 +88,10 @@ def test_reduction_step_fault(monkeypatch, fault, weights):
 
 
 @pytest.mark.parametrize("weights", STEP_FAULT_SYSTEMS)
-def test_reduction_normalisation_fault(monkeypatch, weights):
-    # each reduced class is stored over its denominator divided by their gcd
+def test_reduction_trailing_zero_fault(monkeypatch, weights):
+    # a stored state ends in a nonzero entry, so omega_k is exactly [1]
     _plant_in_gaussmanin(
-        monkeypatch,
-        "reduced[target] = [c // g for c in flat], denom // g, total",
-        "reduced[target] = [c // g for c in flat], denom, total",
+        monkeypatch, "reduced[target] = flat, total", "reduced[target] = flat + [0], total"
     )
     assert _failed(make_weight_system(list(weights))) == {"reduction"}
 
@@ -101,8 +99,8 @@ def test_reduction_normalisation_fault(monkeypatch, weights):
 @pytest.mark.parametrize("weights", STEP_FAULT_SYSTEMS)
 def test_reduction_denominator_fault(monkeypatch, weights):
     # entry d of a state is scaled by (D*mu)^d, so over the one denominator
-    # (D*mu)^top it gains (D*mu)^(top - d); a wrong power skews every class
-    # with a term at d >= 1, as the images of u^(a(k)+1_i) have
+    # (D*mu)^top _unscaled gives it (D*mu)^(top - d); a wrong power skews
+    # every state with a term at d >= 1, as the f route's sum has
     _plant_in_gaussmanin(monkeypatch, "step_denom ** (top - d)", "step_denom ** top")
     assert _failed(make_weight_system(list(weights))) == {"reduction"}
 

@@ -323,14 +323,34 @@ def test_walk_equals_reduction_from_scratch():
     for w in systems + [make_weight_system([7, 11, 13])]:
         targets = _reduction_targets(w) + _wrapping_targets(w)
         assert reduce_monomials(targets, w) == [reduce_monomial(a, w) for a in targets]
-        # each stored class ends in a nonzero entry, in lowest terms
-        for flat, denom, _ in _reduce_walk(targets, w):
-            assert flat[-1] and math.gcd(denom, *flat) == 1
+        # each stored state starts with 1 and ends in a nonzero entry
+        for flat, _ in _reduce_walk(targets, w):
+            assert flat[0] == 1 and flat[-1] != 0
     # duplicates, the zero vector and non-canonical vectors of one class
     w = make_weight_system([1, 2, 3])
     targets = [(0, 1, 1), (0, 0, 0), (1, 2, 3), (0, 1, 1), (-1, 5, 2), (2, 4, 6), (3, 0, 1)]
     assert reduce_monomials(targets, w) == [reduce_monomial(a, w) for a in targets]
     assert reduce_monomials([], w) == []
+
+
+def test_suite_targets_in_closed_form():
+    # [u^a(k)] = omega_k is the state [1]; one step in coordinate i adds
+    # the entry -t, t = (L_i(a(k)) - sigma(k)) * D = s(k)*D - mu*a_i(k)*D/w_i,
+    # which is stripped where it is 0
+    systems = [WeightSystem(tup) for tup in weight_systems_up_to(exhaustive_mu(12))]
+    for tup in [(1, 2, 3), (1, 2, 12, 15, 30), (7, 11, 13), (9, 55)]:
+        systems.append(make_weight_system(list(tup)))
+    for w in systems:
+        mu, row = w.mu, w.n + 2
+        spec = spectrum_direct(w)
+        reduced = _reduce_walk(_reduction_targets(w), w)
+        for k, a in enumerate(step_sequence(w).exponents[:mu]):
+            flat, total = reduced[k * row]
+            assert flat == [1] and total % mu == k, (w, k)
+            for i, (flat, total) in enumerate(reduced[k * row + 1:(k + 1) * row]):
+                second = mu * a[i] * (spec.denominator // w.weights[i]) - spec.scaled[k]
+                assert flat == ([1, second] if second else [1]), (w, k, i)
+                assert total % mu == (k + 1) % mu, (w, k, i)
 
 
 def test_f_action_examples():

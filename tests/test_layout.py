@@ -4,7 +4,9 @@ integers, the report builds no ``Fraction`` and sigma has one integer
 form, the package exports
 exactly what its `__init__` imports, a failed identity has one exception
 type, the CLI has one command path, monomial reduction has one integer
-step, multiplication by f is the derivative's operator, no module relies
+step and keeps each reduced class in that step's layout, read back as an
+element only by ``_unscaled``, multiplication by f is the derivative's
+operator, no module relies
 on ``assert``, ``report.to_json`` is the only JSON writer and its
 template the only place that writes a ``{"num", "den"}`` leaf, every
 cache is bounded, neither importing the CLI nor running its commands
@@ -220,6 +222,18 @@ def test_one_reduction_step():
     tree = ast.parse(path.read_text(), filename=str(path))
     for name in ("reduce_monomial", "reduce_monomials", "_raw"):
         assert not _calls(tree, name), name
+    # a reduced class stays a _step state: _unscaled is its one reader and
+    # the one place that raises D*mu to a power, and the suite adds states
+    # scaled alike with no common denominator or lowest terms
+    assert not hasattr(gaussmanin, "_over_one_denominator")
+    powers = sorted(
+        name
+        for name, node in functions.items()
+        if any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Pow) for sub in ast.walk(node))
+    )
+    assert powers == ["_unscaled"]
+    for name in ("gcd", "lcm"):
+        assert not _calls(_functions(verify)["verify_reduction"], name), name
 
 
 def test_one_copy_of_each_index_computation():
