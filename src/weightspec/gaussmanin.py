@@ -24,12 +24,14 @@ is the Birkhoff normal form A0 + theta * A_inf.
 Reduction steps a flat integer list: a unit step sends tau^m * omega_k to
 (k, m-1) and (k+1, m), so after ``total`` steps from omega_0 every term has
 k = total + m (mod mu), and the list holds the coefficients by d = -m, entry
-d scaled by (D*mu)^d, so ``flat[0]`` is 1.  A step keeps the coefficient of
-a term that stays at d; only a term moved to d+1 gains a factor over D*mu,
-which the extra D*mu in the scale of entry d+1 absorbs.  So a step rescales
-nothing, and the integers grow with the depth d, not with the number of steps.
-A reduced class stays in this layout as ``(flat, total)``, and ``_unscaled``
-is the one reader that turns such a state into an element.
+d scaled by (D*mu)^d; a state reached from omega_0 starts with 1.  A step
+keeps the coefficient of a term that stays at d; only a term moved to d+1
+gains a factor over D*mu, which the extra D*mu in the scale of entry d+1
+absorbs.  So a step rescales nothing, and the integers grow with the depth
+d, not with the number of steps.  A reduced class stays in this layout as
+``(flat, total)``, and ``_unscaled`` is the one reader that turns such a
+state into an element.  Along the step sequence, omega_k = [u^a(k)] is the
+state [1] at total k, so every u^(a(k)+1_i) is one step from it.
 """
 
 from __future__ import annotations
@@ -265,19 +267,20 @@ def _step_data(w: WeightSystem) -> _StepData:
 def _step(flat: list[int], j: int, b_j: int, total: int, data: _StepData) -> list[int]:
     """One unit increment in coordinate j of the state at exponents b, with
     b_j and total = sum(b) given.  ``flat[d]`` is (D*mu)^d times the
-    coefficient of tau^(-d) * omega_{(total - d) mod mu}, with no trailing
-    zero, because every term has k = total + m (mod mu).  A term that stays
-    at d keeps its coefficient and one that moves to d+1 gains -t/(D*mu),
-    t = (L_j(b) - d - sigma(k)) * D, so in this layout the step is integer,
-    gcd-free and rescales nothing, ``flat[0]`` stays 1, and only
-    ``_unscaled`` reads a state back as an element."""
+    coefficient of tau^(-d) * omega_{(total - d) mod mu}, one entry per d
+    because every term has k = total + m (mod mu); any list that ends in a
+    nonzero entry is a state.  A term that stays at d keeps its coefficient
+    and one that moves to d+1 gains -t/(D*mu), t = (L_j(b) - d - sigma(k)) * D,
+    so in this layout the step is integer, gcd-free and rescales nothing,
+    the new state again ends in a nonzero entry, and only ``_unscaled``
+    reads a state back as an element."""
     mu, weights, scale, sigma_scaled = data
     l_scaled = total * scale - mu * b_j * (scale // weights[j])
     nxt = flat + [0]
     for d, c in enumerate(flat):
         t = l_scaled - d * scale - sigma_scaled[(total - d) % mu]
         nxt[d + 1] -= c * t
-    while not nxt[-1]:  # nxt[0] = 1 is never 0
+    while not nxt[-1]:  # the first nonzero entry of flat is never changed
         nxt.pop()
     return nxt
 
@@ -312,9 +315,10 @@ def reduce_monomial(
     ``path`` is the sequence of coordinate increments to use (it must be a
     rearrangement of the canonical exponents); by default it is
     coordinate-major, all increments of coordinate 0 first.  The result is
-    independent of the chosen path, which tests verify.  To reduce many
-    classes along their default paths, ``reduce_monomials`` shares the
-    work their paths have in common.
+    independent of the chosen path, which tests verify: moving every
+    tau^(-1) to the left, the class is
+    (-1/mu)^N * tau^(-N) * prod_j prod_{r < a_j} (tau_dtau - mu * r / w_j) omega_0
+    with N = sum(a), and these factors commute.
     """
     target = canonical_exponents(a, w)
     steps = [j for j, count in enumerate(target) for _ in range(count)]
@@ -330,47 +334,10 @@ def reduce_monomial(
     return _unscaled(flat, len(path), w)
 
 
-def _reduce_walk(targets: Sequence[Sequence[int]], w: WeightSystem) -> list[tuple[list[int], int]]:
-    """The reduced class of each target as its ``_step`` state
-    ``(flat, total)``, total the sum of the canonical exponents, which
-    ``_unscaled`` reads as an element.
-
-    Every class is still reduced from omega_0 along the coordinate-major
-    path of its canonical exponents; the walk only skips the prefix that
-    path shares with the previous target's.  The canonical targets are
-    de-duplicated and sorted, and ``checkpoints[j]`` keeps the state at
-    (p_0, ..., p_j, 0, ..., 0) for the previous target p; a state carries
-    its own scale (entry d is scaled by (D*mu)^d), so a checkpoint holds no
-    denominator.  A target that first differs from p in coordinate j
-    exceeds p there, so its path passes through ``checkpoints[j]`` and
-    steps on from there.
-    """
-    canonical = [canonical_exponents(a, w) for a in targets]
-    data = _step_data(w)
-    size = w.n + 1
-    previous = (0,) * size
-    checkpoints = [[1]] * size
-    reduced: dict[tuple[int, ...], tuple[list[int], int]] = {}
-    for target in sorted(set(canonical)):
-        # only the zero vector, sorted first, equals its previous: omega_0
-        j = next((i for i in range(size) if target[i] != previous[i]), size - 1)
-        flat = checkpoints[j]
-        b_j = previous[j]
-        total = sum(target[:j]) + b_j
-        for i in range(j, size):
-            for b_i in range(b_j, target[i]):
-                flat = _step(flat, i, b_i, total, data)
-                total += 1
-            checkpoints[i] = flat
-            b_j = 0
-        reduced[target] = flat, total
-        previous = target
-    return [reduced[t] for t in canonical]
-
-
 def reduce_monomials(targets: Sequence[Sequence[int]], w: WeightSystem) -> list[GElement]:
-    """``[reduce_monomial(a, w) for a in targets]``, in one ``_reduce_walk``."""
-    return [_unscaled(flat, total, w) for flat, total in _reduce_walk(targets, w)]
+    """``[reduce_monomial(a, w) for a in targets]``: each class reduced from
+    omega_0 along its own coordinate-major path."""
+    return [reduce_monomial(a, w) for a in targets]
 
 
 def f_action(x: GElement | Sequence[int], w: WeightSystem) -> GElement:

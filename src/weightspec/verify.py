@@ -23,7 +23,8 @@ from .frobenius import charpoly_A0, initial_data
 from .gaussmanin import (
     GElement,
     _derive,
-    _reduce_walk,
+    _step,
+    _step_data,
     _unscaled,
     bernstein_check,
     birkhoff_matrices,
@@ -183,40 +184,58 @@ def verify_reflexivity(w: WeightSystem) -> list[str]:
     return []
 
 
-def _reduction_targets(w: WeightSystem) -> list[tuple[int, ...]]:
-    """a(k), then a(k) + 1_i for i = 0..n, for each k = 0..mu-1 in turn."""
-    targets = []
-    for a in step_sequence(w).exponents[:w.mu]:
-        targets.append(a)
-        targets.extend(a[:i] + (a[i] + 1,) + a[i + 1:] for i in range(w.n + 1))
-    return targets
-
-
 def verify_reduction(w: WeightSystem) -> list[str]:
     """Monomial reduction reproduces the basis along the step sequence and
-    the exact multiplication rule for f.  The classes of u^a(k) and of
-    u^(a(k)+1_i) are reduced in one ``_reduce_walk``, each from omega_0
-    along its own coordinate-major path, and compared as ``_step`` states:
-    a class is omega_k iff its state is [1] at total = k (mod mu), and as
-    every state scales entry d by (D*mu)^d, the w_i * flat_i of the classes
-    of u^(a(k)+1_i) add entry by entry to the state that ``_unscaled`` must
-    read as f_action(omega_k)."""
+    the exact multiplication rule for f, by induction on k.  omega_k is the
+    ``_step`` state [1] at total k, and the class of u^(a(k)+1_i) is the one
+    step from it in coordinate i.  u^a(0) = 1 is omega_0, and u^a(k+1) is
+    omega_{k+1} iff a(k+1) = a(k) + 1_i(k) and that step's state is [1].  As
+    every state scales entry d by (D*mu)^d, the w_i * flat_i add entry by
+    entry to the state that ``_unscaled`` must read as f_action(omega_k).
+
+    The step itself is certified against the operator
+    -(1/mu) tau^(-1) (tau_dtau + L) built from ``_derive``, on the one-term
+    states tau^(-d) * omega_k for every k and j, at d = 0, 1 and at
+    b_j = a(k)_j, a(k)_j + 1: the step is linear in the state and affine in
+    L and in d, so two values of each are checked."""
     failures = []
-    mu, row = w.mu, w.n + 2
-    reduced = _reduce_walk(_reduction_targets(w), w)
+    data = _step_data(w)
+    mu, weights, scale, _ = data
+    rungs = [mu * (scale // wi) for wi in weights]
+    exponents, indices = step_sequence(w)
+    reached = not any(exponents[0])
     for k in range(mu):
-        flat, total = reduced[k * row]
-        if flat != [1] or total % mu != k:
+        a = exponents[k]
+        if not reached:
             failures.append(f"reduction: class of u^a({k}) != omega_{k}")
-    for k in range(mu):
-        # the totals of u^(a(k)+1_i) agree mod mu, so equal d is equal (k, m)
-        images = reduced[k * row + 1:(k + 1) * row]
-        via_monomials = [0] * max(len(flat) for flat, _ in images)
-        for wi, (flat, _) in zip(w.weights, images):
+        states = [_step([1], i, a_i, k, data) for i, a_i in enumerate(a)]
+        i = indices[k]
+        reached = states[i] == [1] and exponents[k + 1] == a[:i] + (a[i] + 1,) + a[i + 1:]
+        # the states share total k + 1, so equal d is equal (k, m)
+        via_monomials = [0] * max(map(len, states))
+        for wi, flat in zip(weights, states):
             for d, c in enumerate(flat):
                 via_monomials[d] += wi * c
-        if _unscaled(via_monomials, images[0][1], w) != f_action(GElement.basis(mu, k), w):
+        if _unscaled(via_monomials, k + 1, w) != f_action(GElement.basis(mu, k), w):
             failures.append(f"reduction: two routes for f*omega_{k} disagree")
+        for d in (0, 1):
+            # the operator on the state tau^(-d) * omega_k: over D, its shift
+            # term -mu*D stays at d as 1, and its diagonal term plus L*D,
+            # L*D = (k + d)*D - b*rung, moves to d + 1 with the sign flipped
+            head = [0] * d + [1]
+            image = _derive({(k, -d): 1}, w)
+            certified = image.pop(((k + 1) % mu, 1 - d), 0) == -mu * scale
+            diagonal = image.pop((k, -d), 0)
+            certified = certified and not image
+            for j, (a_j, rung) in enumerate(zip(a, rungs)):
+                for b in (a_j, a_j + 1):
+                    step = states[j] if d == 0 and b == a_j else _step(head, j, b, k + d, data)
+                    moved = b * rung - (k + d) * scale - diagonal
+                    certified = certified and step == (head + [moved] if moved else head)
+            if not certified:
+                failures.append(
+                    f"reduction: step at depth {d} of omega_{k} is not -(1/mu) tau^(-1) (tau_dtau + L)"
+                )
     return failures
 
 
@@ -260,9 +279,10 @@ ALL_SUITES = {
 def verify_all(
     w: WeightSystem, suites: list[str] | None = None
 ) -> dict[str, list[str]]:
-    """Run the named suites (``None``: all) and map suite -> failures; a
-    suite that raises :class:`IdentityViolation` fails with its message."""
-    chosen = list(ALL_SUITES) if suites is None else suites
+    """Run the named suites (``None``: all), each once in first-seen order,
+    and map suite -> failures; a suite that raises
+    :class:`IdentityViolation` fails with its message."""
+    chosen = list(ALL_SUITES) if suites is None else list(dict.fromkeys(suites))
     unknown = [name for name in chosen if name not in ALL_SUITES]
     if unknown:
         raise KeyError(f"unknown suites: {unknown}")

@@ -6,8 +6,10 @@ split and the V-order below are the rational formulas the integer
 kernel ``gaussmanin._derive`` replaced, with sigma(k) = k - s(k) built
 here from ``Spectrum.scaled``, not read from the library's shared
 ``sigma_scaled``; the three suites restate the ``verify`` suites on them
-with the same messages.  Tests plant the same fault here
-and in ``gaussmanin`` by replacing one line of source in each.
+with the same messages.  ``product_form`` reduces a monomial class by a
+route that shares no code with ``gaussmanin``'s step.  Tests plant the
+same fault here and in ``gaussmanin`` by replacing one line of source in
+each.
 """
 
 from __future__ import annotations
@@ -53,6 +55,22 @@ def bernstein_product(w) -> dict:
             _add_term(image, key, -Fraction(v, spec.denominator) * c)
         acc = {key: c / -w.mu for key, c in image.items()}
     return acc
+
+
+def product_form(a, w) -> dict:
+    """(-1/mu)^N tau^(-N) prod_j prod_{r < a_j} (tau_dtau - mu*r/w_j) omega_0
+    with N = sum(a), for exponents a >= 0 as given: the class of u^a with
+    the tau^(-1) of every unit step moved to the left, where each factor
+    is a polynomial in tau_dtau, so the order of the steps is irrelevant."""
+    acc = {(0, 0): Fraction(1)}
+    for a_j, w_j in zip(a, w.weights):
+        for r in range(a_j):
+            image = tau_dtau(acc, w)
+            for key, c in acc.items():
+                _add_term(image, key, -Fraction(w.mu * r, w_j) * c)
+            acc = image
+    n = sum(a)
+    return {(k, m - n): c * Fraction(-1, w.mu) ** n for (k, m), c in acc.items()}
 
 
 def birkhoff_split(w) -> tuple[dict, dict]:

@@ -130,6 +130,27 @@ def test_verify_all_records_a_raised_identity(monkeypatch):
     assert verify_mod.verify_all(w, []) == {}  # only None means every suite
 
 
+def test_repeated_suite_runs_once(capsys, monkeypatch):
+    # a suite named twice runs once, in first-seen order, with the output
+    # of naming it once
+    calls = []
+    for name in ("reduction", "jordan"):
+        real = verify_mod.ALL_SUITES[name]
+        monkeypatch.setitem(
+            verify_mod.ALL_SUITES, name, lambda w, name=name, real=real: calls.append(name) or real(w)
+        )
+    w = make_weight_system([1, 2, 3])
+    assert list(verify_mod.verify_all(w, ["reduction", "jordan", "reduction"])) == ["reduction", "jordan"]
+    assert calls == ["reduction", "jordan"]
+    calls.clear()
+    once = invoke(capsys, "verify", "-w", "1,2,3", "--suite", "jordan", "--suite", "reduction")
+    twice = invoke(
+        capsys, "verify", "-w", "1,2,3", "--suite", "jordan", "--suite", "reduction", "--suite", "jordan"
+    )
+    assert twice == once and once[0] == 0
+    assert calls == ["jordan", "reduction"] * 2
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 @pytest.mark.parametrize(
     "command, builder",

@@ -74,6 +74,12 @@ STEP_FAULTS = {
         "t = l_scaled - d * scale - sigma_scaled[(total - d) % mu]",
         "t = l_scaled - d * scale - sigma_scaled[(total - d) % mu] - ((total - d) % mu == 1)",
     ),
+    # every step of the suite's induction starts at d = 0, so only the
+    # certificate's steps on tau^(-1) * omega_k can see this one
+    "depth term dropped": (
+        "t = l_scaled - d * scale - sigma_scaled[(total - d) % mu]",
+        "t = l_scaled - sigma_scaled[(total - d) % mu]",
+    ),
 }
 STEP_FAULT_SYSTEMS = [(1, 2, 3), (1, 2, 12, 15, 30), (7, 11, 13)]
 
@@ -89,10 +95,8 @@ def test_reduction_step_fault(monkeypatch, fault, weights):
 
 @pytest.mark.parametrize("weights", STEP_FAULT_SYSTEMS)
 def test_reduction_trailing_zero_fault(monkeypatch, weights):
-    # a stored state ends in a nonzero entry, so omega_k is exactly [1]
-    _plant_in_gaussmanin(
-        monkeypatch, "reduced[target] = flat, total", "reduced[target] = flat + [0], total"
-    )
+    # a step strips its trailing zeros, so omega_k is exactly [1]
+    _plant_in_gaussmanin(monkeypatch, "while not nxt[-1]:", "while False:")
     assert _failed(make_weight_system(list(weights))) == {"reduction"}
 
 
@@ -107,20 +111,42 @@ def test_reduction_denominator_fault(monkeypatch, weights):
 
 def _reduction_via_elements(w, gm) -> list[str]:
     """The reduction suite computed in ``GElement`` arithmetic from the
-    module ``gm``: the reduced classes, the weighted sum of the classes of
-    u^(a(k)+1_i) and ``f_action`` on omega_k, all in Fractions."""
+    module ``gm``: each ``_step`` state read as an element, the weighted sum
+    of the classes of u^(a(k)+1_i) against ``f_action`` on omega_k, and the
+    step on tau^(-d) * omega_k against -(1/mu) tau^(-1) (tau_dtau + L), all
+    in Fractions."""
     failures = []
-    mu, row = w.mu, w.n + 2
-    reduced = gm.reduce_monomials(verify._reduction_targets(w), w)
+    mu, data = w.mu, gm._step_data(w)
+    exponents, indices = verify.step_sequence(w)
+    reached = not any(exponents[0])
     for k in range(mu):
-        if reduced[k * row] != gm.GElement.basis(mu, k):
+        a = exponents[k]
+        if not reached:
             failures.append(f"reduction: class of u^a({k}) != omega_{k}")
-    for k in range(mu):
+        states = [gm._step([1], i, a_i, k, data) for i, a_i in enumerate(a)]
+        images = [gm._unscaled(flat, k + 1, w) for flat in states]
+        i = indices[k]
+        bumped = a[:i] + (a[i] + 1,) + a[i + 1:]
+        reached = images[i] == gm.GElement.basis(mu, (k + 1) % mu) and exponents[k + 1] == bumped
         via_monomials = gm.GElement.zero(mu)
-        for wi, image in zip(w.weights, reduced[k * row + 1:(k + 1) * row]):
+        for wi, image in zip(w.weights, images):
             via_monomials = via_monomials + image.scale(wi)
         if via_monomials != gm.f_action(gm.GElement.basis(mu, k), w):
             failures.append(f"reduction: two routes for f*omega_{k} disagree")
+        for d in (0, 1):
+            start = [0] * d + [1]
+            x = gm._unscaled(start, k + d, w)
+            certified = True
+            for j, a_j in enumerate(a):
+                for b in (a_j, a_j + 1):
+                    l_j = k + d - Fraction(mu * b, w.weights[j])
+                    operator = (gm.tau_dtau(x, w) + x.scale(l_j)).scale(Fraction(-1, mu)).shift(-1)
+                    step = gm._unscaled(gm._step(start, j, b, k + d, data), k + d + 1, w)
+                    certified = certified and step == operator
+            if not certified:
+                failures.append(
+                    f"reduction: step at depth {d} of omega_{k} is not -(1/mu) tau^(-1) (tau_dtau + L)"
+                )
     return failures
 
 
@@ -240,11 +266,15 @@ LEIBNIZ_FAULT = (
 
 def test_bernstein_fault(monkeypatch):
     # the Leibniz term vanishes on basis vectors, so only the Bernstein
-    # product, which differentiates tau^k * omega_k, can see it dropped
+    # product, which differentiates tau^k * omega_k, and the certificate of
+    # the reduction step on tau^(-1) * omega_k can see it dropped
     _plant_in_gaussmanin(monkeypatch, *LEIBNIZ_FAULT[0])
     w = make_weight_system([1, 2, 3])
     results = verify_all(w)
     assert results.pop("bernstein") == ["bernstein: product on omega_0 != tau^mu * omega_0"]
+    assert results.pop("reduction") == [
+        f"reduction: step at depth 1 of omega_{k} is not -(1/mu) tau^(-1) (tau_dtau + L)" for k in range(w.mu)
+    ]
     assert all(failures == [] for failures in results.values())
 
 
@@ -353,8 +383,8 @@ def test_reflexive_fault(monkeypatch):
 
 
 def test_v_order_fault(monkeypatch):
-    # the derivative as the v_order suite calls it; the f route of the
-    # reduction suite reaches it through f_action
+    # the derivative as the v_order suite calls it, and as the reduction
+    # suite's certificate does; the f route reaches it through f_action
     real = verify._derive
 
     def shift_term_dropped(nums, w):
@@ -366,6 +396,9 @@ def test_v_order_fault(monkeypatch):
     assert results.pop("v_order")[:2] == [
         "v_order: tau_dtau(omega_0) has order None",
         "v_order: bound exceeded at k = 0",
+    ]
+    assert results.pop("reduction") == [
+        f"reduction: step at depth 0 of omega_{k} is not -(1/mu) tau^(-1) (tau_dtau + L)" for k in range(w.mu)
     ]
     assert all(failures == [] for failures in results.values())
 

@@ -25,8 +25,8 @@ from weightspec import (
 )
 
 import fraction_oracle
-from weightspec.gaussmanin import _reduce_walk, _step, _step_data
-from weightspec.verify import ALL_SUITES, _reduction_targets
+from weightspec.gaussmanin import _step, _step_data
+from weightspec.verify import ALL_SUITES
 
 from conftest import exhaustive_mu, random_systems, weight_systems_up_to
 
@@ -258,7 +258,7 @@ def test_reduce_monomial_bad_path_rejected():
 
 def test_reduce_monomial_agrees_with_operator_composition():
     # one increment via the public operator composition, tau_dtau on
-    # GElement rather than _step, must match the integer walk; the
+    # GElement rather than _step, must match the integer step; the
     # two-weight systems reach states with terms at d = -m >= 5
     rng = random.Random(5)
     deep = [make_weight_system([7, 93]), make_weight_system([11, 85])]
@@ -303,29 +303,21 @@ def test_step_state_layout():
             assert GElement(w.mu, coeffs) == reduce_monomial(target, w), (tup, target)
 
 
-def _wrapping_targets(w) -> list[tuple[int, ...]]:
-    """w, w + 1_i and a(mu-1) + 1_i, whose canonical classes wrap (some to
-    zero), and negative exponents."""
-    weights, size = w.weights, w.n + 1
-    last = step_sequence(w).exponents[w.mu - 1]
-    unit = [tuple(int(i == j) for i in range(size)) for j in range(size)]
-    targets = [weights]
-    for e in unit:
-        targets.append(tuple(x + y for x, y in zip(weights, e)))
-        targets.append(tuple(x + y for x, y in zip(last, e)))
-        targets.append(tuple(-x for x in e))
-        targets.append(tuple(y - x for x, y in zip(weights, e)))
-    return targets
-
-
-def test_walk_equals_reduction_from_scratch():
+def test_one_step_states_equal_reduction_from_scratch():
+    # each class u^(a(k)+1_i) of the reduction suite is one step from
+    # omega_k; read back in Fractions, that state is the class reduced from
+    # omega_0 along its coordinate-major path
     systems = [WeightSystem(tup) for tup in weight_systems_up_to(exhaustive_mu(12))]
     for w in systems + [make_weight_system([7, 11, 13])]:
-        targets = _reduction_targets(w) + _wrapping_targets(w)
-        assert reduce_monomials(targets, w) == [reduce_monomial(a, w) for a in targets]
-        # each stored state starts with 1 and ends in a nonzero entry
-        for flat, _ in _reduce_walk(targets, w):
-            assert flat[0] == 1 and flat[-1] != 0
+        mu, data = w.mu, _step_data(w)
+        step_denom = spectrum_direct(w).denominator * mu
+        for k, a in enumerate(step_sequence(w).exponents[:mu]):
+            for i, a_i in enumerate(a):
+                flat = _step([1], i, a_i, k, data)
+                assert flat[0] == 1 and flat[-1] != 0
+                coeffs = {((k + 1 - d) % mu, -d): F(c, step_denom**d) for d, c in enumerate(flat)}
+                bumped = a[:i] + (a_i + 1,) + a[i + 1:]
+                assert GElement(mu, coeffs) == reduce_monomial(bumped, w), (w, k, i)
     # duplicates, the zero vector and non-canonical vectors of one class
     w = make_weight_system([1, 2, 3])
     targets = [(0, 1, 1), (0, 0, 0), (1, 2, 3), (0, 1, 1), (-1, 5, 2), (2, 4, 6), (3, 0, 1)]
@@ -336,21 +328,30 @@ def test_walk_equals_reduction_from_scratch():
 def test_suite_targets_in_closed_form():
     # [u^a(k)] = omega_k is the state [1]; one step in coordinate i adds
     # the entry -t, t = (L_i(a(k)) - sigma(k)) * D = s(k)*D - mu*a_i(k)*D/w_i,
-    # which is stripped where it is 0
+    # which is stripped where it is 0, as it is for i = i(k)
     systems = [WeightSystem(tup) for tup in weight_systems_up_to(exhaustive_mu(12))]
     for tup in [(1, 2, 3), (1, 2, 12, 15, 30), (7, 11, 13), (9, 55)]:
         systems.append(make_weight_system(list(tup)))
     for w in systems:
-        mu, row = w.mu, w.n + 2
+        mu, data = w.mu, _step_data(w)
         spec = spectrum_direct(w)
-        reduced = _reduce_walk(_reduction_targets(w), w)
-        for k, a in enumerate(step_sequence(w).exponents[:mu]):
-            flat, total = reduced[k * row]
-            assert flat == [1] and total % mu == k, (w, k)
-            for i, (flat, total) in enumerate(reduced[k * row + 1:(k + 1) * row]):
-                second = mu * a[i] * (spec.denominator // w.weights[i]) - spec.scaled[k]
-                assert flat == ([1, second] if second else [1]), (w, k, i)
-                assert total % mu == (k + 1) % mu, (w, k, i)
+        seq = step_sequence(w)
+        for k, a in enumerate(seq.exponents[:mu]):
+            assert reduce_monomial(a, w) == basis(mu, k), (w, k)
+            for i, a_i in enumerate(a):
+                second = mu * a_i * (spec.denominator // w.weights[i]) - spec.scaled[k]
+                assert _step([1], i, a_i, k, data) == ([1, second] if second else [1]), (w, k, i)
+                assert i != seq.indices[k] or not second, (w, k)
+
+
+def test_product_form_equals_reduction():
+    # the factors of the product form are polynomials in tau_dtau, so they
+    # commute: every path gives one class, here with a not canonicalised
+    rng = random.Random(27)
+    for w in random_systems(seed=27, count=25, mu_max=24, max_parts=5):
+        for _ in range(6):
+            a = tuple(rng.randint(0, 2 * wi) for wi in w.weights)
+            assert GElement(w.mu, fraction_oracle.product_form(a, w)) == reduce_monomial(a, w), (w, a)
 
 
 def test_f_action_examples():
@@ -446,8 +447,8 @@ def test_v_order_of_derivative():
 
 def test_sparse_suites_beyond_corpus():
     # mu = 600 and 2000: bernstein, birkhoff and v_order touch O(1) terms
-    # per step, and the reduction walk shares the paths of its 3 * mu
-    # classes; both systems take about 0.6 s, mostly in the reduction
+    # per step, and the reduction suite takes one step per class of its
+    # 2 * mu classes u^(a(k)+1_i)
     suites = ["bernstein", "birkhoff", "v_order", "reduction"]
     for weights in ([7, 593], [7, 1993]):
         w = make_weight_system(weights)
@@ -455,8 +456,8 @@ def test_sparse_suites_beyond_corpus():
 
 
 def test_all_suites_on_a_balanced_ladder_system():
-    # ten weights at mu = 120, the planned ladder size: the reduction walk
-    # reduces 11 * mu classes; about 0.6 s, most of it in the reduction
+    # ten weights at mu = 120, the planned ladder size: the reduction
+    # suite takes one step to each of its 10 * mu classes
     w = make_weight_system([9, 10, 11, 11, 12, 12, 13, 13, 14, 15])
     assert w.mu == 120
     assert verify_all(w) == {name: [] for name in ALL_SUITES}

@@ -4,8 +4,9 @@ integers, the report builds no ``Fraction`` and sigma has one integer
 form, the package exports
 exactly what its `__init__` imports, a failed identity has one exception
 type, the CLI has one command path, monomial reduction has one integer
-step and keeps each reduced class in that step's layout, read back as an
-element only by ``_unscaled``, multiplication by f is the derivative's
+step, which the ``reduction`` suite takes once from omega_k to each of its
+classes, and keeps each reduced class in that step's layout, read back as
+an element only by ``_unscaled``, multiplication by f is the derivative's
 operator, no module relies
 on ``assert``, ``report.to_json`` is the only JSON writer and its
 template the only place that writes a ``{"num", "den"}`` leaf, every
@@ -210,14 +211,17 @@ def test_one_reduction_step():
         )
     )
     assert step_loops == ["_derive", "_step"]
-    for caller in ("reduce_monomial", "_reduce_walk"):
-        assert _calls(functions[caller], "_step"), caller
-    # the public batch and the suite share the walk; the suite compares its
-    # integer states, reduces no element one by one, and turns the f route's
-    # summed state into an element through the one layout reader, _unscaled
-    assert _calls(functions["reduce_monomials"], "_reduce_walk")
-    for callee in ("_reduce_walk", "_unscaled"):
-        assert _calls(_functions(verify)["verify_reduction"], callee), callee
+    assert _calls(functions["reduce_monomial"], "_step")
+    assert _calls(functions["reduce_monomials"], "reduce_monomial")
+    # the suite takes one step to each class from omega_k, with no walk from
+    # omega_0: it compares the integer states, certifies the step against
+    # the derivative and turns the f route's summed state into an element
+    # through the one layout reader, _unscaled
+    assert not hasattr(gaussmanin, "_reduce_walk")
+    assert not hasattr(verify, "_reduction_targets")
+    suite = _functions(verify)["verify_reduction"]
+    for callee in ("_step", "_derive", "_unscaled", "f_action"):
+        assert _calls(suite, callee), callee
     path = Path(verify.__file__)
     tree = ast.parse(path.read_text(), filename=str(path))
     for name in ("reduce_monomial", "reduce_monomials", "_raw"):
@@ -233,7 +237,7 @@ def test_one_reduction_step():
     )
     assert powers == ["_unscaled"]
     for name in ("gcd", "lcm"):
-        assert not _calls(_functions(verify)["verify_reduction"], name), name
+        assert not _calls(suite, name), name
 
 
 def test_one_copy_of_each_index_computation():

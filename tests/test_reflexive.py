@@ -258,9 +258,9 @@ def test_cleared_cache_rebuilds_equal_records():
 
 def test_all_suites_on_reflexive_dimension_4():
     # reflexive systems have integral spectrum, where the Jordan bounds and
-    # reflexive <=> integral are tightest; mu <= 150 keeps this near 2 s
-    records = [r for r in enumerate_reflexive(4) if r.mu <= 150]
-    assert len(records) == 116
+    # reflexive <=> integral are tightest; all 147, up to mu = 1806
+    records = enumerate_reflexive(4)
+    assert len(records) == 147 and max(r.mu for r in records) == 1806
     for r in records:
         results = verify_all(r.weights)
         assert len(results) == 12 and not any(results.values()), (r.weights, results)
