@@ -5,9 +5,13 @@ are grouped by the fractional part alpha(k) of the spectrum value
 (each class is a generalized eigenspace of the monodromy); within the
 canonical order a maximal run of equal values is a Jordan block of the
 nilpotent part.  The block structure determines monodromy weights nu_k,
-the weight filtrations M and W, the decreasing filtration H^p and its
-opposite G_p built from floor(sigma), the conjugation involution on
-indices, and the orthogonality pattern of the metric across classes.
+the conjugation involution on indices, and the orthogonality pattern of
+the metric across classes.  Each filtration is a threshold set of one
+level per index: the decreasing filtration H^p and its opposite G_p of
+floor(sigma), the weight filtration M of nu and the shifted weight
+filtration W of nu + n, one more off the integer classes.  A
+``FiltrationReport`` stores those levels; its ``index_sets`` writes the
+sets, for the ``filtrations`` report.
 """
 
 from __future__ import annotations
@@ -64,15 +68,37 @@ class JordanData(NamedTuple):
 
 
 class FiltrationReport(NamedTuple):
-    """Index sets of all filtrations, the primitive indices and the
-    conjugation involution."""
+    """The filtration level of each index, the primitive indices and the
+    conjugation involution: ``floors[k]`` = floor(sigma(k)) for H^p and
+    G_p, ``nu[k]`` for M and ``w_level[k]`` = nu(k) + n, plus one when
+    sigma(k) is not an integer, for W."""
 
-    hp: dict[int, frozenset[int]]
-    gp: dict[int, frozenset[int]]
-    m: dict[int, frozenset[int]]
-    w: dict[int, frozenset[int]]
+    floors: tuple[int, ...]
+    nu: tuple[int, ...]
+    w_level: tuple[int, ...]
     primitive: frozenset[int]
     conj: tuple[int, ...]
+
+    def index_sets(self) -> dict[str, dict[int, list[int]]]:
+        """Each filtration's index sets by level, levels and members ascending:
+
+        * hp[p] = {k : floor(sigma(k)) >= p} for p = 0..n+1 (decreasing),
+        * gp[p] = {k : floor(sigma(k)) <= p} for p = 0..n (increasing),
+        * m[j]  = {k : nu(k) <= j} for j = -n-1..n+1 (monodromy weight filtration),
+        * w[j]  = {k : w_level(k) <= j} for j = -1..2n+1, i.e. m[j-n-1] on
+          nonzero classes together with m[j-n] on the zero class.
+        """
+        n = self.nu[0]  # the zero block 0..n has top weight n
+
+        def below(levels: tuple[int, ...], js: range) -> dict[int, list[int]]:
+            return {j: [k for k, v in enumerate(levels) if v <= j] for j in js}
+
+        return {
+            "hp": {p: [k for k, f in enumerate(self.floors) if f >= p] for p in range(n + 2)},
+            "gp": below(self.floors, range(n + 1)),
+            "m": below(self.nu, range(-n - 1, n + 2)),
+            "w": below(self.w_level, range(-1, 2 * n + 2)),
+        }
 
 
 @lru_cache(maxsize=1024)
@@ -140,50 +166,19 @@ def conjugate_index(w: WeightSystem, k: int) -> int:
 
 
 def saito_filtration(w: WeightSystem) -> FiltrationReport:
-    """All index-level filtrations.
-
-    * hp[p] = {k : floor(sigma(k)) >= p} for p = 0..n+1 (decreasing),
-    * gp[p] = {k : floor(sigma(k)) <= p} for p = 0..n (increasing),
-    * m[j]  = {k : nu(k) <= j} (monodromy weight filtration),
-    * w[j]  = m[j-n-1] on nonzero classes together with m[j-n] on the
-      zero class (the shifted weight filtration),
-    * primitive block starts and the conjugation involution.
-    """
+    """The filtration levels of every index (see ``FiltrationReport``),
+    the primitive block starts and the conjugation involution."""
     spec = spectrum_direct(w)
-    mu, n = w.mu, w.n
-    floors = spec.floors
+    d, n = spec.denominator, w.n
     data = jordan_blocks(w)
-    nu = data.nu
-
-    hp = {
-        p: frozenset(k for k in range(mu) if floors[k] >= p)
-        for p in range(n + 2)
-    }
-    gp = {
-        p: frozenset(k for k in range(mu) if floors[k] <= p)
-        for p in range(n + 1)
-    }
-    m = {
-        j: frozenset(k for k in range(mu) if nu[k] <= j)
-        for j in range(-n - 1, n + 2)
-    }
-    d, scaled = spec.denominator, spec.scaled
-    w_filt = {}
-    for j in range(-1, 2 * n + 2):
-        members = set()
-        for k in range(mu):
-            bound = j - n if scaled[k] % d == 0 else j - n - 1
-            if nu[k] <= bound:
-                members.add(k)
-        w_filt[j] = frozenset(members)
-
-    return FiltrationReport(hp, gp, m, w_filt, primitive_indices(w), data.conj)
+    w_level = tuple(v + n + (s % d != 0) for v, s in zip(data.nu, spec.scaled))
+    return FiltrationReport(spec.floors, data.nu, w_level, primitive_indices(w), data.conj)
 
 
 def saito_identity_check(w: WeightSystem, p: int) -> bool:
     """Combinatorial identity behind the canonical opposite filtration:
     conjugating {k : floor(sigma(k)) + nu(k) <= n - p, minus one more when
-    sigma(k) is not an integer} lands exactly on hp[p]."""
+    sigma(k) is not an integer} lands exactly on H^p = {k : floor(sigma(k)) >= p}."""
     spec = spectrum_direct(w)
     d, floors = spec.denominator, spec.floors
     data = jordan_blocks(w)
@@ -204,10 +199,12 @@ def orthogonality_check(w: WeightSystem, key: int, p: int) -> bool:
     ``eigenvalue_classes``: the orthogonal complement of the span of
     {k in class alpha : floor(sigma(k)) >= p}, taken inside the partner
     class (1-alpha for alpha != 0, the zero class itself for alpha = 0),
-    must be the partner filtration piece at level n-p (resp. n+1-p)."""
+    must be the partner filtration piece at level n-p (resp. n+1-p).
+    A key that is not exactly an int (a bool, float or Fraction) is no
+    class."""
     spec = spectrum_direct(w)
     classes = eigenvalue_classes(w)
-    if key not in classes:
+    if type(key) is not int or key not in classes:
         raise UnknownEigenvalueClass(f"no eigenvalue class with alpha*{spec.denominator} = {key}")
     partner_class = classes.get(-key % spec.denominator, ())
     floors = spec.floors

@@ -20,6 +20,7 @@ CSV and table text writes a rational with ``spectrum.rational_text``.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd
 from typing import TYPE_CHECKING, Any
 
@@ -249,13 +250,13 @@ def frobenius_payload(w: WeightSystem) -> dict[str, Any]:
 def jordan_payload(w: WeightSystem) -> dict[str, Any]:
     data = jordan_blocks(w)
     d = data.denominator
-    classes = data.classes()
-    alphas = sorted(classes)
-    blocks = [b for alpha in alphas for b in classes[alpha]]
+    # a stable sort keeps the canonical order of the blocks within a class
+    blocks = sorted(data.blocks, key=lambda b: -b.value % d)
+    blocks_per_class = Counter(-b.value % d for b in blocks)  # keys ascend with the blocks
     return {
         "classes": RecordList(
             {
-                "alpha": RationalColumn(alphas, d),
+                "alpha": RationalColumn(list(blocks_per_class), d),
                 "blocks": GroupedColumn(
                     RecordList(
                         {
@@ -264,7 +265,7 @@ def jordan_payload(w: WeightSystem) -> dict[str, Any]:
                             "value": RationalColumn([b.value for b in blocks], d),
                         }
                     ),
-                    [len(classes[alpha]) for alpha in alphas],
+                    list(blocks_per_class.values()),
                 ),
             }
         ),
@@ -278,18 +279,13 @@ def jordan_payload(w: WeightSystem) -> dict[str, Any]:
 
 def filtrations_payload(w: WeightSystem) -> dict[str, Any]:
     report = saito_filtration(w)
-
-    def index_map(mapping: dict[int, frozenset[int]]) -> dict[str, list[int]]:
-        return {str(level): sorted(members) for level, members in mapping.items()}
-
-    return {
-        "hp": index_map(report.hp),
-        "gp": index_map(report.gp),
-        "m": index_map(report.m),
-        "w": index_map(report.w),
-        "primitive": sorted(report.primitive),
-        "conjugation": list(report.conj),
+    payload: dict[str, Any] = {
+        name: {str(level): members for level, members in sets.items()}
+        for name, sets in report.index_sets().items()
     }
+    payload["primitive"] = sorted(report.primitive)
+    payload["conjugation"] = list(report.conj)
+    return payload
 
 
 def reflexive_payload(records: list[ReflexiveRecord], n: int) -> dict[str, Any]:
@@ -375,12 +371,12 @@ def jordan_rows(w: WeightSystem) -> tuple[list[str], list[list[str]]]:
 def filtration_rows(w: WeightSystem) -> tuple[list[str], list[list[str]]]:
     report = saito_filtration(w)
     headers = ["filtration", "level", "indices"]
-    rows = []
-    for name, mapping in (("H", report.hp), ("G", report.gp), ("M", report.m), ("W", report.w)):
-        for level in sorted(mapping):
-            rows.append(
-                [name, str(level), " ".join(str(k) for k in sorted(mapping[level]))]
-            )
+    names = {"hp": "H", "gp": "G", "m": "M", "w": "W"}
+    rows = [
+        [names[name], str(level), " ".join(map(str, members))]
+        for name, sets in report.index_sets().items()
+        for level, members in sets.items()
+    ]
     rows.append(["primitive", "", " ".join(str(k) for k in sorted(report.primitive))])
     rows.append(["conjugation", "", " ".join(str(k) for k in report.conj)])
     return headers, rows

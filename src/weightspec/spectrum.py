@@ -186,8 +186,7 @@ def check_symmetry(spec: Spectrum, w: WeightSystem | None = None) -> list[str]:
     n = spec.scaled.count(0) - 1
     if w is not None and (w.mu, w.n) != (mu, n):
         return [f"dimension mismatch: spectrum has (mu, n) = ({mu}, {n})"]
-    d, s = spec.denominator, spec.scaled
-    sigma = [k * d - v for k, v in enumerate(s)]
+    d, s, sigma = spec.denominator, spec.scaled, spec.sigma_scaled
     bad: list[str] = []
     for k in range(n + 1, mu):
         if s[k] + s[mu + n - k] != mu * d:

@@ -137,15 +137,18 @@ def verify_saito(w: WeightSystem) -> list[str]:
     failures = []
     mu, n = w.mu, w.n
     report = saito_filtration(w)
+    floors, nu = report.floors, report.nu
     spec = spectrum_direct(w)
     values, top = spec.scaled, mu * spec.denominator
     for p in range(n + 2):
         if not saito_identity_check(w, p):
             failures.append(f"saito: opposite-filtration identity fails at p = {p}")
-    # nilpotent operator maps level p into level p+1
+    # nilpotent operator maps H^p into H^(p+1): N sends k to k+1 within a
+    # block, and fails at p when floor(sigma(k+1)) <= p <= floor(sigma(k))
+    links = [k for k in range(mu - 1) if values[k + 1] == values[k]]
     for p in range(n + 1):
-        for k in report.hp[p]:
-            if k + 1 < mu and values[k + 1] == values[k] and k + 1 not in report.hp[p + 1]:
+        for k in links:
+            if floors[k + 1] <= p <= floors[k]:
                 failures.append(f"saito: N does not raise level at k = {k}, p = {p}")
     conj = report.conj
     for k in range(mu):
@@ -162,8 +165,9 @@ def verify_saito(w: WeightSystem) -> list[str]:
         if partner is None or image != set(partner.indices) or partner.size != block.size:
             failures.append(f"saito: conjugate of block at {block.start} is not a block")
     if all(wi == 1 for wi in w.weights):
+        # H^p = M_(n-2p): floor(sigma(k)) >= p exactly where nu(k) <= n - 2p
         for p in range(n + 2):
-            if report.hp[p] != report.m.get(n - 2 * p, frozenset()):
+            if any((f >= p) != (v <= n - 2 * p) for f, v in zip(floors, nu)):
                 failures.append(f"saito: Hodge-Tate identity fails at p = {p}")
     return failures
 
@@ -241,15 +245,14 @@ def verify_reduction(w: WeightSystem) -> list[str]:
 
 def verify_v_order(w: WeightSystem) -> list[str]:
     """Exact order of the derivative of each basis vector, plus the +2 bound,
-    in units of 1/D: the image's orders read ``sigma_scaled``, the expectation s(k)*D."""
+    in units of 1/D: the image's orders and the expectation read ``sigma_scaled``."""
     failures = []
     mu = w.mu
     spec = spectrum_direct(w)
-    d, sigma_scaled = spec.denominator, spec.sigma_scaled
-    sigma = [k * d - v for k, v in enumerate(spec.scaled)]
+    d, sigma = spec.denominator, spec.sigma_scaled
     for k in range(mu):
         image = _derive({(k, 0): 1}, w)
-        order = max((sigma_scaled[j] + m * d for j, m in image), default=None)
+        order = max((sigma[j] + m * d for j, m in image), default=None)
         shifted = sigma[(k + 1) % mu] + d
         expected = shifted if sigma[k] == 0 else max(sigma[k], shifted)
         if order != expected:

@@ -328,6 +328,25 @@ def test_saito_fault(monkeypatch):
     assert all(failures == [] for failures in results.values())
 
 
+def test_saito_level_fault(monkeypatch):
+    # on (1, 1, 1), floor(sigma) is 0, 1, 2 along the one block 0..2 and
+    # nu is 2, 0, -2; lowering floor(sigma(1)) to 0 leaves N(omega_0) in
+    # level 0 and H^1 = {2} != M_0 = {1, 2}
+    real = verify.saito_filtration
+
+    def level_lowered(w):
+        report = real(w)
+        return report._replace(floors=(0, 0) + report.floors[2:])
+
+    monkeypatch.setattr(verify, "saito_filtration", level_lowered)
+    results = verify_all(make_weight_system([1, 1, 1]))
+    assert results.pop("saito") == [
+        "saito: N does not raise level at k = 0, p = 0",
+        "saito: Hodge-Tate identity fails at p = 1",
+    ]
+    assert all(failures == [] for failures in results.values())
+
+
 @pytest.mark.parametrize("weights", SYSTEMS)
 def test_jordan_fault(monkeypatch, weights):
     # the largest block is the zero block 0..n, which the conjugation fixes
@@ -403,11 +422,11 @@ def test_v_order_fault(monkeypatch):
     assert all(failures == [] for failures in results.values())
 
 
-# the shared sigma(k) * D is read by the derivative, the reduction step and
+# the shared sigma(k) * D is read by the derivative, the reduction step,
 # the metric identities of initial_data (so birkhoff, charpoly and pairing,
-# which all build initial_data, fail too); the spectrum suite,
-# check_symmetry and the v_order suite's expectation build sigma from
-# scaled themselves
+# which all build initial_data, fail too), check_symmetry (so the spectrum
+# suite fails) and the v_order suite's expectation; only the spectrum
+# suite's two routes compare scaled itself
 SIGMA_FAULT_SYSTEMS = STEP_FAULT_SYSTEMS + [(9, 55)]
 
 
@@ -424,7 +443,7 @@ def test_shared_sigma_fault(monkeypatch, weights):
 
     # a property outranks the value cached_property stored on the instance
     monkeypatch.setattr(spectrum.Spectrum, "sigma_scaled", property(raised_at_1))
-    assert _failed(w) == {"bernstein", "birkhoff", "charpoly", "pairing", "reduction", "v_order"}
+    assert _failed(w) == {"bernstein", "birkhoff", "charpoly", "pairing", "reduction", "spectrum", "v_order"}
 
 
 def _oracle_terms(rng: random.Random, mu: int, k: int) -> dict:

@@ -1,4 +1,7 @@
+import json
+import math
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 
@@ -18,6 +21,7 @@ from weightspec import (
 )
 from weightspec import linalg
 import weightspec.verify as verify_mod
+from weightspec.report import filtrations_payload, to_json
 from weightspec.verify import verify_jordan, verify_orthogonality
 
 from conftest import exhaustive_mu, random_systems, weight_systems_up_to
@@ -128,19 +132,63 @@ def test_primitive_examples():
 
 
 def test_filtration_examples():
-    report = saito_filtration(make_weight_system([1, 2, 3]))
-    assert report.hp[1] == {1, 2, 3, 4, 5}
-    assert report.hp[2] == {2}
+    sets = saito_filtration(make_weight_system([1, 2, 3])).index_sets()
+    assert sets["hp"][1] == [1, 2, 3, 4, 5]
+    assert sets["hp"][2] == [2]
 
     w = make_weight_system([1, 1, 1])
-    report = saito_filtration(w)
+    sets = saito_filtration(w).index_sets()
     for p in range(4):
-        assert report.hp.get(p, frozenset()) == frozenset(range(p, 3))
+        assert sets["hp"].get(p, []) == list(range(p, 3))
 
-    report = saito_filtration(make_weight_system([1, 1, 2]))
-    assert report.gp[0] == {0}
-    assert report.gp[1] == {0, 1, 3}
-    assert report.gp[2] == {0, 1, 2, 3}
+    sets = saito_filtration(make_weight_system([1, 1, 2])).index_sets()
+    assert sets["gp"][0] == [0]
+    assert sets["gp"][1] == [0, 1, 3]
+    assert sets["gp"][2] == [0, 1, 2, 3]
+
+
+def filtration_sets(w: WeightSystem) -> dict[str, dict[int, list[int]]]:
+    """Oracle for the index sets from their definitions, with the Fraction
+    sigma(k) = k - s(k) and nu(k) = r-1-2j at position j of a run of r
+    equal values s:  H^p = {floor(sigma) >= p}, G_p = {floor(sigma) <= p},
+    M_j = {nu <= j} and W_j = M_(j-n) on the zero class together with
+    M_(j-n-1) on the others."""
+    spec = spectrum_direct(w)
+    s = [F(v, spec.denominator) for v in spec.scaled]
+    sigma = [k - v for k, v in enumerate(s)]
+    nu = []
+    for _, run in groupby(s):
+        r = len(list(run))
+        nu.extend(r - 1 - 2 * j for j in range(r))
+    mu, n = w.mu, w.n
+
+    def m(j: int) -> set[int]:
+        return {k for k in range(mu) if nu[k] <= j}
+
+    zero_class = {k for k in range(mu) if s[k].denominator == 1}
+    return {
+        "hp": {p: [k for k in range(mu) if math.floor(sigma[k]) >= p] for p in range(n + 2)},
+        "gp": {p: [k for k in range(mu) if math.floor(sigma[k]) <= p] for p in range(n + 1)},
+        "m": {j: sorted(m(j)) for j in range(-n - 1, n + 2)},
+        "w": {
+            j: sorted(m(j - n) & zero_class | m(j - n - 1) - zero_class)
+            for j in range(-1, 2 * n + 2)
+        },
+    }
+
+
+def test_index_sets_match_set_definitions():
+    # three prime weights, mu 199: off the zero block every value is a distinct noninteger
+    systems = [WeightSystem(tup) for tup in weight_systems_up_to(exhaustive_mu(12))]
+    for w in systems + [make_weight_system([61, 67, 71])]:
+        expected = filtration_sets(w)
+        report = saito_filtration(w)
+        assert report.index_sets() == expected
+        payload = json.loads(to_json(filtrations_payload(w)))
+        for name, sets in expected.items():
+            assert payload[name] == {str(level): members for level, members in sets.items()}
+        assert payload["primitive"] == sorted(report.primitive)
+        assert payload["conjugation"] == list(report.conj)
 
 
 def test_conjugate_examples():
@@ -208,24 +256,28 @@ def test_orthogonality_examples():
         orthogonality_check(w, 6, 1)  # keys alpha*6 lie in 0..5
     with pytest.raises(UnknownEigenvalueClass):
         orthogonality_check(w, 3, 1)  # alpha*6 = 3 is not a class
+    # 1 is a class key of (1, 1, 3), but a key must be exactly an int
+    for key in (True, 1.0):
+        with pytest.raises(UnknownEigenvalueClass):
+            orthogonality_check(make_weight_system([1, 1, 3]), key, 1)
 
 
 def test_hodge_tate_all_ones():
     for n in range(1, 7):
         w = make_weight_system([1] * (n + 1))
-        report = saito_filtration(w)
+        sets = saito_filtration(w).index_sets()
         for p in range(n + 2):
-            assert report.hp[p] == report.m.get(n - 2 * p, frozenset())
+            assert sets["hp"][p] == sets["m"].get(n - 2 * p, [])
 
 
 def test_nilpotent_raises_filtration_level():
     for w in random_systems(seed=23, count=20, mu_max=50):
-        report = saito_filtration(w)
+        hp = saito_filtration(w).index_sets()["hp"]
         values = spectrum_direct(w).scaled
         for p in range(w.n + 1):
-            for k in report.hp[p]:
+            for k in hp[p]:
                 if k + 1 < w.mu and values[k + 1] == values[k]:
-                    assert k + 1 in report.hp[p + 1]
+                    assert k + 1 in hp[p + 1]
 
 
 def test_cor_max_bounds_small_corpus():

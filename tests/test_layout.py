@@ -18,7 +18,9 @@ the unit-fraction search each have one copy.
 The runtime stores A0, A_inf, g and N in structured form:
 ``FrobeniusInitialData`` has no dense ``a0`` or ``metric`` view and
 ``frobenius`` no ``_dense`` builder, since only the ``frobenius`` report
-writes dense rows.  ``linalg`` is kept as the dense exact reference that
+writes dense rows.  Likewise a ``FiltrationReport`` keeps one level per
+index and no ``hp``, ``gp``, ``m`` or ``w`` sets: only the ``filtrations``
+report asks ``index_sets`` for them, and sorts none.  ``linalg`` is kept as the dense exact reference that
 tests compare against, so no other package module may import it.
 """
 
@@ -32,6 +34,7 @@ from pathlib import Path
 
 import weightspec
 from weightspec import (
+    FiltrationReport,
     FrobeniusInitialData,
     GElement,
     JordanBlock,
@@ -92,6 +95,25 @@ def test_initial_data_keeps_no_dense_view():
     for gone in ("a0", "metric"):
         assert not hasattr(FrobeniusInitialData, gone), gone
     assert "_dense" not in _functions(frobenius)
+
+
+def test_filtrations_keep_one_level_per_index():
+    # a FiltrationReport holds levels; FiltrationReport.index_sets writes
+    # the sets, members ascending, so the report sorts none of them
+    for gone in ("hp", "gp", "m", "w"):
+        assert not hasattr(FiltrationReport, gone), gone
+    assert not _calls(_functions(filtrations)["saito_filtration"], "frozenset")
+    functions = _functions(report)
+    for name in ("filtrations_payload", "filtration_rows"):
+        sorts = [
+            ast.unparse(node)
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "sorted" or getattr(node.func, "attr", None) == "sort")
+        ]
+        # only the primitive block starts, a frozenset, are put in order
+        assert sorts == ["sorted(report.primitive)"], name
+        assert _calls(functions[name], "index_sets"), name
 
 
 def _init_imports() -> set[str]:
