@@ -44,14 +44,11 @@ from .filtrations import (
     FiltrationReport,
     JordanBlock,
     JordanData,
-    UnknownEigenvalueClass,
     conjugate_index,
     eigenvalue_classes,
     jordan_blocks,
-    orthogonality_check,
     primitive_indices,
     saito_filtration,
-    saito_identity_check,
 )
 from .reflexive import (
     DimensionTooLarge,
@@ -80,7 +77,6 @@ __all__ = [
     "Spectrum",
     "StepSequence",
     "TooFewWeights",
-    "UnknownEigenvalueClass",
     "WeightSystem",
     "WeightSystemError",
     "bernstein_check",
@@ -97,12 +93,10 @@ __all__ = [
     "jordan_blocks",
     "make_weight_system",
     "metric_partner",
-    "orthogonality_check",
     "primitive_indices",
     "reduce_monomial",
     "reduce_monomials",
     "saito_filtration",
-    "saito_identity_check",
     "spectral_polynomial",
     "spectrum_direct",
     "spectrum_from_steps",

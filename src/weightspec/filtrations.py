@@ -4,14 +4,15 @@ Everything here is combinatorial in the spectrum: indices k = 0..mu-1
 are grouped by the fractional part alpha(k) of the spectrum value
 (each class is a generalized eigenspace of the monodromy); within the
 canonical order a maximal run of equal values is a Jordan block of the
-nilpotent part.  The block structure determines monodromy weights nu_k,
-the conjugation involution on indices, and the orthogonality pattern of
-the metric across classes.  Each filtration is a threshold set of one
-level per index: the decreasing filtration H^p and its opposite G_p of
-floor(sigma), the weight filtration M of nu and the shifted weight
-filtration W of nu + n, one more off the integer classes.  A
-``FiltrationReport`` stores those levels; its ``index_sets`` writes the
-sets, for the ``filtrations`` report.
+nilpotent part.  The block structure determines monodromy weights nu_k
+and the conjugation involution on indices.  Each filtration is a
+threshold set of one level per index: the decreasing filtration H^p and
+its opposite G_p of floor(sigma), the weight filtration M of nu and the
+shifted weight filtration W of nu + n, one more off the integer classes.
+A ``FiltrationReport`` stores those levels; its ``index_sets`` writes
+the sets, for the ``filtrations`` report.  The ``saito`` and
+``orthogonality`` suites of ``verify`` check the opposite filtration and
+the metric orthogonality on these levels, every level at once.
 """
 
 from __future__ import annotations
@@ -21,13 +22,9 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .frobenius import _check_index, metric_partner
+from .frobenius import _check_index
 from .spectrum import IdentityViolation, spectrum_direct
 from .weights import WeightSystem
-
-
-class UnknownEigenvalueClass(ValueError):
-    """The requested fractional class does not occur in the spectrum."""
 
 
 class JordanBlock(NamedTuple):
@@ -174,44 +171,3 @@ def saito_filtration(w: WeightSystem) -> FiltrationReport:
     w_level = tuple(v + n + (s % d != 0) for v, s in zip(data.nu, spec.scaled))
     return FiltrationReport(spec.floors, data.nu, w_level, primitive_indices(w), data.conj)
 
-
-def saito_identity_check(w: WeightSystem, p: int) -> bool:
-    """Combinatorial identity behind the canonical opposite filtration:
-    conjugating {k : floor(sigma(k)) + nu(k) <= n - p, minus one more when
-    sigma(k) is not an integer} lands exactly on H^p = {k : floor(sigma(k)) >= p}."""
-    spec = spectrum_direct(w)
-    d, floors = spec.denominator, spec.floors
-    data = jordan_blocks(w)
-    nu, conj = data.nu, data.conj
-    selected = set()
-    for k in range(w.mu):
-        bound = w.n - p - (0 if spec.scaled[k] % d == 0 else 1)
-        if floors[k] + nu[k] <= bound:
-            selected.add(k)
-    image = {conj[k] for k in selected}
-    target = {k for k in range(w.mu) if floors[k] >= p}
-    return image == target
-
-
-def orthogonality_check(w: WeightSystem, key: int, p: int) -> bool:
-    """Check the metric-orthogonality of the canonical filtration across
-    partner classes, for the class keyed ``key`` = alpha*D as in
-    ``eigenvalue_classes``: the orthogonal complement of the span of
-    {k in class alpha : floor(sigma(k)) >= p}, taken inside the partner
-    class (1-alpha for alpha != 0, the zero class itself for alpha = 0),
-    must be the partner filtration piece at level n-p (resp. n+1-p).
-    A key that is not exactly an int (a bool, float or Fraction) is no
-    class."""
-    spec = spectrum_direct(w)
-    classes = eigenvalue_classes(w)
-    if type(key) is not int or key not in classes:
-        raise UnknownEigenvalueClass(f"no eigenvalue class with alpha*{spec.denominator} = {key}")
-    partner_class = classes.get(-key % spec.denominator, ())
-    floors = spec.floors
-    span = {k for k in classes[key] if floors[k] >= p}
-    complement = {
-        j for j in partner_class if metric_partner(j, w) not in span
-    }
-    level = w.n + 1 - p if key == 0 else w.n - p
-    expected = {j for j in partner_class if floors[j] >= level}
-    return complement == expected

@@ -51,8 +51,8 @@ if TYPE_CHECKING:
 
 
 class DimensionMismatch(ValueError):
-    """An element's mu or basis index does not fit the weight system, or a
-    basis index or tau-power is not an int."""
+    """An element's mu, a basis index or the exponents do not fit the
+    weight system, or an index, tau-power or exponent is not an int."""
 
 
 def _add_term(out: dict, key: tuple[int, int], c: int) -> None:
@@ -187,9 +187,9 @@ def _require_mu(x: GElement, w: WeightSystem) -> int:
 def canonical_exponents(a: Sequence[int], w: WeightSystem) -> tuple[int, ...]:
     """The representative of the torus exponents u^a modulo u^w = 1 with
     all entries >= 0 and some entry < w_i, obtained by adding the single
-    minimal multiple of w."""
-    if len(a) != w.n + 1:
-        raise DimensionMismatch(f"{len(a)} exponents for {w.n + 1} weights")
+    minimal multiple of w.  Each exponent must be exactly an int."""
+    if len(a) != w.n + 1 or any(type(ai) is not int for ai in a):
+        raise DimensionMismatch(f"exponents {a!r} are not {w.n + 1} ints")
     shift = -min(map(operator.floordiv, a, w.weights))
     if not shift:
         return tuple(a)  # a tuple itself, not a copy
@@ -312,8 +312,8 @@ def reduce_monomial(
     -(c/mu) * (m - sigma(k) + L_j(b)) * tau^(m-1) * omega_k
     + c * tau^m * omega_{k+1 mod mu}.
 
-    ``path`` is the sequence of coordinate increments to use (it must be a
-    rearrangement of the canonical exponents); by default it is
+    ``path`` is the sequence of coordinate increments to use (ints that
+    rearrange the canonical exponents); by default it is
     coordinate-major, all increments of coordinate 0 first.  The result is
     independent of the chosen path, which tests verify: moving every
     tau^(-1) to the left, the class is
@@ -323,7 +323,7 @@ def reduce_monomial(
     target = canonical_exponents(a, w)
     steps = [j for j, count in enumerate(target) for _ in range(count)]
     path = steps if path is None else list(path)
-    if sorted(path) != steps:
+    if any(type(j) is not int for j in path) or sorted(path) != steps:
         raise ValueError(f"path {path} does not lead to {target}")
     data = _step_data(w)
     flat = [1]

@@ -5,21 +5,16 @@ success), so the CLI, CI and the acceptance tests share one entry point.
 An :class:`IdentityViolation` raised by a builder a suite calls becomes
 that suite's one failure.
 All comparisons are exact and run on structured data (sparse entries, the
-metric involution, chains of the nilpotent shift), never on dense matrices.
+metric involution, chains of the nilpotent shift), never on dense matrices;
+the filtration identities read one level per index, for every p at once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .filtrations import (
-    eigenvalue_classes,
-    jordan_blocks,
-    orthogonality_check,
-    saito_filtration,
-    saito_identity_check,
-)
-from .frobenius import charpoly_A0, initial_data
+from .filtrations import eigenvalue_classes, jordan_blocks, saito_filtration
+from .frobenius import charpoly_A0, initial_data, metric_partner
 from .gaussmanin import (
     GElement,
     _derive,
@@ -133,16 +128,32 @@ def verify_jordan(w: WeightSystem) -> list[str]:
     return failures
 
 
+def _differing_levels(thresholds, last: int) -> list[int]:
+    """The levels p in 0..last where two threshold sets differ: an index
+    with thresholds (a, b) is in the one for p >= a and in the other for
+    p >= b, or in each below them, so the sets differ for p between a and b."""
+    levels = set()
+    for a, b in thresholds:
+        levels.update(range(max(min(a, b), 0), min(max(a, b), last + 1)))
+    return sorted(levels)
+
+
 def verify_saito(w: WeightSystem) -> list[str]:
+    """On the levels of ``saito_filtration``, every p at once: conj maps
+    {k : floors[k] + w_level[k] <= 2n - p} onto H^p = {k : floors[k] >= p}
+    (the opposite filtration), N raises the level, conj is an involution
+    that flips values and pairs blocks, and all-ones weights have H^p = M_(n-2p)."""
     failures = []
     mu, n = w.mu, w.n
     report = saito_filtration(w)
-    floors, nu = report.floors, report.nu
+    floors, nu, conj = report.floors, report.nu, report.conj
     spec = spectrum_direct(w)
     values, top = spec.scaled, mu * spec.denominator
-    for p in range(n + 2):
-        if not saito_identity_check(w, p):
-            failures.append(f"saito: opposite-filtration identity fails at p = {p}")
+    image_end = [0] * mu  # j is in the image for p < image_end[j]
+    for k, (f, level) in enumerate(zip(floors, report.w_level)):
+        image_end[conj[k]] = max(image_end[conj[k]], 2 * n + 1 - f - level)
+    for p in _differing_levels(zip(image_end, [f + 1 for f in floors]), n + 1):
+        failures.append(f"saito: opposite-filtration identity fails at p = {p}")
     # nilpotent operator maps H^p into H^(p+1): N sends k to k+1 within a
     # block, and fails at p when floor(sigma(k+1)) <= p <= floor(sigma(k))
     links = [k for k in range(mu - 1) if values[k + 1] == values[k]]
@@ -150,7 +161,6 @@ def verify_saito(w: WeightSystem) -> list[str]:
         for k in links:
             if floors[k + 1] <= p <= floors[k]:
                 failures.append(f"saito: N does not raise level at k = {k}, p = {p}")
-    conj = report.conj
     for k in range(mu):
         if conj[conj[k]] != k:
             failures.append(f"saito: conjugation not involutive at k = {k}")
@@ -166,19 +176,28 @@ def verify_saito(w: WeightSystem) -> list[str]:
             failures.append(f"saito: conjugate of block at {block.start} is not a block")
     if all(wi == 1 for wi in w.weights):
         # H^p = M_(n-2p): floor(sigma(k)) >= p exactly where nu(k) <= n - 2p
-        for p in range(n + 2):
-            if any((f >= p) != (v <= n - 2 * p) for f, v in zip(floors, nu)):
-                failures.append(f"saito: Hodge-Tate identity fails at p = {p}")
+        ends = [(f + 1, (n - v) // 2 + 1) for f, v in zip(floors, nu)]
+        for p in _differing_levels(ends, n + 1):
+            failures.append(f"saito: Hodge-Tate identity fails at p = {p}")
     return failures
 
 
 def verify_orthogonality(w: WeightSystem) -> list[str]:
+    """For each class alpha (keyed alpha*D), every p at once: the metric
+    complement of {k in alpha : floors[k] >= p} in the partner class
+    (1 - alpha; 0 for alpha = 0) is {j : floors[j] >= n - p}, n + 1 - p on
+    the zero class.  So j enters the complement at p = floors[k] + 1 for
+    its partner k = metric_partner(j), or at 0 when k is not in alpha."""
     failures = []
-    d = spectrum_direct(w).denominator
-    for key in sorted(eigenvalue_classes(w)):  # alpha*D; 0 is always a class
-        for p in range(w.n + 2):
-            if not orthogonality_check(w, key, p):
-                failures.append(f"orthogonality: fails at alpha = {rational_text(key, d)}, p = {p}")
+    spec = spectrum_direct(w)
+    d, floors, n = spec.denominator, spec.floors, w.n
+    classes = eigenvalue_classes(w)
+    for key in sorted(classes):  # alpha*D; 0 is always a class
+        members = set(classes[key])
+        partners = [(j, metric_partner(j, w)) for j in classes.get(-key % d, ())]
+        ends = [(floors[k] + 1 if k in members else 0, n + (key == 0) - floors[j]) for j, k in partners]
+        for p in _differing_levels(ends, n + 1):
+            failures.append(f"orthogonality: fails at alpha = {rational_text(key, d)}, p = {p}")
     return failures
 
 

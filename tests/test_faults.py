@@ -14,7 +14,6 @@ from types import SimpleNamespace
 import pytest
 
 import fraction_oracle
-import weightspec.filtrations as filtrations
 import weightspec.gaussmanin as gaussmanin
 import weightspec.reflexive as reflexive
 import weightspec.spectrum as spectrum
@@ -331,7 +330,9 @@ def test_saito_fault(monkeypatch):
 def test_saito_level_fault(monkeypatch):
     # on (1, 1, 1), floor(sigma) is 0, 1, 2 along the one block 0..2 and
     # nu is 2, 0, -2; lowering floor(sigma(1)) to 0 leaves N(omega_0) in
-    # level 0 and H^1 = {2} != M_0 = {1, 2}
+    # level 0 and H^1 = {2} != M_0 = {1, 2}; conj, the identity here, maps
+    # {k : floor(sigma(k)) + w_level(k) <= 4 - p} = {1, 2} at p = 1 and 2
+    # onto itself, but H^1 = H^2 = {2} now
     real = verify.saito_filtration
 
     def level_lowered(w):
@@ -341,9 +342,27 @@ def test_saito_level_fault(monkeypatch):
     monkeypatch.setattr(verify, "saito_filtration", level_lowered)
     results = verify_all(make_weight_system([1, 1, 1]))
     assert results.pop("saito") == [
+        "saito: opposite-filtration identity fails at p = 1",
+        "saito: opposite-filtration identity fails at p = 2",
         "saito: N does not raise level at k = 0, p = 0",
         "saito: Hodge-Tate identity fails at p = 1",
     ]
+    assert all(failures == [] for failures in results.values())
+
+
+def test_saito_w_level_fault(monkeypatch):
+    # w_level(0) = 2n on the zero block; one more takes index 0, which conj
+    # fixes, out of the image {k : floor(sigma(k)) + w_level(k) <= 2n - p}
+    # at p = 0, while H^0 keeps it; only the saito suite reads w_level
+    real = verify.saito_filtration
+
+    def level_raised(w):
+        report = real(w)
+        return report._replace(w_level=(report.w_level[0] + 1,) + report.w_level[1:])
+
+    monkeypatch.setattr(verify, "saito_filtration", level_raised)
+    results = verify_all(make_weight_system([2, 3, 7]))
+    assert results.pop("saito") == ["saito: opposite-filtration identity fails at p = 0"]
     assert all(failures == [] for failures in results.values())
 
 
@@ -379,13 +398,13 @@ def test_jordan_fault(monkeypatch, weights):
 # on (1, 2, 3) the swap changes no complement, so it is left out
 @pytest.mark.parametrize("weights", [(2, 3, 7), (1, 2, 12, 15, 30)])
 def test_orthogonality_fault(monkeypatch, weights):
-    # of all the suites, only orthogonality_check reads this name
-    real = filtrations.metric_partner
+    # of all the suites, only orthogonality reads this name
+    real = verify.metric_partner
 
     def partners_swapped(k, w):
         return real(2 * w.n + 3 - k if k in (w.n + 1, w.n + 2) else k, w)
 
-    monkeypatch.setattr(filtrations, "metric_partner", partners_swapped)
+    monkeypatch.setattr(verify, "metric_partner", partners_swapped)
     results = verify_all(make_weight_system(list(weights)))
     assert results.pop("orthogonality")
     assert all(failures == [] for failures in results.values())

@@ -7,22 +7,19 @@ import pytest
 
 from weightspec import (
     IndexOutOfRange,
-    UnknownEigenvalueClass,
     WeightSystem,
     conjugate_index,
     eigenvalue_classes,
     jordan_blocks,
     make_weight_system,
-    orthogonality_check,
     primitive_indices,
     saito_filtration,
-    saito_identity_check,
     spectrum_direct,
 )
 from weightspec import linalg
 import weightspec.verify as verify_mod
 from weightspec.report import filtrations_payload, to_json
-from weightspec.verify import verify_jordan, verify_orthogonality
+from weightspec.verify import verify_jordan, verify_orthogonality, verify_saito
 
 from conftest import exhaustive_mu, random_systems, weight_systems_up_to
 
@@ -239,27 +236,15 @@ def test_conjugation_pairs_blocks():
 
 
 def test_saito_identity_examples():
-    w = make_weight_system([1, 2, 3])
-    assert saito_identity_check(w, 1)
-    for tup in [(1, 1, 2), (1, 1, 3), (2, 3, 7)]:
-        assert saito_identity_check(make_weight_system(list(tup)), 0)
-    assert saito_identity_check(make_weight_system([1, 1, 3]), 2)
+    for tup in [(1, 2, 3), (1, 1, 2), (1, 1, 3), (2, 3, 7)]:
+        w = make_weight_system(list(tup))
+        assert verify_saito(w) == verify_orthogonality(w) == []
 
 
 def test_orthogonality_examples():
-    w = make_weight_system([1, 2, 3])
-    assert orthogonality_check(w, 0, 1)
-    for tup in [(1, 1, 1), (1, 1, 3), (2, 3, 7)]:
-        assert orthogonality_check(make_weight_system(list(tup)), 0, 0)
-    assert orthogonality_check(make_weight_system([1, 1, 3]), 1, 1)  # alpha*3 = 1
-    with pytest.raises(UnknownEigenvalueClass):
-        orthogonality_check(w, 6, 1)  # keys alpha*6 lie in 0..5
-    with pytest.raises(UnknownEigenvalueClass):
-        orthogonality_check(w, 3, 1)  # alpha*6 = 3 is not a class
-    # 1 is a class key of (1, 1, 3), but a key must be exactly an int
-    for key in (True, 1.0):
-        with pytest.raises(UnknownEigenvalueClass):
-            orthogonality_check(make_weight_system([1, 1, 3]), key, 1)
+    for tup in [(1, 2, 3), (1, 1, 1), (1, 1, 3), (2, 3, 7)]:
+        w = make_weight_system(list(tup))
+        assert verify_saito(w) == verify_orthogonality(w) == []
 
 
 def test_hodge_tate_all_ones():
@@ -296,13 +281,8 @@ def test_cor_max_bounds_small_corpus():
 def test_saito_suite_small_corpus():
     for tup in weight_systems_up_to(12):
         w = WeightSystem(tup)
-        for p in range(w.n + 2):
-            assert saito_identity_check(w, p)
-        classes = eigenvalue_classes(w)
-        assert 0 in classes
-        for key in classes:
-            for p in range(w.n + 2):
-                assert orthogonality_check(w, key, p)
+        assert 0 in eigenvalue_classes(w)
+        assert verify_saito(w) == verify_orthogonality(w) == []
 
 
 def test_class_failure_messages_print_alpha(monkeypatch):
@@ -315,14 +295,10 @@ def test_class_failure_messages_print_alpha(monkeypatch):
         "jordan: N has index 0 != 2 on class 1/2",
         "jordan: N has index 0 != 1 on class 1/4",
     ]
-    calls = []
-
-    def failing_at_p1(w, key, p):
-        calls.append(key)
-        return orthogonality_check(w, key, p) and p != 1
-
-    monkeypatch.setattr(verify_mod, "orthogonality_check", failing_at_p1)
+    # a metric that pairs each index with itself breaks every class, in
+    # the order of alpha*12: 0, 3, 6, 9
+    monkeypatch.setattr(verify_mod, "metric_partner", lambda j, w: j)
     assert verify_orthogonality(w) == [
-        f"orthogonality: fails at alpha = {a}, p = 1" for a in ("0", "1/4", "1/2", "3/4")
+        f"orthogonality: fails at alpha = {a}, p = {p}"
+        for a, p in [("0", 1), ("0", 2), ("1/4", 0), ("1/4", 1), ("1/2", 1), ("3/4", 0)]
     ]
-    assert sorted(set(calls)) == [0, 3, 6, 9]  # alpha*12

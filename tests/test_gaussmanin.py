@@ -174,6 +174,11 @@ def test_dimension_mismatch():
         v_order(GElement.zero(5), w)
     with pytest.raises(DimensionMismatch):
         canonical_exponents((1, 2), w)
+    # True == 1 and 1.0 == 1, but an exponent must be exactly an int
+    for entry in (True, 1.0, "1"):
+        for route in (canonical_exponents, reduce_monomial, f_action):
+            with pytest.raises(DimensionMismatch):
+                route([entry, 0, 0], w)
 
 
 def test_bernstein_examples():
@@ -254,6 +259,10 @@ def test_reduce_monomial_bad_path_rejected():
     for path in ([-1], [5]):
         with pytest.raises(ValueError):
             reduce_monomial([0, 0, 1], w, path=path)
+    # 0.0 == 0 and True == 1, but a path entry must be exactly an int
+    for path in ([0.0], [True], ["0"]):
+        with pytest.raises(ValueError):
+            reduce_monomial([1, 0, 0], w, path=path)
 
 
 def test_reduce_monomial_agrees_with_operator_composition():

@@ -20,7 +20,10 @@ The runtime stores A0, A_inf, g and N in structured form:
 ``frobenius`` no ``_dense`` builder, since only the ``frobenius`` report
 writes dense rows.  Likewise a ``FiltrationReport`` keeps one level per
 index and no ``hp``, ``gp``, ``m`` or ``w`` sets: only the ``filtrations``
-report asks ``index_sets`` for them, and sorts none.  ``linalg`` is kept as the dense exact reference that
+report asks ``index_sets`` for them, and sorts none.  The ``saito`` and
+``orthogonality`` suites check the opposite filtration and the
+orthogonality on those levels, so ``filtrations`` has no per-level check
+function and no exception of its own.  ``linalg`` is kept as the dense exact reference that
 tests compare against, so no other package module may import it.
 """
 
@@ -114,6 +117,14 @@ def test_filtrations_keep_one_level_per_index():
         # only the primitive block starts, a frozenset, are put in order
         assert sorts == ["sorted(report.primitive)"], name
         assert _calls(functions[name], "index_sets"), name
+
+
+def test_filtration_identities_live_in_their_suites():
+    # the saito and orthogonality suites check the opposite filtration and
+    # the orthogonality on the index levels, every level at once
+    for gone in ("saito_identity_check", "orthogonality_check", "UnknownEigenvalueClass"):
+        assert not hasattr(filtrations, gone), gone
+        assert gone not in weightspec.__all__, gone
 
 
 def _init_imports() -> set[str]:
@@ -264,13 +275,14 @@ def test_one_reduction_step():
 
 def test_one_copy_of_each_index_computation():
     # the conjugation is built once, as JordanData.conj; the metric
-    # identities are checked only where initial_data builds g; one
-    # validator checks a basis index; the unit-fraction search is one loop
+    # identities are checked only where initial_data builds g, and of the
+    # suites only orthogonality reads the partner; one validator checks a
+    # basis index; the unit-fraction search is one loop
     assert not hasattr(filtrations, "_conjugation")
     path = Path(verify.__file__)
-    tree = ast.parse(path.read_text(), filename=str(path))
-    for gone in ("metric_partner", "metric_violations"):
-        assert not _imports(tree, gone), gone
+    assert not _imports(ast.parse(path.read_text(), filename=str(path)), "metric_violations")
+    readers = [name for name, node in _functions(verify).items() if _calls(node, "metric_partner")]
+    assert readers == ["verify_orthogonality"]
     assert _calls(_functions(verify)["verify_pairing"], "initial_data")
     assert _calls(_functions(frobenius)["metric_partner"], "_check_index")
     assert _calls(_functions(filtrations)["conjugate_index"], "_check_index")
