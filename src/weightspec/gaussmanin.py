@@ -31,7 +31,9 @@ absorbs.  So a step rescales nothing, and the integers grow with the depth
 d, not with the number of steps.  A reduced class stays in this layout as
 ``(flat, total)``, and ``_unscaled`` is the one reader that turns such a
 state into an element.  Along the step sequence, omega_k = [u^a(k)] is the
-state [1] at total k, so every u^(a(k)+1_i) is one step from it.
+state [1] at total k, so every u^(a(k)+1_i) is one step from it, and
+f * omega_k = mu * omega_{k+1} + sigma(k) * tau^(-1) * omega_k, the
+Birkhoff normal form, is the state [mu, mu * sigma(k) * D] at total k + 1.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ more level of recursion: for each candidate q the rest num/den - 1/q is
 yields its tuples one at a time, so no level of it holds a list.  The sorted
 records of each dimension are built once per process and kept as a tuple
 by a cache bounded to DEFAULT_MAX_DIMENSION entries (dimensions 1..5
-together hold about 1.6 MB); ``enumerate_reflexive`` checks its bounds
-before it looks at the cache and returns a new list on each call.
+together hold about 1.6 MB); ``enumerate_reflexive`` checks n and its bound
+(both exactly ints) before it looks at the cache and returns a new list on each call.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ DEFAULT_MAX_DIMENSION = 5
 
 
 class DimensionTooLarge(ValueError):
-    """Requested dimension exceeds the enumeration bound."""
+    """Requested dimension or bound is not exactly an int, or the dimension
+    is below 1 or exceeds the bound."""
 
 
 class InconsistentRecord(ValueError):
@@ -114,6 +115,8 @@ def enumerate_reflexive(
 ) -> list[ReflexiveRecord]:
     """All reflexive weight systems of dimension n (n+1 weights), complete
     and duplicate-free, sorted by (mu, weights); a new list on each call."""
+    if type(n) is not int or type(max_dimension) is not int:  # True would hit the n = 1 entry
+        raise DimensionTooLarge(f"dimension {n!r} and bound {max_dimension!r} must be ints")
     if n < 1:
         raise DimensionTooLarge(f"dimension must be >= 1, got {n}")
     if n > max_dimension:

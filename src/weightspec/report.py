@@ -192,7 +192,7 @@ def _emit(value: Any, head: str, indent: str, out: list[str]) -> None:
             for key in sorted(value):  # encode_basestring_ascii rejects a non-str key
                 _emit(value[key], head + encode_basestring_ascii(key) + ": ", inner, out)
                 head = ",\n" + inner
-        elif all(type(item) is int for item in value):
+        elif set(map(type, value)) == {int}:
             out.append(head + (",\n" + inner).join(map(str, value)))
         else:
             for item in value:

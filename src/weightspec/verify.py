@@ -15,16 +15,7 @@ from collections import Counter
 
 from .filtrations import eigenvalue_classes, jordan_blocks, saito_filtration
 from .frobenius import charpoly_A0, initial_data, metric_partner
-from .gaussmanin import (
-    GElement,
-    _derive,
-    _step,
-    _step_data,
-    _unscaled,
-    bernstein_check,
-    birkhoff_matrices,
-    f_action,
-)
+from .gaussmanin import GElement, _derive, _step, _step_data, bernstein_check, birkhoff_matrices
 from .reflexive import has_integral_spectrum, is_reflexive
 from .spectrum import (
     IdentityViolation,
@@ -214,7 +205,10 @@ def verify_reduction(w: WeightSystem) -> list[str]:
     step from it in coordinate i.  u^a(0) = 1 is omega_0, and u^a(k+1) is
     omega_{k+1} iff a(k+1) = a(k) + 1_i(k) and that step's state is [1].  As
     every state scales entry d by (D*mu)^d, the w_i * flat_i add entry by
-    entry to the state that ``_unscaled`` must read as f_action(omega_k).
+    entry to the state of f * omega_k, the Birkhoff normal form
+    A0 + theta * A_inf on omega_k: mu * omega_{k+1} + sigma(k) * tau^(-1) *
+    omega_k is [mu, mu * sigma(k) * D] at total k + 1, with sigma(k) * D
+    read from ``spectrum_direct``, the diagonal ``initial_data`` stores as A_inf.
 
     The step itself is certified against the operator
     -(1/mu) tau^(-1) (tau_dtau + L) built from ``_derive``, on the one-term
@@ -224,6 +218,7 @@ def verify_reduction(w: WeightSystem) -> list[str]:
     failures = []
     data = _step_data(w)
     mu, weights, scale, _ = data
+    sigma = spectrum_direct(w).sigma_scaled
     rungs = [mu * (scale // wi) for wi in weights]
     exponents, indices = step_sequence(w)
     reached = not any(exponents[0])
@@ -235,11 +230,11 @@ def verify_reduction(w: WeightSystem) -> list[str]:
         i = indices[k]
         reached = states[i] == [1] and exponents[k + 1] == a[:i] + (a[i] + 1,) + a[i + 1:]
         # the states share total k + 1, so equal d is equal (k, m)
-        via_monomials = [0] * max(map(len, states))
+        via_monomials = [0] * max(2, *map(len, states))
         for wi, flat in zip(weights, states):
             for d, c in enumerate(flat):
                 via_monomials[d] += wi * c
-        if _unscaled(via_monomials, k + 1, w) != f_action(GElement.basis(mu, k), w):
+        if via_monomials != [mu, mu * sigma[k]]:
             failures.append(f"reduction: two routes for f*omega_{k} disagree")
         for d in (0, 1):
             # the operator on the state tau^(-d) * omega_k: over D, its shift

@@ -42,20 +42,23 @@ def _shifted(spec, k: int = 1):
     return spec._replace(scaled=tuple(scaled))
 
 
-def _planted(module, old: str, new: str) -> dict:
-    """The namespace of a copy of ``module`` whose source has the one
-    occurrence of ``old`` replaced by ``new``."""
+def _planted(module, *edits: str) -> dict:
+    """The namespace of a copy of ``module`` whose source has, for each
+    pair ``old, new`` of ``edits``, the one occurrence of ``old`` replaced
+    by ``new``."""
     source = inspect.getsource(module)
-    assert source.count(old) == 1, old
+    for old, new in zip(edits[::2], edits[1::2]):
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
     namespace = {"__name__": "weightspec._planted", "__package__": "weightspec"}
-    exec(compile(source.replace(old, new), f"<planted {module.__name__}>", "exec"), namespace)
+    exec(compile(source, f"<planted {module.__name__}>", "exec"), namespace)
     return namespace
 
 
-def _plant_in_gaussmanin(monkeypatch, old: str, new: str) -> SimpleNamespace:
-    """Point ``verify`` at a copy of ``gaussmanin`` whose source has the one
-    occurrence of ``old`` replaced by ``new``, and return that copy."""
-    namespace = _planted(gaussmanin, old, new)
+def _plant_in_gaussmanin(monkeypatch, *edits: str) -> SimpleNamespace:
+    """Point ``verify`` at a copy of ``gaussmanin`` with ``edits`` planted
+    as in ``_planted``, and return that copy."""
+    namespace = _planted(gaussmanin, *edits)
     shared = [name for name, value in vars(verify).items() if getattr(gaussmanin, name, None) is value]
     assert "GElement" in shared
     for name in shared:
@@ -92,6 +95,30 @@ def test_reduction_step_fault(monkeypatch, fault, weights):
     assert _failed(w) == {"reduction"}
 
 
+# sigma(1) raised by 1/D alike in the step and in the derivative's diagonal
+COMMON_SIGMA_FAULT = (
+    *STEP_FAULTS["sigma(1) shifted by 1/D"],
+    "(m * scale - sigma_scaled[k]) * c",
+    "(m * scale - sigma_scaled[k] - (k == 1)) * c",
+)
+
+
+@pytest.mark.parametrize("weights", STEP_FAULT_SYSTEMS)
+def test_common_sigma_fault(monkeypatch, weights):
+    # the certificate ties the step to the derivative, so it cannot see a
+    # shift common to both; the f route compares the steps with
+    # A0 + theta * A_inf read from the spectrum, as birkhoff compares the
+    # derivative with it
+    w = make_weight_system(list(weights))
+    _plant_in_gaussmanin(monkeypatch, *COMMON_SIGMA_FAULT)
+    results = verify_all(w)
+    assert results["reduction"] == [
+        "reduction: two routes for f*omega_1 disagree",
+        "reduction: class of u^a(2) != omega_2",
+    ]
+    assert {name for name, failures in results.items() if failures} == {"bernstein", "birkhoff", "reduction"}
+
+
 @pytest.mark.parametrize("weights", STEP_FAULT_SYSTEMS)
 def test_reduction_trailing_zero_fault(monkeypatch, weights):
     # a step strips its trailing zeros, so omega_k is exactly [1]
@@ -99,23 +126,21 @@ def test_reduction_trailing_zero_fault(monkeypatch, weights):
     assert _failed(make_weight_system(list(weights))) == {"reduction"}
 
 
-@pytest.mark.parametrize("weights", STEP_FAULT_SYSTEMS)
-def test_reduction_denominator_fault(monkeypatch, weights):
-    # entry d of a state is scaled by (D*mu)^d, so over the one denominator
-    # (D*mu)^top _unscaled gives it (D*mu)^(top - d); a wrong power skews
-    # every state with a term at d >= 1, as the f route's sum has
-    _plant_in_gaussmanin(monkeypatch, "step_denom ** (top - d)", "step_denom ** top")
-    assert _failed(make_weight_system(list(weights))) == {"reduction"}
-
-
 def _reduction_via_elements(w, gm) -> list[str]:
     """The reduction suite computed in ``GElement`` arithmetic from the
     module ``gm``: each ``_step`` state read as an element, the weighted sum
-    of the classes of u^(a(k)+1_i) against ``f_action`` on omega_k, and the
-    step on tau^(-d) * omega_k against -(1/mu) tau^(-1) (tau_dtau + L), all
-    in Fractions."""
+    of the classes of u^(a(k)+1_i) against column k of the Birkhoff normal
+    form A0 + theta * A_inf of ``initial_data``, and the step on
+    tau^(-d) * omega_k against -(1/mu) tau^(-1) (tau_dtau + L), all in
+    Fractions."""
     failures = []
     mu, data = w.mu, gm._step_data(w)
+    frobenius = verify.initial_data(w)
+    normal_form = [{} for _ in range(mu)]  # column k, as (j, m) -> coefficient
+    for (j, k), c in frobenius.a0_entries.items():
+        normal_form[k][j, 0] = c
+    for (j, k), c in frobenius.a_inf_entries.items():
+        normal_form[k][j, -1] = Fraction(c, frobenius.denominator)
     exponents, indices = verify.step_sequence(w)
     reached = not any(exponents[0])
     for k in range(mu):
@@ -130,7 +155,7 @@ def _reduction_via_elements(w, gm) -> list[str]:
         via_monomials = gm.GElement.zero(mu)
         for wi, image in zip(w.weights, images):
             via_monomials = via_monomials + image.scale(wi)
-        if via_monomials != gm.f_action(gm.GElement.basis(mu, k), w):
+        if via_monomials != gm.GElement(mu, normal_form[k]):
             failures.append(f"reduction: two routes for f*omega_{k} disagree")
         for d in (0, 1):
             start = [0] * d + [1]
@@ -366,6 +391,30 @@ def test_saito_w_level_fault(monkeypatch):
     assert all(failures == [] for failures in results.values())
 
 
+def test_saito_top_level_fault(monkeypatch):
+    # on (1, 1, 1) floor(sigma(2)) is n = 2; raised to n + 1 = 3, index 2
+    # stays in H^3, so the conj image and H^p differ at p = 2 and at the top
+    # level p = n + 1, and so do H^3 and M_(-4) = {}; the orthogonality
+    # suite reads its own floors, where both thresholds are at most n + 1,
+    # so level n + 1 can never differ there
+    real = verify.saito_filtration
+
+    def top_level_raised(w):
+        report = real(w)
+        return report._replace(floors=report.floors[:2] + (3,) + report.floors[3:])
+
+    monkeypatch.setattr(verify, "saito_filtration", top_level_raised)
+    w = make_weight_system([1, 1, 1])
+    assert real(w).floors[2] == w.n
+    results = verify_all(w)
+    assert results.pop("saito") == [
+        "saito: opposite-filtration identity fails at p = 2",
+        "saito: opposite-filtration identity fails at p = 3",
+        "saito: Hodge-Tate identity fails at p = 3",
+    ]
+    assert all(failures == [] for failures in results.values())
+
+
 @pytest.mark.parametrize("weights", SYSTEMS)
 def test_jordan_fault(monkeypatch, weights):
     # the largest block is the zero block 0..n, which the conjugation fixes
@@ -422,7 +471,7 @@ def test_reflexive_fault(monkeypatch):
 
 def test_v_order_fault(monkeypatch):
     # the derivative as the v_order suite calls it, and as the reduction
-    # suite's certificate does; the f route reaches it through f_action
+    # suite's certificate does; the f route reads no derivative
     real = verify._derive
 
     def shift_term_dropped(nums, w):

@@ -5,8 +5,10 @@ form, the package exports
 exactly what its `__init__` imports, a failed identity has one exception
 type, the CLI has one command path, monomial reduction has one integer
 step, which the ``reduction`` suite takes once from omega_k to each of its
-classes, and keeps each reduced class in that step's layout, read back as
-an element only by ``_unscaled``, multiplication by f is the derivative's
+classes, comparing their weighted sum with A0 + theta * A_inf in that
+step's layout and building no element, and keeps each reduced class in
+that layout, read back as an element only by ``_unscaled`` (which the
+suite never calls), multiplication by f is the derivative's
 operator, no module relies
 on ``assert``, ``report.to_json`` is the only JSON writer and its
 template the only place that writes a ``{"num", "den"}`` leaf, every
@@ -248,13 +250,16 @@ def test_one_reduction_step():
     assert _calls(functions["reduce_monomials"], "reduce_monomial")
     # the suite takes one step to each class from omega_k, with no walk from
     # omega_0: it compares the integer states, certifies the step against
-    # the derivative and turns the f route's summed state into an element
-    # through the one layout reader, _unscaled
+    # the derivative and compares the f route's summed state with
+    # A0 + theta * A_inf in the step layout, so it builds no element
     assert not hasattr(gaussmanin, "_reduce_walk")
     assert not hasattr(verify, "_reduction_targets")
     suite = _functions(verify)["verify_reduction"]
-    for callee in ("_step", "_derive", "_unscaled", "f_action"):
+    for callee in ("_step", "_derive"):
         assert _calls(suite, callee), callee
+    names = {node.id for node in ast.walk(suite) if isinstance(node, ast.Name)}
+    assert not names & {"_unscaled", "f_action", "GElement"}
+    assert not hasattr(verify, "_unscaled") and not hasattr(verify, "f_action")
     path = Path(verify.__file__)
     tree = ast.parse(path.read_text(), filename=str(path))
     for name in ("reduce_monomial", "reduce_monomials", "_raw"):

@@ -228,6 +228,17 @@ def test_dimension_bounds():
     assert len(enumerate_reflexive(5, max_dimension=5)) == 3462
 
 
+@pytest.mark.parametrize(
+    "n, bound", [(True, 5), (2.0, 5), ("2", 5), (None, 5), (1, True), (5, 5.0), (2, "5"), (2, None)]
+)
+def test_dimension_and_bound_must_be_ints(n, bound):
+    # True equals 1, so without the type check it would read the n = 1 entry
+    _sorted_records.cache_clear()
+    with pytest.raises(DimensionTooLarge):
+        enumerate_reflexive(n, max_dimension=bound)
+    assert _sorted_records.cache_info().currsize == 0
+
+
 def test_integrality_iff_reflexive():
     for tup in weight_systems_up_to(exhaustive_mu(16)):
         w = WeightSystem(tup)
