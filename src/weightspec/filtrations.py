@@ -17,6 +17,7 @@ the metric orthogonality on these levels, every level at once.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import lru_cache
 from types import MappingProxyType
@@ -87,11 +88,18 @@ class FiltrationReport(NamedTuple):
         """
         n = self.nu[0]  # the zero block 0..n has top weight n
 
-        def below(levels: tuple[int, ...], js: range) -> dict[int, list[int]]:
-            return {j: [k for k, v in enumerate(levels) if v <= j] for j in js}
+        def ranked(levels: tuple[int, ...]) -> tuple[list[int], list[int]]:
+            # indices by level, ties by index, and their levels: {k : levels[k]
+            # <= j} is a prefix of ascending runs, which sorted() merges
+            return sorted(range(len(levels)), key=levels.__getitem__), sorted(levels)
 
+        def below(levels: tuple[int, ...], js: range) -> dict[int, list[int]]:
+            order, rank = ranked(levels)
+            return {j: sorted(order[: bisect_right(rank, j)]) for j in js}
+
+        order, rank = ranked(self.floors)
         return {
-            "hp": {p: [k for k, f in enumerate(self.floors) if f >= p] for p in range(n + 2)},
+            "hp": {p: sorted(order[bisect_left(rank, p) :]) for p in range(n + 2)},
             "gp": below(self.floors, range(n + 1)),
             "m": below(self.nu, range(-n - 1, n + 2)),
             "w": below(self.w_level, range(-1, 2 * n + 2)),

@@ -16,12 +16,17 @@ to its pure-Python encoder.  Strings go through the C escaper that
 load the ``json`` package; where ``_json`` is missing, as
 ``json.encoder`` does, it falls back to that module's pure-Python escaper.
 CSV and table text writes a rational with ``spectrum.rational_text``.
+The ``reflexive`` report is written by column: its payload is a
+:class:`RecordList`, and its CSV and table writers fill a one-line ``%s``
+template, repeated once per record, in one ``%``-format.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain, islice
 from math import gcd
+from operator import add, attrgetter
 from typing import TYPE_CHECKING, Any
 
 from . import __version__
@@ -37,7 +42,7 @@ except ImportError:
     from json.encoder import encode_basestring_ascii
 
 if TYPE_CHECKING:
-    from collections.abc import Sequence
+    from collections.abc import Iterable, Sequence
     from typing import Union
 
     Column = Union[list[int], "RationalColumn", "RecordList", "GroupedColumn"]
@@ -60,7 +65,11 @@ class RationalColumn:
         nums, den = self.nums, self.den
         _check_ints(nums)
         template = f'{{\n{indent}  "den": %d,\n{indent}  "num": %d\n{indent}}}'
-        return [template % (den // (g := gcd(v, den)), v // g) for v in nums]
+        try:
+            return [template % (den // (g := gcd(v, den)), v // g) for v in nums]
+        except ValueError:  # an int past CPython's int-to-text digit limit
+            template = template.replace("%d", "%s")
+            return [template % (_int_text(den // (g := gcd(v, den))), _int_text(v // g)) for v in nums]
 
 
 class RecordList:
@@ -84,7 +93,7 @@ class RecordList:
         keys = sorted(self.columns)  # encode_basestring_ascii rejects a non-str key
         heads = [inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
         template = "{\n" + ",\n".join(heads) + "\n" + indent + "}"
-        return [template % row for row in zip(*(_texts(self.columns[key], inner) for key in keys))]
+        return list(map(template.__mod__, zip(*(_texts(self.columns[key], inner) for key in keys))))
 
 
 class GroupedColumn:
@@ -102,14 +111,15 @@ class GroupedColumn:
         return len(self.sizes)
 
     def texts(self, indent: str) -> list[str]:
-        """The JSON text of each group, closed at ``indent``; every item is
-        written in one pass first."""
-        flat = _texts(self.column, indent + "  ")
-        groups, start = [], 0
-        for size in self.sizes:
-            groups.append(_list_text(flat[start : start + size], indent))
-            start += size
-        return groups
+        """The JSON text of each group, closed at ``indent``; the item texts
+        come from one pass over the column."""
+        inner = indent + "  "
+        flat = iter(_texts(self.column, inner))
+        opening, separator, closing = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
+        return [
+            opening + separator.join(islice(flat, size)) + closing if size else "[]"
+            for size in self.sizes
+        ]
 
 
 _NODES = (RationalColumn, RecordList, GroupedColumn)
@@ -121,20 +131,23 @@ def _check_ints(values: Sequence[int]) -> None:
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _texts(column: Column, indent: str) -> list[str]:
-    # the JSON text of each value of a column, closed at indent
+def _texts(column: Column, indent: str) -> Iterable[str]:
+    # the JSON text of each value of a column, closed at indent; an int's
+    # text is made as it is read
     if type(column) in _NODES:
         return column.texts(indent)
     _check_ints(column)
-    return list(map(str, column))
+    return map(str, column)
 
 
-def _list_text(texts: list[str], indent: str) -> str:
-    # a JSON list closed at indent whose items are texts
-    if not texts:
-        return "[]"
-    inner = indent + "  "
-    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
+def _int_text(value: int) -> str:
+    # str(value), also past CPython's int-to-text digit limit: the digits in
+    # chunks of 4000, every chunk but the first zero-padded
+    chunks, rest = [], abs(value)
+    while rest >= 10**4000:
+        rest, low = divmod(rest, 10**4000)
+        chunks.append(str(low).zfill(4000))
+    return "-" * (value < 0) + str(rest) + "".join(reversed(chunks))
 
 
 def envelope(
@@ -171,8 +184,8 @@ def _emit(value: Any, head: str, indent: str, out: list[str]) -> None:
 
     ``head`` is what precedes the value (separator, newline, indent and
     ``"key": ``); a scalar goes into ``out`` with it as one string, which
-    keeps the list short.  Two shapes go in as one string too: a list of
-    ints, joined, and a column node, from its item texts.  Only dicts with
+    keeps the list short.  A list of ints goes in as one string too, and a
+    column node as its item texts joined, after ``head``.  Only dicts with
     str keys, lists, str, int and the column nodes are JSON here: anything
     else, bool and None included, is a TypeError.
     """
@@ -181,8 +194,8 @@ def _emit(value: Any, head: str, indent: str, out: list[str]) -> None:
         out.append(head + str(value))
     elif kind is str:
         out.append(head + encode_basestring_ascii(value))
-    elif kind is list or kind is dict:
-        opening, closing = ("[", "]") if kind is list else ("{", "}")
+    elif kind is list or kind is dict or kind in _NODES:
+        opening, closing = ("{", "}") if kind is dict else ("[", "]")
         if not value:
             out.append(head + opening + closing)
             return
@@ -192,6 +205,8 @@ def _emit(value: Any, head: str, indent: str, out: list[str]) -> None:
             for key in sorted(value):  # encode_basestring_ascii rejects a non-str key
                 _emit(value[key], head + encode_basestring_ascii(key) + ": ", inner, out)
                 head = ",\n" + inner
+        elif kind in _NODES:  # head + the joined texts would copy them again
+            out += (head, (",\n" + inner).join(value.texts(inner)))
         elif set(map(type, value)) == {int}:
             out.append(head + (",\n" + inner).join(map(str, value)))
         else:
@@ -199,8 +214,6 @@ def _emit(value: Any, head: str, indent: str, out: list[str]) -> None:
                 _emit(item, head, inner, out)
                 head = ",\n" + inner
         out.append("\n" + indent + closing)
-    elif kind in _NODES:
-        out.append(head + _list_text(value.texts(indent + "  "), indent))
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -288,14 +301,21 @@ def filtrations_payload(w: WeightSystem) -> dict[str, Any]:
     return payload
 
 
+_weights, _mu = attrgetter("weights.weights"), attrgetter("mu")
+
+
 def reflexive_payload(records: list[ReflexiveRecord], n: int) -> dict[str, Any]:
+    sizes = [n + 1] * len(records)
     return {
         "dimension": n,
         "count": len(records),
-        "systems": [
-            {"weights": list(r.weights.weights), "mu": r.mu, "q": list(r.q)}
-            for r in records
-        ],
+        "systems": RecordList(
+            {
+                "weights": GroupedColumn(list(chain.from_iterable(map(_weights, records))), sizes),
+                "mu": list(map(_mu, records)),
+                "q": GroupedColumn(list(chain.from_iterable(map(attrgetter("q"), records))), sizes),
+            }
+        ),
     }
 
 
@@ -382,18 +402,19 @@ def filtration_rows(w: WeightSystem) -> tuple[list[str], list[list[str]]]:
     return headers, rows
 
 
+def _reflexive_lines(records: list[ReflexiveRecord], line: str) -> str:
+    # one %-format: ``line`` once per record, filled with the weights and
+    # mu of all records in turn; %s writes each value as str() does
+    values = tuple(chain.from_iterable(map(add, map(_weights, records), zip(map(_mu, records)))))
+    return line * len(records) % values
+
+
 def reflexive_table_text(records: list[ReflexiveRecord]) -> str:
-    lines = []
-    for r in records:
-        lines.append(
-            " ".join(str(wi) for wi in r.weights.weights) + f" | {r.mu}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One line ``w0 w1 ... wn | mu`` per record; all records have one n."""
+    width = len(_weights(records[0])) if records else 0
+    return _reflexive_lines(records, " ".join(["%s"] * width) + " | %s\n")
 
 
 def reflexive_csv(records: list[ReflexiveRecord], n: int) -> str:
-    headers = [f"w{i}" for i in range(n + 1)] + ["mu"]
-    rows = [
-        [str(wi) for wi in r.weights.weights] + [str(r.mu)] for r in records
-    ]
-    return render_csv(headers, rows)
+    header = ",".join([f"w{i}" for i in range(n + 1)] + ["mu"])
+    return header + "\n" + _reflexive_lines(records, ",".join(["%s"] * (n + 2)) + "\n")

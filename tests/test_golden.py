@@ -18,7 +18,9 @@ It also pins the rows path at the same sizes, the spectrum CSV of mu 4001
 and the Frobenius table of mu 96, with digests taken while the sigma
 columns were still built from ``Fraction`` spectral numbers, and the
 spectrum and Jordan tables of mu 4001, with digests taken while
-``rational_text`` still went through the ``{"num", "den"}`` dict.
+``rational_text`` still went through the ``{"num", "den"}`` dict.  The
+CSV and table of ``reflexive -n 5`` (3,462 records) are pinned with
+digests taken while both writers still built one line per record.
 """
 
 import contextlib
@@ -170,6 +172,8 @@ GOLDEN_LARGE = {
     "spectrum -w 1319,1321,1361 --format table": (0, "a69d0cb34b1d30d0c708083f8fe533e80c28f1cc86122f420d41ca277efbe760"),
     "jordan -w 1319,1321,1361 --format table": (0, "c05454a6400743117ab061b616a5e42627f320d277c9c5e52bb86804179f1b9c"),
     "reflexive -n 5 --format json": (0, "73305da44e1bcf5219e1eb0dd2b2dfc204bbca801f2470a662f78dfe5fa15261"),
+    "reflexive -n 5 --format csv": (0, "4ceb5ebafa1f79b5cd8480ea0fa3d956aeb32854b68ee96ca307451d7833bc3b"),
+    "reflexive -n 5 --format table": (0, "5793b0cb2036b227f4a8e754806f4fd7e7a71d94083c66fd68984a75fccb10bc"),
 }
 
 

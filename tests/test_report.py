@@ -18,7 +18,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightspec import WeightSystem, report, spectrum
+from weightspec import WeightSystem, enumerate_reflexive, make_weight_system, report, spectrum
 from weightspec.report import (
     GroupedColumn,
     RationalColumn,
@@ -27,6 +27,9 @@ from weightspec.report import (
     frobenius_payload,
     jordan_payload,
     rational_text,
+    reflexive_csv,
+    reflexive_payload,
+    reflexive_table_text,
     spectrum_payload,
     to_json,
 )
@@ -125,6 +128,35 @@ def test_encoders_reduce_like_fraction():
             assert rational_text(num, d) == str(F(num, d))
     # the reports and the failure messages share one formatter
     assert rational_text is spectrum.rational_text
+
+
+def _decimal(value: int) -> str:
+    # str(value) past CPython's int-to-text digit limit, in 1000-digit chunks
+    chunks, rest = [], abs(value)
+    while rest:
+        rest, low = divmod(rest, 10**1000)
+        chunks.append(f"{low:01000d}")
+    return "-" * (value < 0) + ("".join(reversed(chunks)).lstrip("0") or "0")
+
+
+def test_ints_past_the_digit_limit_are_written_in_full():
+    # the charpoly T^mu - mu^mu of mu = 1371 ends in a 4,300-digit constant
+    mu = 1371
+    charpoly = frobenius_payload(make_weight_system([7, 1364]))["charpoly"]
+    constant = -(mu**mu)
+    assert charpoly.nums == [1] + [0] * (mu - 1) + [constant]
+    zeros = json.dumps([enc(F(v)) for v in charpoly.nums[:-1] + [0]], sort_keys=True, indent=2)
+    head, tail = zeros.rsplit('"num": 0', 1)
+    assert to_json(charpoly) == head + f'"num": {_decimal(constant)}' + tail + "\n"
+    # either side of a 4000-digit chunk, reduced over a large denominator
+    big = [10**4000, 10**4000 - 1, -(10**8000) * 7, 3 * 10**4300 + 1]
+    den = 2 * 10**4400
+    texts = json.dumps([{"den": 0, "num": 0}] * len(big), sort_keys=True, indent=2).split('"den": 0')
+    expected = texts[0]
+    for num, text in zip(big, texts[1:]):
+        g = math.gcd(num, den)
+        expected += f'"den": {_decimal(den // g)}' + text.replace("0", _decimal(num // g), 1)
+    assert to_json(RationalColumn(big, den)) == expected + "\n"
 
 
 # quotes, backslashes, control and non-ASCII characters, and astral ones
@@ -297,3 +329,27 @@ def test_column_nodes_match_json_dumps(node, wrappers):
     for in_list in wrappers:
         doc, expected = ([0, doc], [0, expected]) if in_list else ({"k": doc, "z": []}, {"k": expected, "z": []})
     assert to_json(doc) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+# --- the reflexive reports against per-record oracles ----------------------
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_reflexive_reports_match_per_record_oracles(n):
+    records = enumerate_reflexive(n)
+    systems = [{"weights": list(r.weights.weights), "mu": r.mu, "q": list(r.q)} for r in records]
+    doc = envelope("reflexive-list", {"dimension": n, "count": len(records), "systems": systems})
+    payload = reflexive_payload(records, n)
+    assert to_json(envelope("reflexive-list", payload)) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    rows = [[*map(str, r.weights.weights), str(r.mu)] for r in records]
+    header = [f"w{i}" for i in range(n + 1)] + ["mu"]
+    assert reflexive_csv(records, n) == "".join(",".join(row) + "\n" for row in [header, *rows])
+    table = "".join(" ".join(row[:-1]) + " | " + row[-1] + "\n" for row in rows)
+    assert reflexive_table_text(records) == table
+
+
+def test_reflexive_reports_of_no_records():
+    assert reflexive_table_text([]) == ""
+    assert reflexive_csv([], 2) == "w0,w1,w2,mu\n"
+    doc = {"dimension": 2, "count": 0, "systems": []}
+    assert to_json(reflexive_payload([], 2)) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
