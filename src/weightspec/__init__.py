@@ -29,7 +29,6 @@ from .gaussmanin import (
     canonical_exponents,
     f_action,
     reduce_monomial,
-    reduce_monomials,
     tau_dtau,
     v_order,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "metric_partner",
     "primitive_indices",
     "reduce_monomial",
-    "reduce_monomials",
     "saito_filtration",
     "spectral_polynomial",
     "spectrum_direct",

@@ -147,10 +147,9 @@ def jordan_blocks(w: WeightSystem) -> JordanData:
     return JordanData(d, tuple(blocks), tuple(nu), tuple(offset), conj)
 
 
-@lru_cache(maxsize=1024)
 def eigenvalue_classes(w: WeightSystem) -> Mapping[int, tuple[int, ...]]:
     """Indices grouped by fractional part alpha, keyed by alpha*D with
-    D = lcm(w), in canonical order; cached, read-only."""
+    D = lcm(w), in canonical order; read-only."""
     spec = spectrum_direct(w)
     classes: dict[int, list[int]] = {}
     for k, v in enumerate(spec.scaled):

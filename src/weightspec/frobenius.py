@@ -13,6 +13,7 @@ so its eigenvalues are the mu critical values of the defining linear form.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .spectrum import IdentityViolation, spectrum_direct
@@ -58,16 +59,17 @@ class FrobeniusInitialData(NamedTuple):
     def charpoly(self) -> list[int]:
         """det(T*I - A0), leading coefficient first.  A0 is monomial, so
         this is the product over the cycles C of its permutation of
-        (T^|C| - product of the entries on C)."""
+        (T^|C| - prod c^m), over the entries c of C, m the times c occurs."""
         image = {k: (j, c) for (j, k), c in self.a0_entries.items()}
         poly = [1]
         while image:
-            start, (k, product) = image.popitem()
-            length = 1
+            start, (k, c) = image.popitem()
+            counts = {c: 1}
             while k != start:
                 k, c = image.pop(k)
-                product, length = product * c, length + 1
-            pad = [0] * length
+                counts[c] = counts.get(c, 0) + 1
+            product = math.prod(pow(c, m) for c, m in counts.items())
+            pad = [0] * sum(counts.values())
             poly = [a - product * b for a, b in zip(poly + pad, pad + poly)]
         return poly
 
@@ -79,16 +81,18 @@ def metric_partner(k: int, w: WeightSystem) -> int:
 
 
 def metric_violations(n: int, sigma: tuple, partner: tuple[int, ...]) -> list[str]:
-    """The metric identities in O(mu), one message per failing index: g is
-    symmetric and involutive iff partner[partner[k]] = k, and
-    g*A_inf + A_inf^T*g = n*g iff sigma[k] + sigma[partner[k]] = n, with n
-    and sigma in one unit (1/D for the ints sigma(k) * D)."""
-    bad = []
+    """The metric identities in O(mu), one message per failing index: g is a
+    symmetric involution iff partner[partner[k]] = k, g*A_inf + A_inf^T*g = n*g
+    iff sigma[k] + sigma[partner[k]] = n (n, sigma in one unit), and g is
+    invariant under A0 iff partner[k + 1] = partner[k] - 1 (mod mu)."""
+    bad, mu = [], len(partner)
     for k, p in enumerate(partner):
-        if not 0 <= p < len(partner) or partner[p] != k:
+        if not 0 <= p < mu or partner[p] != k:
             bad.append(f"g is not a symmetric involution at k = {k}")
         elif sigma[k] + sigma[p] != n:
             bad.append(f"g*A_inf + A_inf^T*g != n*g at k = {k}")
+        elif partner[(k + 1) % mu] != (p - 1) % mu:
+            bad.append(f"g is not invariant under the product at k = {k}")
     return bad
 
 

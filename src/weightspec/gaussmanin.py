@@ -336,12 +336,6 @@ def reduce_monomial(
     return _unscaled(flat, len(path), w)
 
 
-def reduce_monomials(targets: Sequence[Sequence[int]], w: WeightSystem) -> list[GElement]:
-    """``[reduce_monomial(a, w) for a in targets]``: each class reduced from
-    omega_0 along its own coordinate-major path."""
-    return [reduce_monomial(a, w) for a in targets]
-
-
 def f_action(x: GElement | Sequence[int], w: WeightSystem) -> GElement:
     """Multiply by the defining linear form f = sum_i w_i u_i, which acts as
     theta^2 d_theta = -tau^(-1) tau_dtau, Leibniz rule included.  A monomial

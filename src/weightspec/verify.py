@@ -2,8 +2,8 @@
 
 Each suite returns a list of human-readable failure strings (empty on
 success), so the CLI, CI and the acceptance tests share one entry point.
-An :class:`IdentityViolation` raised by a builder a suite calls becomes
-that suite's one failure.
+A suite reads each fact through ``built``, so a pass builds it once; an
+:class:`IdentityViolation` its builder raises fails each suite reading it.
 All comparisons are exact and run on structured data (sparse entries, the
 metric involution, chains of the nilpotent shift), never on dense matrices;
 the filtration identities read one level per index, for every p at once.
@@ -12,9 +12,10 @@ the filtration identities read one level per index, for every p at once.
 from __future__ import annotations
 
 from collections import Counter
+from typing import Callable
 
 from .filtrations import eigenvalue_classes, jordan_blocks, saito_filtration
-from .frobenius import charpoly_A0, initial_data, metric_partner
+from .frobenius import initial_data, metric_partner
 from .gaussmanin import GElement, _derive, _step, _step_data, bernstein_check, birkhoff_matrices
 from .reflexive import has_integral_spectrum, is_reflexive
 from .spectrum import (
@@ -28,11 +29,16 @@ from .spectrum import (
 from .weights import WeightSystem
 
 
-def verify_spectrum(w: WeightSystem) -> list[str]:
+def _steps(w: WeightSystem):
+    """The recursion to 2*mu: periodicity reads past mu, the others to mu."""
+    return step_sequence(w, k_max=2 * w.mu)
+
+
+def verify_spectrum(w: WeightSystem, built: Callable) -> list[str]:
     """Two-route equality, canonical tie order, symmetry and range."""
     failures = []
-    by_steps = spectrum_from_steps(step_sequence(w), w)
-    direct = spectrum_direct(w)
+    by_steps = spectrum_from_steps(built(_steps), w)
+    direct = built(spectrum_direct)
     if by_steps.scaled != direct.scaled:
         failures.append("spectrum: recursion and multiset merge disagree")
     # with equal values, equal ladders also give equal rungs l = s*w_i/mu
@@ -42,11 +48,11 @@ def verify_spectrum(w: WeightSystem) -> list[str]:
     return failures
 
 
-def verify_periodicity(w: WeightSystem) -> list[str]:
+def verify_periodicity(w: WeightSystem, built: Callable) -> list[str]:
     """Extended recursion: i(k+mu) = i(k) and the exponent gains one w."""
     failures = []
     mu = w.mu
-    seq = step_sequence(w, k_max=2 * mu)
+    seq = built(_steps)
     for k in range(mu):
         if seq.indices[k + mu] != seq.indices[k]:
             failures.append(f"periodicity: i({k + mu}) != i({k})")
@@ -57,17 +63,17 @@ def verify_periodicity(w: WeightSystem) -> list[str]:
     return failures
 
 
-def verify_bernstein(w: WeightSystem) -> list[str]:
+def verify_bernstein(w: WeightSystem, built: Callable) -> list[str]:
     expected = GElement.basis(w.mu, 0, tau_power=w.mu)
-    if bernstein_check(w) != expected:
+    if built(bernstein_check) != expected:
         return ["bernstein: product on omega_0 != tau^mu * omega_0"]
     return []
 
 
-def verify_birkhoff(w: WeightSystem) -> list[str]:
+def verify_birkhoff(w: WeightSystem, built: Callable) -> list[str]:
     failures = []
-    data = initial_data(w)
-    a0, ainf = birkhoff_matrices(w)  # both in units of 1/D, never floored
+    data = built(initial_data)
+    a0, ainf = built(birkhoff_matrices)  # both in units of 1/D, never floored
     if a0 != {key: c * data.denominator for key, c in data.a0_entries.items()}:
         failures.append("birkhoff: A0 is not mu * cyclic shift")
     if ainf != data.a_inf_entries:
@@ -75,19 +81,19 @@ def verify_birkhoff(w: WeightSystem) -> list[str]:
     return failures
 
 
-def verify_charpoly(w: WeightSystem) -> list[str]:
+def verify_charpoly(w: WeightSystem, built: Callable) -> list[str]:
     mu = w.mu
     expected = [1] + [0] * (mu - 1) + [-(mu**mu)]
-    if charpoly_A0(w) != expected:
+    if built(initial_data).charpoly() != expected:
         return ["charpoly: det(T*I - A0) != T^mu - mu^mu"]
     return []
 
 
-def verify_pairing(w: WeightSystem) -> list[str]:
+def verify_pairing(w: WeightSystem, built: Callable) -> list[str]:
     """The metric identities, checked where ``initial_data`` builds g: its
     first violation, raised as :class:`IdentityViolation`, becomes this
     suite's one failure through ``verify_all``."""
-    initial_data(w)
+    built(initial_data)
     return []
 
 
@@ -102,14 +108,14 @@ def _longest_chain(indices: tuple[int, ...], values: tuple[int, ...]) -> int:
     return longest
 
 
-def verify_jordan(w: WeightSystem) -> list[str]:
+def verify_jordan(w: WeightSystem, built: Callable) -> list[str]:
     failures = []
-    data = jordan_blocks(w)
+    data = built(jordan_blocks)
     # block multiset must match value multiplicities of the direct oracle
-    values = spectrum_direct(w).scaled
+    values = built(spectrum_direct).scaled
     if data.size_multiset() != Counter(Counter(values).values()):
         failures.append("jordan: block sizes != value multiplicities")
-    classes = eigenvalue_classes(w)
+    classes = built(eigenvalue_classes)
     for alpha, blocks in data.classes().items():  # both keyed by alpha*D
         largest = max(b.size for b in blocks)
         chain = _longest_chain(classes.get(alpha, ()), values)
@@ -129,16 +135,16 @@ def _differing_levels(thresholds, last: int) -> list[int]:
     return sorted(levels)
 
 
-def verify_saito(w: WeightSystem) -> list[str]:
+def verify_saito(w: WeightSystem, built: Callable) -> list[str]:
     """On the levels of ``saito_filtration``, every p at once: conj maps
     {k : floors[k] + w_level[k] <= 2n - p} onto H^p = {k : floors[k] >= p}
     (the opposite filtration), N raises the level, conj is an involution
     that flips values and pairs blocks, and all-ones weights have H^p = M_(n-2p)."""
     failures = []
     mu, n = w.mu, w.n
-    report = saito_filtration(w)
+    report = built(saito_filtration)
     floors, nu, conj = report.floors, report.nu, report.conj
-    spec = spectrum_direct(w)
+    spec = built(spectrum_direct)
     values, top = spec.scaled, mu * spec.denominator
     image_end = [0] * mu  # j is in the image for p < image_end[j]
     for k, (f, level) in enumerate(zip(floors, report.w_level)):
@@ -158,7 +164,7 @@ def verify_saito(w: WeightSystem) -> list[str]:
         if k > n and values[conj[k]] != top - values[k]:
             failures.append(f"saito: value of conjugate wrong at k = {k}")
     # conjugation pairs whole blocks
-    blocks = jordan_blocks(w).blocks
+    blocks = built(jordan_blocks).blocks
     starts = {b.start: b for b in blocks}
     for block in blocks:
         image = {conj[k] for k in block.indices}
@@ -173,16 +179,16 @@ def verify_saito(w: WeightSystem) -> list[str]:
     return failures
 
 
-def verify_orthogonality(w: WeightSystem) -> list[str]:
+def verify_orthogonality(w: WeightSystem, built: Callable) -> list[str]:
     """For each class alpha (keyed alpha*D), every p at once: the metric
     complement of {k in alpha : floors[k] >= p} in the partner class
     (1 - alpha; 0 for alpha = 0) is {j : floors[j] >= n - p}, n + 1 - p on
     the zero class.  So j enters the complement at p = floors[k] + 1 for
     its partner k = metric_partner(j), or at 0 when k is not in alpha."""
     failures = []
-    spec = spectrum_direct(w)
+    spec = built(spectrum_direct)
     d, floors, n = spec.denominator, spec.floors, w.n
-    classes = eigenvalue_classes(w)
+    classes = built(eigenvalue_classes)
     for key in sorted(classes):  # alpha*D; 0 is always a class
         members = set(classes[key])
         partners = [(j, metric_partner(j, w)) for j in classes.get(-key % d, ())]
@@ -192,13 +198,13 @@ def verify_orthogonality(w: WeightSystem) -> list[str]:
     return failures
 
 
-def verify_reflexivity(w: WeightSystem) -> list[str]:
+def verify_reflexivity(w: WeightSystem, built: Callable) -> list[str]:
     if is_reflexive(w) != has_integral_spectrum(w):
         return ["reflexive: divisibility and spectrum integrality disagree"]
     return []
 
 
-def verify_reduction(w: WeightSystem) -> list[str]:
+def verify_reduction(w: WeightSystem, built: Callable) -> list[str]:
     """Monomial reduction reproduces the basis along the step sequence and
     the exact multiplication rule for f, by induction on k.  omega_k is the
     ``_step`` state [1] at total k, and the class of u^(a(k)+1_i) is the one
@@ -216,11 +222,11 @@ def verify_reduction(w: WeightSystem) -> list[str]:
     b_j = a(k)_j, a(k)_j + 1: the step is linear in the state and affine in
     L and in d, so two values of each are checked."""
     failures = []
-    data = _step_data(w)
+    data = built(_step_data)
     mu, weights, scale, _ = data
-    sigma = spectrum_direct(w).sigma_scaled
+    sigma = built(spectrum_direct).sigma_scaled
     rungs = [mu * (scale // wi) for wi in weights]
-    exponents, indices = step_sequence(w)
+    exponents, indices = built(_steps)
     reached = not any(exponents[0])
     for k in range(mu):
         a = exponents[k]
@@ -257,12 +263,12 @@ def verify_reduction(w: WeightSystem) -> list[str]:
     return failures
 
 
-def verify_v_order(w: WeightSystem) -> list[str]:
+def verify_v_order(w: WeightSystem, built: Callable) -> list[str]:
     """Exact order of the derivative of each basis vector, plus the +2 bound,
     in units of 1/D: the image's orders and the expectation read ``sigma_scaled``."""
     failures = []
     mu = w.mu
-    spec = spectrum_direct(w)
+    spec = built(spectrum_direct)
     d, sigma = spec.denominator, spec.sigma_scaled
     for k in range(mu):
         image = _derive({(k, 0): 1}, w)
@@ -297,16 +303,20 @@ def verify_all(
     w: WeightSystem, suites: list[str] | None = None
 ) -> dict[str, list[str]]:
     """Run the named suites (``None``: all), each once in first-seen order,
-    and map suite -> failures; a suite that raises
-    :class:`IdentityViolation` fails with its message."""
+    and map suite -> failures; a suite that raises :class:`IdentityViolation`
+    fails with its message.  ``built(build)`` is ``build(w)``, made once per call."""
     chosen = list(ALL_SUITES) if suites is None else list(dict.fromkeys(suites))
     unknown = [name for name in chosen if name not in ALL_SUITES]
     if unknown:
         raise KeyError(f"unknown suites: {unknown}")
+    memo = {}
+
+    def built(build):
+        return memo[build] if build in memo else memo.setdefault(build, build(w))
     results = {}
     for name in chosen:
         try:
-            results[name] = ALL_SUITES[name](w)
+            results[name] = ALL_SUITES[name](w, built)
         except IdentityViolation as exc:
             results[name] = [f"{name}: {exc}"]
     return results

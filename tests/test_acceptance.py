@@ -26,17 +26,10 @@ from weightspec import (
     spectrum_direct,
     spectrum_from_steps,
     step_sequence,
+    verify_all,
 )
 from weightspec.gaussmanin import canonical_exponents
 from weightspec.reflexive import has_integral_spectrum
-from weightspec.verify import (
-    verify_bernstein,
-    verify_birkhoff,
-    verify_charpoly,
-    verify_orthogonality,
-    verify_pairing,
-    verify_saito,
-)
 
 from conftest import (
     exhaustive_mu,
@@ -114,32 +107,32 @@ def test_criterion_04_bernstein_relation():
             w = WeightSystem(tup)
             assert bernstein_check(w) == GElement.basis(w.mu, 0, tau_power=w.mu)
         for w in random_systems(seed=404, count=150, mu_max=60):
-            assert verify_bernstein(w) == []
+            assert verify_all(w, ["bernstein"]) == {"bernstein": []}
         for w in random_systems(seed=405, count=10, mu_max=100):
-            assert verify_bernstein(w) == []
+            assert verify_all(w, ["bernstein"]) == {"bernstein": []}
 
 
 def test_criterion_05_birkhoff_fixture():
     with criterion(5, "Birkhoff matrices, f mod theta, charpoly"):
         for tup in weight_systems_up_to(exhaustive_mu(14)):
-            assert verify_birkhoff(WeightSystem(tup)) == []
+            assert verify_all(WeightSystem(tup), ["birkhoff"]) == {"birkhoff": []}
         for w in random_systems(seed=505, count=50, mu_max=60):
-            assert verify_birkhoff(w) == []
+            assert verify_all(w, ["birkhoff"]) == {"birkhoff": []}
         # A0 depends only on mu; cover every mu up to 40 exactly
         for mu in range(2, 41):
-            assert verify_charpoly(WeightSystem(tuple([1] * mu))) == []
+            assert verify_all(WeightSystem(tuple([1] * mu)), ["charpoly"]) == {"charpoly": []}
         for w in random_systems(seed=506, count=30, mu_max=40):
-            assert verify_charpoly(w) == []
+            assert verify_all(w, ["charpoly"]) == {"charpoly": []}
 
 
 def test_criterion_06_pairing_metric_identities():
     with criterion(6, "pairing and metric identities"):
         for tup in weight_systems_up_to(exhaustive_mu(18)):
-            assert verify_pairing(WeightSystem(tup)) == []
+            assert verify_all(WeightSystem(tup), ["pairing"]) == {"pairing": []}
         for w in random_systems(seed=606, count=100, mu_max=60):
-            assert verify_pairing(w) == []
+            assert verify_all(w, ["pairing"]) == {"pairing": []}
         for tup in FIXTURES:
-            assert verify_pairing(WeightSystem(tup)) == []
+            assert verify_all(WeightSystem(tup), ["pairing"]) == {"pairing": []}
 
 
 def test_criterion_07_mu60_jordan_fixture():
@@ -186,14 +179,11 @@ def test_criterion_09_saito_filtration_suite():
     with criterion(9, "opposite filtration and orthogonality"):
         for tup in weight_systems_up_to(exhaustive_mu(20)):
             w = WeightSystem(tup)
-            assert verify_saito(w) == []
-            assert verify_orthogonality(w) == []
+            assert verify_all(w, ["saito", "orthogonality"]) == {"saito": [], "orthogonality": []}
         for w in random_systems(seed=909, count=100, mu_max=60):
-            assert verify_saito(w) == []
-            assert verify_orthogonality(w) == []
+            assert verify_all(w, ["saito", "orthogonality"]) == {"saito": [], "orthogonality": []}
         for w in (WeightSystem(t) for t in FIXTURES):
-            assert verify_saito(w) == []
-            assert verify_orthogonality(w) == []
+            assert verify_all(w, ["saito", "orthogonality"]) == {"saito": [], "orthogonality": []}
 
 
 def test_criterion_10_reduction_path_independence():

@@ -1,5 +1,6 @@
 import json
 import sys
+from collections import Counter
 
 import pytest
 
@@ -93,7 +94,7 @@ def test_verify_selected_suite_json(capsys):
 
 def test_verify_failure_exits_2(capsys, monkeypatch):
     monkeypatch.setitem(
-        verify_mod.ALL_SUITES, "spectrum", lambda w: ["synthetic failure"]
+        verify_mod.ALL_SUITES, "spectrum", lambda w, built: ["synthetic failure"]
     )
     code, out, _ = invoke(capsys, "verify", "-w", "1,2,3")
     assert code == 2
@@ -120,8 +121,38 @@ def test_builder_identity_violation_is_a_suite_failure(capsys, monkeypatch):
     ]
 
 
+def test_verify_pass_builds_each_fact_once(monkeypatch):
+    counts = Counter()
+
+    def counted(name, real):
+        def build(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return build
+
+    builders = (
+        "spectrum_direct", "step_sequence", "jordan_blocks", "eigenvalue_classes", "saito_filtration",
+        "initial_data", "birkhoff_matrices", "bernstein_check", "_step_data",
+    )
+    for name in builders:
+        monkeypatch.setattr(verify_mod, name, counted(name, getattr(verify_mod, name)))
+    # a suite calling charpoly_A0 would build initial_data inside frobenius
+    monkeypatch.setattr(frobenius_mod, "initial_data", verify_mod.initial_data)
+    w = make_weight_system([5, 6, 7, 9, 11])
+    assert verify_mod.verify_all(w) == {name: [] for name in verify_mod.ALL_SUITES}
+    assert counts == dict.fromkeys(builders, 1)
+    counts.clear()
+    frobenius_suites = ["birkhoff", "charpoly", "pairing"]
+    assert verify_mod.verify_all(w, frobenius_suites) == dict.fromkeys(frobenius_suites, [])
+    assert counts["initial_data"] == 1
+    # a pass keeps nothing for the next one
+    verify_mod.verify_all(w, ["pairing"])
+    assert counts["initial_data"] == 2
+
+
 def test_verify_all_records_a_raised_identity(monkeypatch):
-    def raising(w):
+    def raising(w, built):
         raise IdentityViolation("x")
 
     monkeypatch.setitem(verify_mod.ALL_SUITES, "jordan", raising)
@@ -137,7 +168,7 @@ def test_repeated_suite_runs_once(capsys, monkeypatch):
     for name in ("reduction", "jordan"):
         real = verify_mod.ALL_SUITES[name]
         monkeypatch.setitem(
-            verify_mod.ALL_SUITES, name, lambda w, name=name, real=real: calls.append(name) or real(w)
+            verify_mod.ALL_SUITES, name, lambda w, built, name=name, real=real: calls.append(name) or real(w, built)
         )
     w = make_weight_system([1, 2, 3])
     assert list(verify_mod.verify_all(w, ["reduction", "jordan", "reduction"])) == ["reduction", "jordan"]
@@ -261,7 +292,7 @@ def test_verify_csv_prints_csv(capsys):
 
 def test_verify_csv_keeps_failed_lines(capsys, monkeypatch):
     monkeypatch.setitem(
-        verify_mod.ALL_SUITES, "spectrum", lambda w: ["synthetic failure"]
+        verify_mod.ALL_SUITES, "spectrum", lambda w, built: ["synthetic failure"]
     )
     code, out, _ = invoke(capsys, "verify", "-w", "1,2,3", "--suite", "spectrum", "--format", "csv")
     assert code == 2

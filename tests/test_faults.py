@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 import fraction_oracle
+import weightspec.frobenius as frobenius
 import weightspec.gaussmanin as gaussmanin
 import weightspec.reflexive as reflexive
 import weightspec.spectrum as spectrum
@@ -177,7 +178,7 @@ def _reduction_via_elements(w, gm) -> list[str]:
 def test_integer_reduction_suite_matches_elements_on_corpus():
     for weights in list(weight_systems_up_to(exhaustive_mu(12))) + STEP_FAULT_SYSTEMS:
         w = make_weight_system(list(weights))
-        assert verify.verify_reduction(w) == _reduction_via_elements(w, gaussmanin) == []
+        assert verify_all(w, ["reduction"])["reduction"] == _reduction_via_elements(w, gaussmanin) == []
 
 
 @pytest.mark.parametrize("fault", sorted(STEP_FAULTS))
@@ -186,7 +187,7 @@ def test_integer_reduction_suite_matches_elements_under_fault(monkeypatch, fault
     # the same k values flagged with the same messages
     planted = _plant_in_gaussmanin(monkeypatch, *STEP_FAULTS[fault])
     w = make_weight_system(list(weights))
-    failures = verify.verify_reduction(w)
+    failures = verify_all(w, ["reduction"])["reduction"]
     assert failures
     assert failures == _reduction_via_elements(w, planted)
 
@@ -459,6 +460,21 @@ def test_orthogonality_fault(monkeypatch, weights):
     assert all(failures == [] for failures in results.values())
 
 
+def test_metric_invariance_fault(monkeypatch):
+    # on (1, 1, 2) the partner (2, 3, 0, 1) in place of (2, 1, 0, 3) is a
+    # symmetric involution with sigma(k) + sigma(partner(k)) = n and leaves
+    # every orthogonality complement as it was; only the invariance of g
+    # under the product A0 sees it, where initial_data builds g
+    w = make_weight_system([1, 1, 2])
+    assert tuple(frobenius.metric_partner(k, w) for k in range(w.mu)) == (2, 1, 0, 3)
+    for module in (frobenius, verify):
+        monkeypatch.setattr(module, "metric_partner", lambda k, w: (2, 3, 0, 1)[k])
+    results = verify_all(w)
+    for name in ("birkhoff", "charpoly", "pairing"):
+        assert results.pop(name) == [f"{name}: g is not invariant under the product at k = 0"]
+    assert all(failures == [] for failures in results.values())
+
+
 def test_reflexive_fault(monkeypatch):
     # (1, 2, 3) is reflexive, so its spectrum is integral until shifted
     real = reflexive.spectrum_direct
@@ -537,7 +553,7 @@ def test_integer_derivative_matches_fraction_oracle_on_corpus():
             fraction_oracle.birkhoff_split(w)
         )
         for name, suite in fraction_oracle.SUITES.items():
-            assert verify.ALL_SUITES[name](w) == suite(w) == [], (weights, name)
+            assert verify_all(w, [name])[name] == suite(w) == [], (weights, name)
 
 
 @pytest.mark.parametrize("fault", sorted(DERIVATIVE_FAULTS))
@@ -548,6 +564,6 @@ def test_integer_derivative_matches_fraction_oracle_under_fault(monkeypatch, fau
     _plant_in_gaussmanin(monkeypatch, *plant)
     oracle = _planted(fraction_oracle, *oracle_plant)
     w = make_weight_system(list(weights))
-    results = {name: verify.ALL_SUITES[name](w) for name in oracle["SUITES"]}
+    results = verify_all(w, list(oracle["SUITES"]))
     assert any(results.values())
     assert results == {name: suite(w) for name, suite in oracle["SUITES"].items()}

@@ -15,11 +15,11 @@ from weightspec import (
     primitive_indices,
     saito_filtration,
     spectrum_direct,
+    verify_all,
 )
 from weightspec import linalg
 import weightspec.verify as verify_mod
 from weightspec.report import filtrations_payload, to_json
-from weightspec.verify import verify_jordan, verify_orthogonality, verify_saito
 
 from conftest import exhaustive_mu, random_systems, weight_systems_up_to
 
@@ -118,8 +118,8 @@ def test_nilpotency_index_property():
             assert linalg.is_zero_matrix(linalg.mat_pow(m, largest))
             if largest > 1:
                 assert not linalg.is_zero_matrix(linalg.mat_pow(m, largest - 1))
-        # verify_jordan's chain check agrees with the dense nilpotency index
-        assert verify_jordan(w) == []
+        # the jordan suite's chain check agrees with the dense nilpotency index
+        assert verify_all(w, ["jordan"]) == {"jordan": []}
 
 
 def test_primitive_examples():
@@ -238,13 +238,13 @@ def test_conjugation_pairs_blocks():
 def test_saito_identity_examples():
     for tup in [(1, 2, 3), (1, 1, 2), (1, 1, 3), (2, 3, 7)]:
         w = make_weight_system(list(tup))
-        assert verify_saito(w) == verify_orthogonality(w) == []
+        assert verify_all(w, ["saito", "orthogonality"]) == {"saito": [], "orthogonality": []}
 
 
 def test_orthogonality_examples():
     for tup in [(1, 2, 3), (1, 1, 1), (1, 1, 3), (2, 3, 7)]:
         w = make_weight_system(list(tup))
-        assert verify_saito(w) == verify_orthogonality(w) == []
+        assert verify_all(w, ["saito", "orthogonality"]) == {"saito": [], "orthogonality": []}
 
 
 def test_hodge_tate_all_ones():
@@ -282,14 +282,14 @@ def test_saito_suite_small_corpus():
     for tup in weight_systems_up_to(12):
         w = WeightSystem(tup)
         assert 0 in eigenvalue_classes(w)
-        assert verify_saito(w) == verify_orthogonality(w) == []
+        assert verify_all(w, ["saito", "orthogonality"]) == {"saito": [], "orthogonality": []}
 
 
 def test_class_failure_messages_print_alpha(monkeypatch):
     # classes are keyed by alpha*12 on (2, 3, 4); the messages print alpha
     w = make_weight_system([2, 3, 4])
     monkeypatch.setattr(verify_mod, "_longest_chain", lambda indices, values: 0)
-    assert verify_jordan(w) == [
+    assert verify_all(w, ["jordan"])["jordan"] == [
         "jordan: N has index 0 != 3 on class 0",
         "jordan: N has index 0 != 1 on class 3/4",
         "jordan: N has index 0 != 2 on class 1/2",
@@ -298,7 +298,7 @@ def test_class_failure_messages_print_alpha(monkeypatch):
     # a metric that pairs each index with itself breaks every class, in
     # the order of alpha*12: 0, 3, 6, 9
     monkeypatch.setattr(verify_mod, "metric_partner", lambda j, w: j)
-    assert verify_orthogonality(w) == [
+    assert verify_all(w, ["orthogonality"])["orthogonality"] == [
         f"orthogonality: fails at alpha = {a}, p = {p}"
         for a, p in [("0", 1), ("0", 2), ("1/4", 0), ("1/4", 1), ("1/2", 1), ("3/4", 0)]
     ]

@@ -155,6 +155,9 @@ def test_pairing_examples():
 def test_charpoly_examples():
     assert charpoly_A0(make_weight_system([1, 1, 1])) == [1, 0, 0, -27]
     assert charpoly_A0(make_weight_system([1, 1, 2])) == [1, 0, 0, 0, -256]
+    # the one cycle's mu equal entries are multiplied as one power
+    w = make_weight_system([7, 9993])
+    assert charpoly_A0(w) == [1] + [0] * (w.mu - 1) + [-(w.mu**w.mu)]
 
 
 def test_charpoly_against_oracle_small_mu():
@@ -223,6 +226,7 @@ def test_metric_violations_reported():
     ]
     assert metric_violations(2, sigma, (0, 1, 2)) == [
         "g*A_inf + A_inf^T*g != n*g at k = 0",
+        "g is not invariant under the product at k = 1",
         "g*A_inf + A_inf^T*g != n*g at k = 2",
     ]
     # the same identities on sigma * D over D = 3, as initial_data passes them

@@ -16,7 +16,6 @@ from weightspec import (
     f_action,
     make_weight_system,
     reduce_monomial,
-    reduce_monomials,
     spectrum_direct,
     step_sequence,
     tau_dtau,
@@ -327,11 +326,6 @@ def test_one_step_states_equal_reduction_from_scratch():
                 coeffs = {((k + 1 - d) % mu, -d): F(c, step_denom**d) for d, c in enumerate(flat)}
                 bumped = a[:i] + (a_i + 1,) + a[i + 1:]
                 assert GElement(mu, coeffs) == reduce_monomial(bumped, w), (w, k, i)
-    # duplicates, the zero vector and non-canonical vectors of one class
-    w = make_weight_system([1, 2, 3])
-    targets = [(0, 1, 1), (0, 0, 0), (1, 2, 3), (0, 1, 1), (-1, 5, 2), (2, 4, 6), (3, 0, 1)]
-    assert reduce_monomials(targets, w) == [reduce_monomial(a, w) for a in targets]
-    assert reduce_monomials([], w) == []
 
 
 def test_suite_targets_in_closed_form():
