@@ -13,13 +13,14 @@ elements by
     tau_dtau(omega_k) = -sigma(k) * omega_k - mu * tau * omega_{k+1 mod mu}
 
 (with omega_mu = omega_0) and extends by the Leibniz rule; the one integer
-kernel ``_derive`` applies it with sigma(k) * D (D = lcm(w)) read from
-``Spectrum.sigma_scaled``.  From this one operator everything else
-follows: the degree-mu Bernstein relation, reduction of monomial classes
-u^a * omega_0 to the basis, the V-order, and multiplication by
-f = sum_i w_i u_i as theta^2 d_theta = -tau^(-1) tau_dtau (theta = 1/tau),
-on a monomial class and its reduced element alike, which on basis vectors
-is the Birkhoff normal form A0 + theta * A_inf.
+kernel ``_derive`` applies it with sigma(k) * D (D = lcm(w)) read from the
+per-system record ``_step_data``, which the reduction step ``_step`` reads
+too.  From this one operator everything else follows: the degree-mu
+Bernstein relation, reduction of monomial classes u^a * omega_0 to the
+basis, the V-order, and multiplication by f = sum_i w_i u_i as
+theta^2 d_theta = -tau^(-1) tau_dtau (theta = 1/tau), on a monomial class
+and its reduced element alike, which on basis vectors is the Birkhoff
+normal form A0 + theta * A_inf.
 
 Reduction steps a flat integer list: a unit step sends tau^m * omega_k to
 (k, m-1) and (k+1, m), so after ``total`` steps from omega_0 every term has
@@ -198,13 +199,21 @@ def canonical_exponents(a: Sequence[int], w: WeightSystem) -> tuple[int, ...]:
     return tuple(ai + shift * wi for ai, wi in zip(a, w.weights))
 
 
-def _derive(nums: Mapping[tuple[int, int], int], w: WeightSystem) -> dict[tuple[int, int], int]:
+# what both integer kernels read: mu, the rungs mu*D/w_j, D = lcm(w), sigma(k)*D
+_StepData = tuple[int, tuple[int, ...], int, tuple[int, ...]]
+
+
+def _step_data(w: WeightSystem) -> _StepData:
+    spec = spectrum_direct(w)
+    scale = spec.denominator
+    return w.mu, tuple(w.mu * (scale // wi) for wi in w.weights), scale, spec.sigma_scaled
+
+
+def _derive(nums: Mapping[tuple[int, int], int], data: _StepData) -> dict[tuple[int, int], int]:
     """tau_dtau on an element's numerators over den: the numerators of the
     image over den * D.  Leibniz on the coefficient, then the basis action,
     adds (m*D - sigma(k)*D) * c at (k, m) and -mu*D * c at (k+1, m+1)."""
-    spec = spectrum_direct(w)
-    scale, sigma_scaled = spec.denominator, spec.sigma_scaled
-    mu = len(sigma_scaled)
+    mu, _, scale, sigma_scaled = data
     out = {}
     for (k, m), c in nums.items():
         _add_term(out, (k, m), (m * scale - sigma_scaled[k]) * c)
@@ -214,8 +223,8 @@ def _derive(nums: Mapping[tuple[int, int], int], w: WeightSystem) -> dict[tuple[
 
 def tau_dtau(x: GElement, w: WeightSystem) -> GElement:
     """Apply the logarithmic derivative tau * d/dtau."""
-    mu = _require_mu(x, w)
-    return GElement._raw(mu, _derive(x._nums, w), x._den * spectrum_direct(w).denominator)
+    mu, data = _require_mu(x, w), _step_data(w)
+    return GElement._raw(mu, _derive(x._nums, data), x._den * data[2])
 
 
 def bernstein_check(w: WeightSystem) -> GElement:
@@ -224,11 +233,11 @@ def bernstein_check(w: WeightSystem) -> GElement:
     caller asserts that equality.  The product runs on the numerators over
     one denominator: each factor multiplies it by mu * D, and then both are
     divided by their gcd, so the integers stay the size of the result."""
-    spec = spectrum_direct(w)
+    spec, data = spectrum_direct(w), _step_data(w)
     nums, den, scale = {(0, 0): 1}, 1, w.mu * spec.denominator
     for v in spec.scaled:
         # (v * x - tau_dtau x) over den * mu * D, with s(k) = v / D
-        image = _derive(nums, w)
+        image = _derive(nums, data)
         for key, c in nums.items():
             _add_term(image, key, -v * c)
         den *= scale
@@ -244,10 +253,10 @@ def birkhoff_matrices(
     and A_inf in theta^2 d_theta = -tau^(-1) tau_dtau = ``f_action``: column
     k of A0 is the tau^0 part of f * omega_k, of A_inf its theta part.
     Other tau-powers raise IdentityViolation."""
-    a0, ainf = {}, {}
+    a0, ainf, data = {}, {}, _step_data(w)
     for k in range(w.mu):
         # tau_dtau(omega_k) over D; f shifts each tau-power down by one
-        for (j, m), c in _derive({(k, 0): 1}, w).items():
+        for (j, m), c in _derive({(k, 0): 1}, data).items():
             if m == 1:
                 a0[j, k] = -c
             elif m == 0:
@@ -255,15 +264,6 @@ def birkhoff_matrices(
             else:
                 raise IdentityViolation(f"tau^{m - 1} term in theta^2 d_theta omega_{k}")
     return a0, ainf
-
-
-# what the integer step reads: mu, the weights, D = lcm(w) and sigma(k) * D
-_StepData = tuple[int, tuple[int, ...], int, tuple[int, ...]]
-
-
-def _step_data(w: WeightSystem) -> _StepData:
-    spec = spectrum_direct(w)
-    return w.mu, w.weights, spec.denominator, spec.sigma_scaled
 
 
 def _step(flat: list[int], j: int, b_j: int, total: int, data: _StepData) -> list[int]:
@@ -276,8 +276,8 @@ def _step(flat: list[int], j: int, b_j: int, total: int, data: _StepData) -> lis
     so in this layout the step is integer, gcd-free and rescales nothing,
     the new state again ends in a nonzero entry, and only ``_unscaled``
     reads a state back as an element."""
-    mu, weights, scale, sigma_scaled = data
-    l_scaled = total * scale - mu * b_j * (scale // weights[j])
+    mu, rungs, scale, sigma_scaled = data
+    l_scaled = total * scale - b_j * rungs[j]
     nxt = flat + [0]
     for d, c in enumerate(flat):
         t = l_scaled - d * scale - sigma_scaled[(total - d) % mu]
@@ -287,11 +287,12 @@ def _step(flat: list[int], j: int, b_j: int, total: int, data: _StepData) -> lis
     return nxt
 
 
-def _unscaled(flat: list[int], total: int, w: WeightSystem) -> GElement:
+def _unscaled(flat: list[int], total: int, data: _StepData) -> GElement:
     """The element of a ``_step`` state, or of a sum of states scaled alike,
     after ``total`` steps: over (D*mu)^top, top = len(flat) - 1, entry d,
     scaled by (D*mu)^d, gains the missing (D*mu)^(top - d)."""
-    mu, step_denom, top = w.mu, spectrum_direct(w).denominator * w.mu, len(flat) - 1
+    mu, _, scale, _ = data
+    step_denom, top = scale * mu, len(flat) - 1
     nums = {((total - d) % mu, -d): c * step_denom ** (top - d) for d, c in enumerate(flat) if c}
     return GElement._raw(mu, nums, step_denom ** top)
 
@@ -333,7 +334,7 @@ def reduce_monomial(
     for total, j in enumerate(path):
         flat = _step(flat, j, current[j], total, data)
         current[j] += 1
-    return _unscaled(flat, len(path), w)
+    return _unscaled(flat, len(path), data)
 
 
 def f_action(x: GElement | Sequence[int], w: WeightSystem) -> GElement:
@@ -344,11 +345,9 @@ def f_action(x: GElement | Sequence[int], w: WeightSystem) -> GElement:
     the Birkhoff normal form A0 + theta * A_inf."""
     if not isinstance(x, GElement):
         x = reduce_monomial(x, w)
-    mu = _require_mu(x, w)
-    image = _derive(x._nums, w)
-    return GElement._raw(
-        mu, {(k, m - 1): -c for (k, m), c in image.items()}, x._den * spectrum_direct(w).denominator
-    )
+    mu, data = _require_mu(x, w), _step_data(w)
+    image = _derive(x._nums, data)
+    return GElement._raw(mu, {(k, m - 1): -c for (k, m), c in image.items()}, x._den * data[2])
 
 
 def v_order(x: GElement, w: WeightSystem) -> Fraction | None:
@@ -357,6 +356,6 @@ def v_order(x: GElement, w: WeightSystem) -> Fraction | None:
     from fractions import Fraction
 
     _require_mu(x, w)
-    spec = spectrum_direct(w)
-    order = max((spec.sigma_scaled[k] + m * spec.denominator for k, m in x._nums), default=None)
-    return None if order is None else Fraction(order, spec.denominator)
+    _, _, scale, sigma_scaled = _step_data(w)
+    order = max((sigma_scaled[k] + m * scale for k, m in x._nums), default=None)
+    return None if order is None else Fraction(order, scale)

@@ -214,7 +214,8 @@ def verify_reduction(w: WeightSystem, built: Callable) -> list[str]:
     entry to the state of f * omega_k, the Birkhoff normal form
     A0 + theta * A_inf on omega_k: mu * omega_{k+1} + sigma(k) * tau^(-1) *
     omega_k is [mu, mu * sigma(k) * D] at total k + 1, with sigma(k) * D
-    read from ``spectrum_direct``, the diagonal ``initial_data`` stores as A_inf.
+    read from the step record ``_step_data``, the diagonal ``initial_data``
+    stores as A_inf.
 
     The step itself is certified against the operator
     -(1/mu) tau^(-1) (tau_dtau + L) built from ``_derive``, on the one-term
@@ -223,9 +224,7 @@ def verify_reduction(w: WeightSystem, built: Callable) -> list[str]:
     L and in d, so two values of each are checked."""
     failures = []
     data = built(_step_data)
-    mu, weights, scale, _ = data
-    sigma = built(spectrum_direct).sigma_scaled
-    rungs = [mu * (scale // wi) for wi in weights]
+    mu, rungs, scale, sigma = data
     exponents, indices = built(_steps)
     reached = not any(exponents[0])
     for k in range(mu):
@@ -237,7 +236,7 @@ def verify_reduction(w: WeightSystem, built: Callable) -> list[str]:
         reached = states[i] == [1] and exponents[k + 1] == a[:i] + (a[i] + 1,) + a[i + 1:]
         # the states share total k + 1, so equal d is equal (k, m)
         via_monomials = [0] * max(2, *map(len, states))
-        for wi, flat in zip(weights, states):
+        for wi, flat in zip(w.weights, states):
             for d, c in enumerate(flat):
                 via_monomials[d] += wi * c
         if via_monomials != [mu, mu * sigma[k]]:
@@ -247,7 +246,7 @@ def verify_reduction(w: WeightSystem, built: Callable) -> list[str]:
             # term -mu*D stays at d as 1, and its diagonal term plus L*D,
             # L*D = (k + d)*D - b*rung, moves to d + 1 with the sign flipped
             head = [0] * d + [1]
-            image = _derive({(k, -d): 1}, w)
+            image = _derive({(k, -d): 1}, data)
             certified = image.pop(((k + 1) % mu, 1 - d), 0) == -mu * scale
             diagonal = image.pop((k, -d), 0)
             certified = certified and not image
@@ -265,13 +264,13 @@ def verify_reduction(w: WeightSystem, built: Callable) -> list[str]:
 
 def verify_v_order(w: WeightSystem, built: Callable) -> list[str]:
     """Exact order of the derivative of each basis vector, plus the +2 bound,
-    in units of 1/D: the image's orders and the expectation read ``sigma_scaled``."""
+    in units of 1/D: the image's orders and the expectation read sigma(k) * D
+    from the step record ``_step_data``, as the derivative does."""
     failures = []
-    mu = w.mu
-    spec = built(spectrum_direct)
-    d, sigma = spec.denominator, spec.sigma_scaled
+    data = built(_step_data)
+    mu, _, d, sigma = data
     for k in range(mu):
-        image = _derive({(k, 0): 1}, w)
+        image = _derive({(k, 0): 1}, data)
         order = max((sigma[j] + m * d for j, m in image), default=None)
         shifted = sigma[(k + 1) % mu] + d
         expected = shifted if sigma[k] == 0 else max(sigma[k], shifted)

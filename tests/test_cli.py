@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from weightspec import IdentityViolation, make_weight_system
+from weightspec import IdentityViolation, jordan_blocks, make_weight_system, spectrum_direct
 from weightspec import cli
 from weightspec.cli import run
 import weightspec.frobenius as frobenius_mod
@@ -149,6 +149,18 @@ def test_verify_pass_builds_each_fact_once(monkeypatch):
     # a pass keeps nothing for the next one
     verify_mod.verify_all(w, ["pairing"])
     assert counts["initial_data"] == 2
+    # both connection kernels read the one step record, so no suite looks
+    # the spectrum up per basis vector: a pass calls spectrum_direct, cache
+    # hits and misses alike, the same few times at mu 38 and at mu 96; a
+    # cached jordan_blocks would skip its own lookup, so it starts cold
+    lookups = []
+    for weights in ([5, 6, 7, 9, 11], [7, 89]):
+        jordan_blocks.cache_clear()
+        before = spectrum_direct.cache_info()
+        assert verify_mod.verify_all(make_weight_system(weights)) == {name: [] for name in verify_mod.ALL_SUITES}
+        after = spectrum_direct.cache_info()
+        lookups.append(after.hits + after.misses - before.hits - before.misses)
+    assert lookups[0] == lookups[1] <= 10, lookups
 
 
 def test_verify_all_records_a_raised_identity(monkeypatch):

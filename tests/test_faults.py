@@ -71,7 +71,7 @@ def _plant_in_gaussmanin(monkeypatch, *edits: str) -> SimpleNamespace:
 STEP_FAULTS = {
     "L_j dropped on the last coordinate": (
         "t = l_scaled - d * scale - sigma_scaled[(total - d) % mu]",
-        "t = (l_scaled if j < len(weights) - 1 else 0) - d * scale - sigma_scaled[(total - d) % mu]",
+        "t = (l_scaled if j < len(rungs) - 1 else 0) - d * scale - sigma_scaled[(total - d) % mu]",
     ),
     "sigma(1) shifted by 1/D": (
         "t = l_scaled - d * scale - sigma_scaled[(total - d) % mu]",
@@ -83,6 +83,10 @@ STEP_FAULTS = {
         "t = l_scaled - d * scale - sigma_scaled[(total - d) % mu]",
         "t = l_scaled - sigma_scaled[(total - d) % mu]",
     ),
+    # the product rule x * omega_k = omega_(k+1) at theta = 0: a step keeps
+    # entry 0, so each one-step state from omega_k starts with 1; the f
+    # route sums entry 0, and the certificate compares it as [1, moved]
+    "entry 0 raised in coordinate 0": ("nxt = flat + [0]", "nxt = [flat[0] + (j == 0)] + flat[1:] + [0]"),
 }
 STEP_FAULT_SYSTEMS = [(1, 2, 3), (1, 2, 12, 15, 30), (7, 11, 13)]
 
@@ -149,7 +153,7 @@ def _reduction_via_elements(w, gm) -> list[str]:
         if not reached:
             failures.append(f"reduction: class of u^a({k}) != omega_{k}")
         states = [gm._step([1], i, a_i, k, data) for i, a_i in enumerate(a)]
-        images = [gm._unscaled(flat, k + 1, w) for flat in states]
+        images = [gm._unscaled(flat, k + 1, data) for flat in states]
         i = indices[k]
         bumped = a[:i] + (a[i] + 1,) + a[i + 1:]
         reached = images[i] == gm.GElement.basis(mu, (k + 1) % mu) and exponents[k + 1] == bumped
@@ -160,13 +164,13 @@ def _reduction_via_elements(w, gm) -> list[str]:
             failures.append(f"reduction: two routes for f*omega_{k} disagree")
         for d in (0, 1):
             start = [0] * d + [1]
-            x = gm._unscaled(start, k + d, w)
+            x = gm._unscaled(start, k + d, data)
             certified = True
             for j, a_j in enumerate(a):
                 for b in (a_j, a_j + 1):
                     l_j = k + d - Fraction(mu * b, w.weights[j])
                     operator = (gm.tau_dtau(x, w) + x.scale(l_j)).scale(Fraction(-1, mu)).shift(-1)
-                    step = gm._unscaled(gm._step(start, j, b, k + d, data), k + d + 1, w)
+                    step = gm._unscaled(gm._step(start, j, b, k + d, data), k + d + 1, data)
                     certified = certified and step == operator
             if not certified:
                 failures.append(
@@ -490,8 +494,8 @@ def test_v_order_fault(monkeypatch):
     # suite's certificate does; the f route reads no derivative
     real = verify._derive
 
-    def shift_term_dropped(nums, w):
-        return {(k, m): c for (k, m), c in real(nums, w).items() if m <= 0}
+    def shift_term_dropped(nums, data):
+        return {(k, m): c for (k, m), c in real(nums, data).items() if m <= 0}
 
     monkeypatch.setattr(verify, "_derive", shift_term_dropped)
     w = make_weight_system([2, 3, 7])

@@ -8,7 +8,9 @@ step, which the ``reduction`` suite takes once from omega_k to each of its
 classes, comparing their weighted sum with A0 + theta * A_inf in that
 step's layout and building no element, and keeps each reduced class in
 that layout, read back as an element only by ``_unscaled`` (which the
-suite never calls), multiplication by f is the derivative's
+suite never calls), both integer kernels read one record, so the
+connection module looks the spectrum up only where it builds that record
+and in the Bernstein product, multiplication by f is the derivative's
 operator, no module relies
 on ``assert``, ``report.to_json`` is the only JSON writer and its
 template the only place that writes a ``{"num", "den"}`` leaf, every
@@ -275,6 +277,15 @@ def test_one_reduction_step():
     assert powers == ["_unscaled"]
     for name in ("gcd", "lcm"):
         assert not _calls(suite, name), name
+
+
+def test_connection_reads_the_spectrum_through_its_record():
+    # both integer kernels read the record _step_data builds, so a public
+    # function builds it once and hands it down; only bernstein_check also
+    # reads the values s(k) themselves
+    functions = _functions(gaussmanin)
+    callers = sorted(name for name, node in functions.items() if _calls(node, "spectrum_direct"))
+    assert callers == ["_step_data", "bernstein_check"]
 
 
 def test_one_copy_of_each_index_computation():
