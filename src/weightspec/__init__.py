@@ -24,8 +24,6 @@ from .spectrum import (
 from .gaussmanin import (
     DimensionMismatch,
     GElement,
-    bernstein_check,
-    birkhoff_matrices,
     canonical_exponents,
     f_action,
     reduce_monomial,
@@ -78,8 +76,6 @@ __all__ = [
     "TooFewWeights",
     "WeightSystem",
     "WeightSystemError",
-    "bernstein_check",
-    "birkhoff_matrices",
     "canonical_exponents",
     "charpoly_A0",
     "check_symmetry",

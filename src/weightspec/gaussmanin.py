@@ -5,22 +5,25 @@ omega_0, ..., omega_{mu-1}, stored sparsely as the map (k, m) -> nonzero
 integer numerator over one positive denominator, in lowest terms, so every
 operation costs time in the number of terms, not in mu.  ``Fraction`` is
 only the API edge: the ``coeffs`` and ``terms`` views, ``v_order``, and a
-non-int coefficient handed to ``GElement`` or any factor handed to
-``scale``, which import ``fractions`` when called, so the integer kernels
-and the CLI never load it.  The logarithmic derivative acts on basis
-elements by
+coefficient handed to ``GElement`` or a factor handed to ``scale`` that is
+not an int (it must then be a ``Fraction``), which import ``fractions``
+when called, so the integer kernels and the CLI never load it.  The
+logarithmic derivative acts on basis elements by
 
     tau_dtau(omega_k) = -sigma(k) * omega_k - mu * tau * omega_{k+1 mod mu}
 
 (with omega_mu = omega_0) and extends by the Leibniz rule; the one integer
 kernel ``_derive`` applies it with sigma(k) * D (D = lcm(w)) read from the
 per-system record ``_step_data``, which the reduction step ``_step`` reads
-too.  From this one operator everything else follows: the degree-mu
-Bernstein relation, reduction of monomial classes u^a * omega_0 to the
-basis, the V-order, and multiplication by f = sum_i w_i u_i as
-theta^2 d_theta = -tau^(-1) tau_dtau (theta = 1/tau), on a monomial class
-and its reduced element alike, which on basis vectors is the Birkhoff
-normal form A0 + theta * A_inf.
+too.  From this one operator everything else follows: reduction of
+monomial classes u^a * omega_0 to the basis, the V-order, and
+multiplication by f = sum_i w_i u_i as theta^2 d_theta = -tau^(-1) tau_dtau
+(theta = 1/tau), on a monomial class and its reduced element alike, which
+on basis vectors is the Birkhoff normal form A0 + theta * A_inf.  The
+``bernstein`` and ``birkhoff`` suites of ``verify`` run ``_derive`` on a
+pass's one record for the degree-mu Bernstein relation and that normal
+form; a library user reads column k of A0 + theta * A_inf as
+``f_action(GElement.basis(mu, k), w)``.
 
 Reduction steps a flat integer list: a unit step sends tau^m * omega_k to
 (k, m-1) and (k+1, m), so after ``total`` steps from omega_0 every term has
@@ -44,7 +47,7 @@ import operator
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .spectrum import IdentityViolation, spectrum_direct
+from .spectrum import spectrum_direct
 from .weights import WeightSystem
 
 if TYPE_CHECKING:
@@ -55,7 +58,18 @@ if TYPE_CHECKING:
 
 class DimensionMismatch(ValueError):
     """An element's mu, a basis index or the exponents do not fit the
-    weight system, or an index, tau-power or exponent is not an int."""
+    weight system, an index, tau-power or exponent is not an int, or a
+    coefficient or scale factor is not an int or a ``Fraction``."""
+
+
+def _exact(c: Scalar) -> Scalar:
+    """c, checked to be exactly an int (no ``fractions`` import) or a ``Fraction``."""
+    if type(c) is not int:
+        from fractions import Fraction
+
+        if not isinstance(c, Fraction):
+            raise DimensionMismatch(f"coefficient {c!r} must be an int or a Fraction")
+    return c
 
 
 def _add_term(out: dict, key: tuple[int, int], c: int) -> None:
@@ -84,11 +98,7 @@ class GElement:
                 raise DimensionMismatch(f"basis index {k!r} and tau-power {m!r} must be ints")
             if not 0 <= k < mu:
                 raise DimensionMismatch(f"basis index {k} outside 0..{mu - 1}")
-            if c:
-                if type(c) is not int:  # an int has numerator and denominator too
-                    from fractions import Fraction
-
-                    c = Fraction(c)
+            if _exact(c):  # an int has numerator and denominator too
                 clean[k, m] = c
         # each prime power of den is some reduced denominator: gcd(den, *nums) = 1
         den = math.lcm(*[c.denominator for c in clean.values()])
@@ -150,10 +160,7 @@ class GElement:
         return self._plus(other, -1)
 
     def scale(self, factor: Scalar) -> "GElement":
-        from fractions import Fraction
-
-        factor = Fraction(factor)
-        if not factor:
+        if not _exact(factor):
             return GElement.zero(self.mu)
         p, q = factor.numerator, factor.denominator
         return GElement._raw(self.mu, {key: c * p for key, c in self._nums.items()}, self._den * q)
@@ -225,45 +232,6 @@ def tau_dtau(x: GElement, w: WeightSystem) -> GElement:
     """Apply the logarithmic derivative tau * d/dtau."""
     mu, data = _require_mu(x, w), _step_data(w)
     return GElement._raw(mu, _derive(x._nums, data), x._den * data[2])
-
-
-def bernstein_check(w: WeightSystem) -> GElement:
-    """Apply prod_{k=0}^{mu-1} [ -(1/mu) (tau_dtau - s(k)) ] to omega_0,
-    factor k = 0 first.  The result must equal tau**mu * omega_0; the
-    caller asserts that equality.  The product runs on the numerators over
-    one denominator: each factor multiplies it by mu * D, and then both are
-    divided by their gcd, so the integers stay the size of the result."""
-    spec, data = spectrum_direct(w), _step_data(w)
-    nums, den, scale = {(0, 0): 1}, 1, w.mu * spec.denominator
-    for v in spec.scaled:
-        # (v * x - tau_dtau x) over den * mu * D, with s(k) = v / D
-        image = _derive(nums, data)
-        for key, c in nums.items():
-            _add_term(image, key, -v * c)
-        den *= scale
-        g = math.gcd(den, *image.values())
-        nums, den = {key: -c // g for key, c in image.items()}, den // g
-    return GElement._raw(w.mu, nums, den)
-
-
-def birkhoff_matrices(
-    w: WeightSystem,
-) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
-    """Nonzero entries (row, column) -> coefficient * D (D = lcm(w)) of A0
-    and A_inf in theta^2 d_theta = -tau^(-1) tau_dtau = ``f_action``: column
-    k of A0 is the tau^0 part of f * omega_k, of A_inf its theta part.
-    Other tau-powers raise IdentityViolation."""
-    a0, ainf, data = {}, {}, _step_data(w)
-    for k in range(w.mu):
-        # tau_dtau(omega_k) over D; f shifts each tau-power down by one
-        for (j, m), c in _derive({(k, 0): 1}, data).items():
-            if m == 1:
-                a0[j, k] = -c
-            elif m == 0:
-                ainf[j, k] = -c
-            else:
-                raise IdentityViolation(f"tau^{m - 1} term in theta^2 d_theta omega_{k}")
-    return a0, ainf
 
 
 def _step(flat: list[int], j: int, b_j: int, total: int, data: _StepData) -> list[int]:

@@ -7,16 +7,20 @@ A suite reads each fact through ``built``, so a pass builds it once; an
 All comparisons are exact and run on structured data (sparse entries, the
 metric involution, chains of the nilpotent shift), never on dense matrices;
 the filtration identities read one level per index, for every p at once.
+The connection suites run the integer kernels of ``gaussmanin`` on the
+pass's one step record ``_step_data`` and compare numerators, so no suite
+builds a ``GElement``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Callable
 
 from .filtrations import eigenvalue_classes, jordan_blocks, saito_filtration
 from .frobenius import initial_data, metric_partner
-from .gaussmanin import GElement, _derive, _step, _step_data, bernstein_check, birkhoff_matrices
+from .gaussmanin import _add_term, _derive, _step, _step_data
 from .reflexive import has_integral_spectrum, is_reflexive
 from .spectrum import (
     IdentityViolation,
@@ -64,16 +68,44 @@ def verify_periodicity(w: WeightSystem, built: Callable) -> list[str]:
 
 
 def verify_bernstein(w: WeightSystem, built: Callable) -> list[str]:
-    expected = GElement.basis(w.mu, 0, tau_power=w.mu)
-    if built(bernstein_check) != expected:
+    """prod_{k=0}^{mu-1} [ -(1/mu) (tau_dtau - s(k)) ] on omega_0, factor
+    k = 0 first, is tau^mu * omega_0.  The product runs on the numerators
+    over one denominator: each factor multiplies it by mu * D, and then both
+    are divided by their gcd, so the integers stay the size of the result.
+    s(k) comes from the spectrum, the derivative from the step record."""
+    data = built(_step_data)
+    mu, _, d, _ = data
+    nums, den = {(0, 0): 1}, 1
+    for v in built(spectrum_direct).scaled:
+        # (v * x - tau_dtau x) over den * mu * D, with s(k) = v / D
+        image = _derive(nums, data)
+        for key, c in nums.items():
+            _add_term(image, key, -v * c)
+        den *= mu * d
+        g = math.gcd(den, *image.values())
+        nums, den = {key: -c // g for key, c in image.items()}, den // g
+    if (nums, den) != ({(0, mu): 1}, 1):
         return ["bernstein: product on omega_0 != tau^mu * omega_0"]
     return []
 
 
 def verify_birkhoff(w: WeightSystem, built: Callable) -> list[str]:
+    """Split theta^2 d_theta omega_k = -tau^(-1) tau_dtau(omega_k), the
+    derivative read from the step record, into A0 (its tau^0 part) and
+    A_inf (its theta part), and compare both with ``initial_data``'s
+    entries, in units of 1/D, never floored; another tau-power raises."""
     failures = []
     data = built(initial_data)
-    a0, ainf = built(birkhoff_matrices)  # both in units of 1/D, never floored
+    a0, ainf, step_data = {}, {}, built(_step_data)
+    for k in range(w.mu):
+        # tau_dtau(omega_k) over D; f shifts each tau-power down by one
+        for (j, m), c in _derive({(k, 0): 1}, step_data).items():
+            if m == 1:
+                a0[j, k] = -c
+            elif m == 0:
+                ainf[j, k] = -c
+            else:
+                raise IdentityViolation(f"tau^{m - 1} term in theta^2 d_theta omega_{k}")
     if a0 != {key: c * data.denominator for key, c in data.a0_entries.items()}:
         failures.append("birkhoff: A0 is not mu * cyclic shift")
     if ainf != data.a_inf_entries:

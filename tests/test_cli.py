@@ -8,6 +8,7 @@ from weightspec import IdentityViolation, jordan_blocks, make_weight_system, spe
 from weightspec import cli
 from weightspec.cli import run
 import weightspec.frobenius as frobenius_mod
+import weightspec.gaussmanin as gaussmanin_mod
 import weightspec.report as report_mod
 import weightspec.verify as verify_mod
 
@@ -133,12 +134,15 @@ def test_verify_pass_builds_each_fact_once(monkeypatch):
 
     builders = (
         "spectrum_direct", "step_sequence", "jordan_blocks", "eigenvalue_classes", "saito_filtration",
-        "initial_data", "birkhoff_matrices", "bernstein_check", "_step_data",
+        "initial_data", "_step_data",
     )
     for name in builders:
         monkeypatch.setattr(verify_mod, name, counted(name, getattr(verify_mod, name)))
-    # a suite calling charpoly_A0 would build initial_data inside frobenius
+    # a suite calling charpoly_A0 would build initial_data inside frobenius,
+    # and one calling a public connection function the step record inside
+    # gaussmanin
     monkeypatch.setattr(frobenius_mod, "initial_data", verify_mod.initial_data)
+    monkeypatch.setattr(gaussmanin_mod, "_step_data", verify_mod._step_data)
     w = make_weight_system([5, 6, 7, 9, 11])
     assert verify_mod.verify_all(w) == {name: [] for name in verify_mod.ALL_SUITES}
     assert counts == dict.fromkeys(builders, 1)
@@ -149,18 +153,21 @@ def test_verify_pass_builds_each_fact_once(monkeypatch):
     # a pass keeps nothing for the next one
     verify_mod.verify_all(w, ["pairing"])
     assert counts["initial_data"] == 2
-    # both connection kernels read the one step record, so no suite looks
-    # the spectrum up per basis vector: a pass calls spectrum_direct, cache
-    # hits and misses alike, the same few times at mu 38 and at mu 96; a
-    # cached jordan_blocks would skip its own lookup, so it starts cold
+    # both connection kernels read the one step record, built once per
+    # pass, so no suite looks the spectrum up per basis vector: a pass calls
+    # spectrum_direct, cache hits and misses alike, 7 times at mu 38 and at
+    # mu 96; a cached jordan_blocks would skip its own lookup, so it starts
+    # cold
     lookups = []
     for weights in ([5, 6, 7, 9, 11], [7, 89]):
         jordan_blocks.cache_clear()
+        counts.clear()
         before = spectrum_direct.cache_info()
         assert verify_mod.verify_all(make_weight_system(weights)) == {name: [] for name in verify_mod.ALL_SUITES}
         after = spectrum_direct.cache_info()
         lookups.append(after.hits + after.misses - before.hits - before.misses)
-    assert lookups[0] == lookups[1] <= 10, lookups
+        assert counts["_step_data"] == 1, weights
+    assert lookups == [7, 7], lookups
 
 
 def test_verify_all_records_a_raised_identity(monkeypatch):

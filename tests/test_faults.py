@@ -21,8 +21,7 @@ import weightspec.spectrum as spectrum
 import weightspec.verify as verify
 from weightspec import (
     GElement,
-    bernstein_check,
-    birkhoff_matrices,
+    f_action,
     make_weight_system,
     tau_dtau,
     v_order,
@@ -61,7 +60,7 @@ def _plant_in_gaussmanin(monkeypatch, *edits: str) -> SimpleNamespace:
     as in ``_planted``, and return that copy."""
     namespace = _planted(gaussmanin, *edits)
     shared = [name for name, value in vars(verify).items() if getattr(gaussmanin, name, None) is value]
-    assert "GElement" in shared
+    assert "_derive" in shared
     for name in shared:
         monkeypatch.setattr(verify, name, namespace[name])
     return SimpleNamespace(**namespace)
@@ -307,10 +306,10 @@ def test_bernstein_fault(monkeypatch):
     assert all(failures == [] for failures in results.values())
 
 
-# faults in the derivative on basis vectors: birkhoff_matrices splits
+# faults in the derivative on basis vectors: the birkhoff suite splits
 # f * omega_k = -tau^(-1) tau_dtau(omega_k) into A0 (its tau^0 part) and
-# A_inf (its theta part), and the Bernstein product and the f route of the
-# reduction suite read the same derivative
+# A_inf (its theta part), and the bernstein suite's product and the
+# reduction suite's certificate read the same derivative
 BIRKHOFF_FAULTS = {
     "birkhoff: A0 is not mu * cyclic shift": (
         ("-mu * scale * c", "-(mu + 1) * scale * c"),
@@ -490,8 +489,10 @@ def test_reflexive_fault(monkeypatch):
 
 
 def test_v_order_fault(monkeypatch):
-    # the derivative as the v_order suite calls it, and as the reduction
-    # suite's certificate does; the f route reads no derivative
+    # the derivative as the four suites that read it call it: the bernstein
+    # product loses tau^mu, the birkhoff split loses A0, the v_order suite
+    # loses the shift term's order and the reduction suite's certificate
+    # its depth-0 steps; the f route reads no derivative
     real = verify._derive
 
     def shift_term_dropped(nums, data):
@@ -507,6 +508,8 @@ def test_v_order_fault(monkeypatch):
     assert results.pop("reduction") == [
         f"reduction: step at depth 0 of omega_{k} is not -(1/mu) tau^(-1) (tau_dtau + L)" for k in range(w.mu)
     ]
+    assert results.pop("bernstein") == ["bernstein: product on omega_0 != tau^mu * omega_0"]
+    assert results.pop("birkhoff") == ["birkhoff: A0 is not mu * cyclic shift"]
     assert all(failures == [] for failures in results.values())
 
 
@@ -550,12 +553,11 @@ def test_integer_derivative_matches_fraction_oracle_on_corpus():
             x = GElement(mu, _oracle_terms(rng, mu, k))
             assert tau_dtau(x, w) == GElement(mu, fraction_oracle.tau_dtau(dict(x.coeffs), w))
             assert v_order(x, w) == fraction_oracle.v_order(x.coeffs, w)
-        assert bernstein_check(w) == GElement(mu, fraction_oracle.bernstein_product(w))
-        d, splits = spectrum.spectrum_direct(w).denominator, birkhoff_matrices(w)
-        assert all(type(c) is int for split in splits for c in split.values())
-        assert tuple({key: Fraction(c, d) for key, c in split.items()} for split in splits) == (
-            fraction_oracle.birkhoff_split(w)
-        )
+        columns = [f_action(GElement.basis(mu, k), w) for k in range(mu)]
+        a0 = {(j, k): c for k, column in enumerate(columns) for j, m, c in column.terms() if m == 0}
+        ainf = {(j, k): c for k, column in enumerate(columns) for j, m, c in column.terms() if m == -1}
+        assert sum(len(column.terms()) for column in columns) == len(a0) + len(ainf)
+        assert (a0, ainf) == fraction_oracle.birkhoff_split(w)
         for name, suite in fraction_oracle.SUITES.items():
             assert verify_all(w, [name])[name] == suite(w) == [], (weights, name)
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,6 @@ from weightspec import (
     DimensionMismatch,
     GElement,
     WeightSystem,
-    bernstein_check,
-    birkhoff_matrices,
     canonical_exponents,
     f_action,
     make_weight_system,
@@ -143,6 +142,21 @@ def test_basis_matches_constructor():
     assert x.terms() == [(2, -1, F(-3, 2))]
 
 
+def test_coefficient_is_an_int_or_a_fraction():
+    # a float, bool, string or Decimal is rejected before the zero test, so
+    # 0.0 and False are not silently dropped and 0.1 is not stored as a
+    # binary fraction
+    x = basis(3, 1)
+    for value in (0.5, 0.0, True, "1/2", Decimal("0.1")):
+        with pytest.raises(DimensionMismatch):
+            GElement(3, {(0, 0): value})
+        with pytest.raises(DimensionMismatch):
+            GElement.basis(3, 0, coefficient=value)
+        with pytest.raises(DimensionMismatch):
+            x.scale(value)
+    assert x.scale(0) == GElement.zero(3) and x.scale(F(0)) == GElement.zero(3)
+
+
 def test_tau_dtau_examples():
     w = make_weight_system([1, 1, 1])
     assert tau_dtau(basis(3, 0), w) == basis(3, 1, tau_power=1, coefficient=-3)
@@ -183,34 +197,45 @@ def test_dimension_mismatch():
 def test_bernstein_examples():
     for tup, mu in [((1, 1, 1), 3), ((1, 1, 2), 4), ((1, 2, 3), 6)]:
         w = make_weight_system(list(tup))
-        assert bernstein_check(w) == basis(mu, 0, tau_power=mu)
+        assert w.mu == mu
+        assert verify_all(w, ["bernstein"]) == {"bernstein": []}
 
 
 def test_bernstein_small_corpus():
     for tup in weight_systems_up_to(12):
         w = WeightSystem(tup)
-        assert bernstein_check(w) == basis(w.mu, 0, tau_power=w.mu)
+        assert verify_all(w, ["bernstein"]) == {"bernstein": []}
+
+
+def _birkhoff_entries(w):
+    """A0 and A_inf times D = lcm(w), read from the columns
+    f_action(omega_k) = A0 omega_k + theta * A_inf omega_k."""
+    d, a0, ainf = spectrum_direct(w).denominator, {}, {}
+    for k in range(w.mu):
+        for j, m, c in f_action(basis(w.mu, k), w).terms():
+            assert m in (0, -1) and (c * d).denominator == 1
+            (a0 if m == 0 else ainf)[j, k] = int(c * d)
+    return a0, ainf
 
 
 def test_birkhoff_examples():
     # both maps hold their entries times D = lcm(w)
     for n in (2, 3, 4):
         w = make_weight_system([1] * (n + 1))
-        _, ainf = birkhoff_matrices(w)
+        _, ainf = _birkhoff_entries(w)
         assert [ainf.get((k, k), 0) for k in range(n + 1)] == list(range(n + 1))
 
     w = make_weight_system([1, 1, 2])
-    a0, ainf = birkhoff_matrices(w)
+    a0, ainf = _birkhoff_entries(w)
     assert [ainf.get((k, k), 0) for k in range(4)] == [0, 2, 4, 2]  # 0, 1, 2, 1 over 2
     assert a0 == {((k + 1) % 4, k): 4 * 2 for k in range(4)}
 
     w = make_weight_system([1, 2, 3])
-    a0, _ = birkhoff_matrices(w)
+    a0, _ = _birkhoff_entries(w)
     assert a0 == {((k + 1) % 6, k): 6 * 6 for k in range(6)}
 
     w = make_weight_system([1, 1, 3])
-    a0, ainf = birkhoff_matrices(w)
-    assert all(type(c) is int for c in [*a0.values(), *ainf.values()])
+    a0, ainf = _birkhoff_entries(w)
     assert ainf == {(k, k): s for k, s in [(1, 3), (2, 6), (3, 4), (4, 2)]}  # 1, 2, 4/3, 2/3 over 3
 
 

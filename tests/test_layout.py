@@ -9,9 +9,10 @@ classes, comparing their weighted sum with A0 + theta * A_inf in that
 step's layout and building no element, and keeps each reduced class in
 that layout, read back as an element only by ``_unscaled`` (which the
 suite never calls), both integer kernels read one record, so the
-connection module looks the spectrum up only where it builds that record
-and in the Bernstein product, multiplication by f is the derivative's
-operator, no module relies
+connection module looks the spectrum up only where it builds that record,
+multiplication by f is the derivative's operator, the ``bernstein`` and
+``birkhoff`` suites run that derivative themselves on the pass's record,
+so no command builds a ``GElement``, no module relies
 on ``assert``, ``report.to_json`` is the only JSON writer and its
 template the only place that writes a ``{"num", "den"}`` leaf, every
 cache is bounded, neither importing the CLI nor running its commands
@@ -281,11 +282,21 @@ def test_one_reduction_step():
 
 def test_connection_reads_the_spectrum_through_its_record():
     # both integer kernels read the record _step_data builds, so a public
-    # function builds it once and hands it down; only bernstein_check also
-    # reads the values s(k) themselves
+    # function builds it once and hands it down
     functions = _functions(gaussmanin)
     callers = sorted(name for name, node in functions.items() if _calls(node, "spectrum_direct"))
-    assert callers == ["_step_data", "bernstein_check"]
+    assert callers == ["_step_data"]
+
+
+def test_no_command_builds_an_element():
+    # the Bernstein product and the Birkhoff split run in the verify suites
+    # on integers, so verify has no GElement to build and gaussmanin keeps
+    # no wrapper that builds a second step record per pass
+    path = Path(verify.__file__)
+    assert not _imports(ast.parse(path.read_text(), filename=str(path)), "GElement")
+    assert not hasattr(verify, "GElement")
+    for name in ("bernstein_check", "birkhoff_matrices"):
+        assert not hasattr(gaussmanin, name) and name not in weightspec.__all__, name
 
 
 def test_one_copy_of_each_index_computation():
@@ -310,11 +321,15 @@ def _reads(tree: ast.AST, attr: str) -> bool:
 
 def test_one_f_operator():
     # f acts as -tau^(-1) tau_dtau, and every route applies the derivative
-    # through the one integer kernel; no package module reads sigma(k) as a
-    # Fraction view, which would be an attribute named spectral_numbers
+    # through the one integer kernel: the library's tau_dtau and f_action,
+    # and exactly the four verify suites that read the derivative; no
+    # package module reads sigma(k) as a Fraction view, which would be an
+    # attribute named spectral_numbers
     functions = _functions(gaussmanin)
-    for caller in ("tau_dtau", "f_action", "bernstein_check", "birkhoff_matrices"):
+    for caller in ("tau_dtau", "f_action"):
         assert _calls(functions[caller], "_derive"), caller
+    suites = sorted(name for name, node in _functions(verify).items() if _calls(node, "_derive"))
+    assert suites == ["verify_bernstein", "verify_birkhoff", "verify_reduction", "verify_v_order"]
     assert _reads(ast.parse("spec.spectral_numbers[k]"), "spectral_numbers")
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 1
