@@ -4,17 +4,20 @@ Every rational value is serialized as {"num": int, "den": int} in lowest
 terms — never as a float.  The payloads carry no such dicts: they hold
 ints over one denominator, as column nodes: :class:`RationalColumn` for a
 list of rationals, :class:`RecordList` for a list of same-keyed dicts
-stored by column and :class:`GroupedColumn` for a column cut into
-consecutive lists.  Only the emitter writes the leaves, one template per
-list with the gcd reduction inline.  JSON output is canonical: sorted
-keys, a two-space indent and ASCII escapes, so that parse + re-serialize
-is byte-identical.  The module's own emitter writes it, byte-equal to
-``json.dumps(doc, sort_keys=True, indent=2)`` of the document with each
-node expanded to its lists and dicts; that ``indent`` would send CPython
-to its pure-Python encoder.  Strings go through the C escaper that
-``json.encoder`` wraps, imported from ``_json`` so that a command does not
-load the ``json`` package; where ``_json`` is missing, as
-``json.encoder`` does, it falls back to that module's pure-Python escaper.
+stored by column, :class:`GroupedColumn` for a column cut into
+consecutive lists and :class:`MonomialRows` for the rows of a monomial
+matrix (A0 and g), each cut from one zero row.  Only the emitter writes
+the leaves, one template per rational column or per record with the leaf
+templates inline and the gcd reduction done by column.  JSON output is
+canonical: sorted keys, a two-space indent and ASCII escapes, so that
+parse + re-serialize is byte-identical.  The module's own emitter writes
+it, byte-equal to ``json.dumps(doc, sort_keys=True, indent=2)`` of the
+document with each node expanded to its lists and dicts; that ``indent``
+would send CPython to its pure-Python encoder.  Strings go through the C
+escaper that ``json.encoder`` wraps, imported from ``_json`` so that a
+command does not load the ``json`` package; where ``_json`` is missing,
+as ``json.encoder`` does, it falls back to that module's pure-Python
+escaper.
 CSV and table text writes a rational with ``spectrum.rational_text``.
 The ``reflexive`` report is written by column: its payload is a
 :class:`RecordList`, and its CSV and table writers fill a one-line ``%s``
@@ -24,9 +27,9 @@ template, repeated once per record, in one ``%``-format.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from math import gcd
-from operator import add, attrgetter
+from operator import add, attrgetter, floordiv
 from typing import TYPE_CHECKING, Any
 
 from . import __version__
@@ -45,7 +48,7 @@ if TYPE_CHECKING:
     from collections.abc import Iterable, Sequence
     from typing import Union
 
-    Column = Union[list[int], "RationalColumn", "RecordList", "GroupedColumn"]
+    Column = Union[list[int], "RationalColumn", "RecordList", "GroupedColumn", "MonomialRows"]
 
 
 class RationalColumn:
@@ -62,20 +65,21 @@ class RationalColumn:
 
     def texts(self, indent: str) -> list[str]:
         """The JSON text of each leaf, closed at ``indent``."""
+        return _fill(*self.leaves(indent))
+
+    def leaves(self, indent: str) -> tuple[str, list[list[int]]]:
+        """The leaf template closed at ``indent``, then the reduced dens and nums."""
         nums, den = self.nums, self.den
         _check_ints(nums)
+        gcds = list(map(gcd, nums, repeat(den)))
         template = f'{{\n{indent}  "den": %d,\n{indent}  "num": %d\n{indent}}}'
-        try:
-            return [template % (den // (g := gcd(v, den)), v // g) for v in nums]
-        except ValueError:  # an int past CPython's int-to-text digit limit
-            template = template.replace("%d", "%s")
-            return [template % (_int_text(den // (g := gcd(v, den))), _int_text(v // g)) for v in nums]
+        return template, [list(map(floordiv, repeat(den), gcds)), list(map(floordiv, nums, gcds))]
 
 
 class RecordList:
     """A list of dicts that all have the keys of ``columns``, stored by
-    column: each key maps to its values in record order, as a list of ints,
-    a :class:`RationalColumn` or a :class:`GroupedColumn`."""
+    column: each key maps to its values in record order, as a list of ints
+    or another column node."""
 
     __slots__ = ("columns",)
 
@@ -88,12 +92,21 @@ class RecordList:
         return len(next(iter(self.columns.values()), ()))
 
     def texts(self, indent: str) -> list[str]:
-        """The JSON text of each record, closed at ``indent``."""
+        """The JSON text of each record, closed at ``indent``: one template,
+        holding a rational column's leaf template, ``%d`` or ``%s``."""
         inner = indent + "  "
-        keys = sorted(self.columns)  # encode_basestring_ascii rejects a non-str key
-        heads = [inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
-        template = "{\n" + ",\n".join(heads) + "\n" + indent + "}"
-        return list(map(template.__mod__, zip(*(_texts(self.columns[key], inner) for key in keys))))
+        heads, streams = [], []
+        for key, column in sorted(self.columns.items()):  # a non-str key is a TypeError
+            if type(column) is RationalColumn:
+                spec, values = column.leaves(inner)
+            elif type(column) in _NODES:
+                spec, values = "%s", [column.texts(inner)]
+            else:
+                _check_ints(column)
+                spec, values = "%d", [column]
+            heads.append(inner + encode_basestring_ascii(key).replace("%", "%%") + ": " + spec)
+            streams += values
+        return _fill("{\n" + ",\n".join(heads) + "\n" + indent + "}", streams)
 
 
 class GroupedColumn:
@@ -122,7 +135,33 @@ class GroupedColumn:
         ]
 
 
-_NODES = (RationalColumn, RecordList, GroupedColumn)
+class MonomialRows:
+    """The rows of a monomial matrix: row j holds the second of the two
+    ``leaves`` at column ``columns[j]`` and the first everywhere else.  In
+    JSON, a list of lists."""
+
+    __slots__ = ("columns", "leaves")
+
+    def __init__(self, columns: Sequence[int], leaves: list[int] | RationalColumn) -> None:
+        if any(type(k) is not int or not 0 <= k < len(columns) for k in columns):
+            raise ValueError("a monomial row's column is not an int in range(len(columns))")
+        self.columns, self.leaves = columns, leaves
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def texts(self, indent: str) -> list[str]:
+        """The JSON text of each row, closed at ``indent``: two slices of
+        one zero row with the value leaf between them."""
+        inner = indent + "  "
+        zero, value = _texts(self.leaves, inner)
+        separator = ",\n" + inner
+        row = "[\n" + inner + separator.join([zero] * len(self.columns)) + "\n" + indent + "]"
+        start, step = len(inner) + 2, len(zero) + len(separator)
+        return [row[: (at := start + k * step)] + value + row[at + len(zero) :] for k in self.columns]
+
+
+_NODES = (RationalColumn, RecordList, GroupedColumn, MonomialRows)
 
 
 def _check_ints(values: Sequence[int]) -> None:
@@ -138,6 +177,16 @@ def _texts(column: Column, indent: str) -> Iterable[str]:
         return column.texts(indent)
     _check_ints(column)
     return map(str, column)
+
+
+def _fill(template: str, streams: list[Sequence]) -> list[str]:
+    # template % each row of the zipped streams; past CPython's int-to-text
+    # digit limit each %d becomes %s of _int_text (a %% pair stays literal)
+    try:
+        return list(map(template.__mod__, zip(*streams)))
+    except ValueError:
+        template = "%%".join(part.replace("%d", "%s") for part in template.split("%%"))
+        return [template % tuple(_int_text(v) if type(v) is int else v for v in row) for row in zip(*streams)]
 
 
 def _int_text(value: int) -> str:
@@ -235,23 +284,13 @@ def spectrum_payload(w: WeightSystem) -> dict[str, Any]:
     }
 
 
-def _monomial_rows(columns: Sequence[int], value: int) -> list[list[int]]:
-    # dense rows of a monomial matrix: row j holds value at columns[j]
-    rows = []
-    for k in columns:
-        row = [0] * len(columns)
-        row[k] = value
-        rows.append(row)
-    return rows
-
-
 def frobenius_payload(w: WeightSystem) -> dict[str, Any]:
     data = initial_data(w)
     mu = data.mu
-    g = _monomial_rows(data.partner, 1)  # the residue pairing is g
+    g = MonomialRows(data.partner, [0, 1])  # the residue pairing is g
     return {
         # A0 = mu * cyclic shift: row j holds mu at column (j - 1) mod mu
-        "a0": [RationalColumn(row) for row in _monomial_rows(range(-1, mu - 1), mu)],
+        "a0": MonomialRows([(j - 1) % mu for j in range(mu)], RationalColumn([0, mu])),
         "ainf_diagonal": RationalColumn(data.sigma_scaled, data.denominator),
         "g": g,
         "e0": data.unit_index,

@@ -2,11 +2,12 @@
 commands, run in-process through ``cli.run``.
 
 The set covers the four report kinds in the three formats and ``verify``
-in the three formats on seven fixed systems, ``reflexive -n 2..4`` in the
-three formats, and malformed inputs (whose error text goes to stderr,
-which is not pinned).  A change that is meant to keep the output
-byte-identical must leave every digest as it is; a change that alters an
-output on purpose updates its digest and says so.
+in the three formats on seven fixed systems, the Frobenius JSON of
+``(5, 7)`` (its digest taken while A0 and g were still written from dense
+rows), ``reflexive -n 2..4`` in the three formats, and malformed inputs
+(whose error text goes to stderr, which is not pinned).  A change that is
+meant to keep the output byte-identical must leave every digest as it is;
+a change that alters an output on purpose updates its digest and says so.
 
 ``GOLDEN_LARGE`` pins JSON reports of the size the benchmark's
 ``report-session`` writes (0.8-1.4 MB each): the spectrum, Jordan and
@@ -135,6 +136,7 @@ GOLDEN = {
     "verify -w 1,2,3,4,59 --format json": (0, "616960d44b48342a670c774a0dfe341421c132b5519381e421dea1d1c2002ffa"),
     "verify -w 1,2,3,4,59 --format table": (0, "a2fda0a138142973ee865b2474742b584dbef84f80d8ad70062c43fb93f998a3"),
     "verify -w 1,2,3,4,59 --format csv": (0, "32a9242c90aeade68966da5bb6007c877770c12207f3bd56f009cfef7603cd34"),
+    "frobenius -w 5,7 --format json": (0, "4670aeff64a7ff5858fe95c435931aa0683f8d00a3332f8ff6d93c87d760990f"),
     "reflexive -n 2 --format json": (0, "af1a20eab45f85b454f409f094508a8c4bf527b312c6a3ea2ec10c369a785203"),
     "reflexive -n 2 --format csv": (0, "57ab54eb57a31ff97dcb90fd2ac89161df4b3849ced8e342d867fbe0100aed2c"),
     "reflexive -n 2 --format table": (0, "208da7ac8671b535624253f537772a02da1a97b50f9b4e7c536e551d3d04da8b"),
@@ -191,7 +193,7 @@ def _mismatches(golden: dict[str, tuple[int, str]]) -> list[tuple[str, int, str]
 
 def test_golden_stdout_and_exit_codes():
     assert _mismatches(GOLDEN) == []
-    assert len(GOLDEN) == 130
+    assert len(GOLDEN) == 131
 
 
 def test_golden_json_at_session_size():

@@ -420,7 +420,7 @@ def test_rationals_leave_as_integer_columns():
         if lines or (path.name != "report.py" and _key_texts(tree)):
             offenders[path.name] = lines
     assert offenders == {}
-    method = ast.parse(textwrap.dedent(inspect.getsource(report.RationalColumn.texts)))
+    method = ast.parse(textwrap.dedent(inspect.getsource(report.RationalColumn.leaves)))
     template = _key_texts(method)
     assert template and template == _key_texts(ast.parse((PACKAGE / "report.py").read_text()))
 

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from weightspec import WeightSystem, enumerate_reflexive, make_weight_system, report, spectrum
 from weightspec.report import (
     GroupedColumn,
+    MonomialRows,
     RationalColumn,
     RecordList,
     envelope,
@@ -159,6 +160,24 @@ def test_ints_past_the_digit_limit_are_written_in_full():
     assert to_json(RationalColumn(big, den)) == expected + "\n"
 
 
+def test_ints_past_the_digit_limit_are_written_in_full_in_records():
+    # a numerator of 4,401 digits that reduces by 3 over 6, and an int
+    # column past the limit, beside a key whose "%d" must stay as it is
+    big = 3 * 10**4400 + 3
+    records = RecordList({"%d": [1, -(10**4500), 3], "r": RationalColumn([1, big, 4], 6)})
+    stand_ins = {987654321: _decimal(big // 3), -123456789: _decimal(-(10**4500))}
+    rows = [
+        {"%d": 1, "r": enc(F(1, 6))},
+        {"%d": -123456789, "r": {"num": 987654321, "den": 2}},
+        {"%d": 3, "r": enc(F(4, 6))},
+    ]
+    for node, plain in ((records, rows), (GroupedColumn(records, [1, 0, 2]), [rows[:1], [], rows[1:]])):
+        expected = json.dumps(plain, sort_keys=True, indent=2) + "\n"
+        for stand_in, text in stand_ins.items():
+            expected = expected.replace(f": {stand_in}", f": {text}")
+        assert to_json(node) == expected
+
+
 # quotes, backslashes, control and non-ASCII characters, and astral ones
 # that json writes as surrogate pairs
 _texts = st.text(
@@ -250,11 +269,21 @@ def test_to_json_rejects_what_it_does_not_write():
                 to_json(doc)
     with pytest.raises(TypeError):
         to_json(RecordList({1: [0]}))
+    for leaves in ([0, True], [0, 1.5], RationalColumn([0, None])):
+        with pytest.raises(TypeError):
+            to_json(MonomialRows([1, 0], leaves))
     # a record list's columns have one length, a grouping covers its column
     with pytest.raises(ValueError):
         RecordList({"a": [1, 2], "b": RationalColumn([1], 2)})
     with pytest.raises(ValueError):
         GroupedColumn([1, 2, 3], [1, 1])
+
+
+def test_monomial_rows_reject_a_column_off_the_row():
+    for columns in ([0, -1], [0, 2], [2, 0], [True, 0], [0, False], [0, 1.0], [F(0), 1], ["0", 1]):
+        with pytest.raises(ValueError):
+            MonomialRows(columns, [0, 1])
+    assert len(MonomialRows([], [0, 1])) == 0
 
 
 # --- column nodes against the lists they stand for -------------------------
@@ -273,13 +302,23 @@ def _rational_columns(draw, length: int) -> RationalColumn:
 
 
 @st.composite
+def _monomial_rows(draw, length: int) -> MonomialRows:
+    # int or rational leaves, and columns that repeat or skip
+    columns = st.lists(st.integers(0, max(length - 1, 0)), min_size=length, max_size=length)
+    leaves = st.one_of(st.lists(_ints, min_size=2, max_size=2), _rational_columns(2))
+    return MonomialRows(draw(columns), draw(leaves))
+
+
+@st.composite
 def _columns(draw, length: int, depth: int):
-    kinds = ["ints", "rationals"] + (["grouped", "records"] if depth < 2 else [])
+    kinds = ["ints", "rationals", "monomial"] + (["grouped", "records"] if depth < 2 else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "ints":
         return draw(st.lists(_ints, min_size=length, max_size=length))
     if kind == "rationals":
         return draw(_rational_columns(length))
+    if kind == "monomial":
+        return draw(_monomial_rows(length))
     if kind == "grouped":
         # empty groups included
         sizes = draw(st.lists(st.integers(0, 3), min_size=length, max_size=length))
@@ -305,6 +344,10 @@ def _expand(column):
         keys = list(column.columns)
         values = [_expand(c) for c in column.columns.values()]
         return [dict(zip(keys, row)) for row in zip(*values)]
+    if isinstance(column, MonomialRows):
+        zero, value = _expand(column.leaves)
+        width = len(column.columns)
+        return [[value if k == at else zero for k in range(width)] for at in column.columns]
     if isinstance(column, GroupedColumn):
         flat, groups = _expand(column.column), []
         for size in column.sizes:
@@ -329,6 +372,34 @@ def test_column_nodes_match_json_dumps(node, wrappers):
     for in_list in wrappers:
         doc, expected = ([0, doc], [0, expected]) if in_list else ({"k": doc, "z": []}, {"k": expected, "z": []})
     assert to_json(doc) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40).flatmap(_monomial_rows))
+def test_monomial_rows_match_json_dumps_of_dense_rows(rows):
+    assert to_json(rows) == json.dumps(_expand(rows), sort_keys=True, indent=2) + "\n"
+
+
+def _held_ints(value, seen: set[int]) -> int:
+    # the ints in the lists and tuples a payload holds, each list once
+    if id(value) in seen:
+        return 0
+    seen.add(id(value))
+    if isinstance(value, dict):
+        return sum(_held_ints(v, seen) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return sum(1 if type(v) is int else _held_ints(v, seen) for v in value)
+    return sum(_held_ints(getattr(value, name), seen) for name in getattr(value, "__slots__", ()))
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (5, 7), (17, 19, 26, 34)])
+def test_frobenius_payload_holds_O_mu_ints(weights):
+    # A0 and g are monomial rows, not dense: at mu 96 the dense rows of A0
+    # and g held 2 * mu**2 = 18,432 ints, written as 3 * mu**2 = 27,648
+    w = make_weight_system(list(weights))
+    payload = frobenius_payload(w)
+    assert type(payload["a0"]) is MonomialRows and payload["g"] is payload["pairing"]
+    assert _held_ints(payload, set()) < 4 * w.mu + 8
 
 
 # --- the reflexive reports against per-record oracles ----------------------
