@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import repeat
+from operator import floordiv, mul
 from typing import Iterator, NamedTuple
 
 from .spectrum import spectrum_direct
@@ -38,7 +40,8 @@ class DimensionTooLarge(ValueError):
 
 
 class InconsistentRecord(ValueError):
-    """A record whose q does not satisfy q_i * w_i = mu and sum 1/q_i = 1."""
+    """A record whose q does not satisfy q_i * w_i = mu, one q_i per weight,
+    and sum 1/q_i = 1."""
 
 
 class _ReflexiveFields(NamedTuple):
@@ -51,9 +54,9 @@ class ReflexiveRecord(_ReflexiveFields):
     __slots__ = ()
 
     def __new__(cls, weights: WeightSystem, mu: int, q: tuple[int, ...]):
-        divides = all(qi * wi == mu for qi, wi in zip(q, weights.weights))
+        w = weights.weights
         # given q_i * w_i = mu, sum 1/q_i = sum w_i / mu is 1 iff sum w_i = mu
-        if not divides or weights.mu != mu:
+        if len(q) != len(w) or list(map(mul, q, w)) != [mu] * len(w) or weights.mu != mu:
             raise InconsistentRecord(f"q = {q} is not mu / w_i with sum 1/q_i = 1")
         return super().__new__(cls, weights, mu, q)
 
@@ -101,7 +104,7 @@ def _record_from_q(q: tuple[int, ...]) -> ReflexiveRecord:
     # nondecreasing, so reversed it gives the weights in ascending order.
     mu = math.lcm(*q)
     q = q[::-1]
-    return ReflexiveRecord(WeightSystem(tuple(mu // qi for qi in q)), mu, q)
+    return ReflexiveRecord(WeightSystem(tuple(map(floordiv, repeat(mu), q))), mu, q)
 
 
 @lru_cache(maxsize=DEFAULT_MAX_DIMENSION)

@@ -7,21 +7,24 @@ list of rationals, :class:`RecordList` for a list of same-keyed dicts
 stored by column, :class:`GroupedColumn` for a column cut into
 consecutive lists and :class:`MonomialRows` for the rows of a monomial
 matrix (A0 and g), each cut from one zero row.  Only the emitter writes
-the leaves, one template per rational column or per record with the leaf
-templates inline and the gcd reduction done by column.  JSON output is
-canonical: sorted keys, a two-space indent and ASCII escapes, so that
-parse + re-serialize is byte-identical.  The module's own emitter writes
-it, byte-equal to ``json.dumps(doc, sort_keys=True, indent=2)`` of the
-document with each node expanded to its lists and dicts; that ``indent``
-would send CPython to its pure-Python encoder.  Strings go through the C
+the leaves, one template per rational column, per grouping of one width
+over ints, or per record with those templates inline and the gcd
+reduction done by column.  JSON output is canonical: sorted keys, a
+two-space indent and ASCII escapes, so that parse + re-serialize is
+byte-identical.  The module's own emitter writes it, byte-equal to
+``json.dumps(doc, sort_keys=True, indent=2)`` of the document with each
+node expanded to its lists and dicts; that ``indent`` would send CPython
+to its pure-Python encoder.  Strings go through the C
 escaper that ``json.encoder`` wraps, imported from ``_json`` so that a
 command does not load the ``json`` package; where ``_json`` is missing,
 as ``json.encoder`` does, it falls back to that module's pure-Python
 escaper.
 CSV and table text writes a rational with ``spectrum.rational_text``.
 The ``reflexive`` report is written by column: its payload is a
-:class:`RecordList`, and its CSV and table writers fill a one-line ``%s``
-template, repeated once per record, in one ``%``-format.
+:class:`RecordList` whose weights and q are groupings of one width over
+ints, so each record is one template with its q and weights inline, and
+its CSV and table writers fill a one-line ``%s`` template, repeated once
+per record, in one ``%``-format.
 """
 
 from __future__ import annotations
@@ -93,12 +96,13 @@ class RecordList:
 
     def texts(self, indent: str) -> list[str]:
         """The JSON text of each record, closed at ``indent``: one template,
-        holding a rational column's leaf template, ``%d`` or ``%s``."""
+        holding a rational column's or an equal-width grouping's leaf
+        template, ``%d`` or ``%s``."""
         inner = indent + "  "
         heads, streams = [], []
         for key, column in sorted(self.columns.items()):  # a non-str key is a TypeError
-            if type(column) is RationalColumn:
-                spec, values = column.leaves(inner)
+            if type(column) in (RationalColumn, GroupedColumn) and (leaves := column.leaves(inner)):
+                spec, values = leaves
             elif type(column) in _NODES:
                 spec, values = "%s", [column.texts(inner)]
             else:
@@ -116,6 +120,8 @@ class GroupedColumn:
     __slots__ = ("column", "sizes")
 
     def __init__(self, column: Column, sizes: Sequence[int]) -> None:
+        if any(type(size) is not int or size < 0 for size in sizes):
+            raise ValueError("a group size is not an int >= 0")
         if sum(sizes) != len(column):
             raise ValueError("group sizes do not add up to the column length")
         self.column, self.sizes = column, sizes
@@ -123,9 +129,26 @@ class GroupedColumn:
     def __len__(self) -> int:
         return len(self.sizes)
 
+    def leaves(self, indent: str) -> tuple[str, list[Sequence]] | None:
+        """For groups of one width k over a list of ints: the group template
+        closed at ``indent`` and the k streams ``column[i::k]``; else None."""
+        column, sizes = self.column, self.sizes
+        if type(column) in _NODES or len(set(sizes)) != 1:
+            return None
+        _check_ints(column)
+        k = sizes[0]
+        if not k:  # no stream to zip: each group is "[]" through "%s"
+            return "%s", [["[]"] * len(sizes)]
+        inner = indent + "  "
+        template = "[\n" + inner + (",\n" + inner).join(["%d"] * k) + "\n" + indent + "]"
+        return template, [column[i::k] for i in range(k)]
+
     def texts(self, indent: str) -> list[str]:
-        """The JSON text of each group, closed at ``indent``; the item texts
-        come from one pass over the column."""
+        """The JSON text of each group, closed at ``indent``: one template
+        for groups of one width over ints, else the item texts of one pass
+        over the column."""
+        if leaves := self.leaves(indent):
+            return _fill(*leaves)
         inner = indent + "  "
         flat = iter(_texts(self.column, inner))
         opening, separator, closing = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"

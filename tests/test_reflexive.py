@@ -214,6 +214,14 @@ def test_inconsistent_record_raises():
     record = ReflexiveRecord(w, 3, (3, 3, 3))
     with pytest.raises(InconsistentRecord):
         record._replace(q=(3, 3, 2))
+    # one q_i per weight: a q that is short or long by one is rejected
+    w = make_weight_system([1, 1, 2])
+    record = ReflexiveRecord(w, 4, (4, 4, 2))
+    for q in ((4, 4), (4, 4, 2, 4), (4, 4, 2, 1), ()):
+        with pytest.raises(InconsistentRecord):
+            ReflexiveRecord(w, 4, q)
+        with pytest.raises(InconsistentRecord):
+            record._replace(q=q)
 
 
 def test_dimension_bounds():

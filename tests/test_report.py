@@ -161,20 +161,31 @@ def test_ints_past_the_digit_limit_are_written_in_full():
 
 
 def test_ints_past_the_digit_limit_are_written_in_full_in_records():
-    # a numerator of 4,401 digits that reduces by 3 over 6, and an int
-    # column past the limit, beside a key whose "%d" must stay as it is
+    # a numerator of 4,401 digits that reduces by 3 over 6, an int column
+    # and a group of one width past the limit, beside a key whose "%d" must
+    # stay as it is
     big = 3 * 10**4400 + 3
-    records = RecordList({"%d": [1, -(10**4500), 3], "r": RationalColumn([1, big, 4], 6)})
-    stand_ins = {987654321: _decimal(big // 3), -123456789: _decimal(-(10**4500))}
+    records = RecordList(
+        {
+            "%d": [1, -(10**4500), 3],
+            "g": GroupedColumn([0, 1, 7 * 10**4350, 2, 3, 4], [2, 2, 2]),
+            "r": RationalColumn([1, big, 4], 6),
+        }
+    )
+    stand_ins = {
+        987654321: _decimal(big // 3),
+        -123456789: _decimal(-(10**4500)),
+        555555555: _decimal(7 * 10**4350),
+    }
     rows = [
-        {"%d": 1, "r": enc(F(1, 6))},
-        {"%d": -123456789, "r": {"num": 987654321, "den": 2}},
-        {"%d": 3, "r": enc(F(4, 6))},
+        {"%d": 1, "g": [0, 1], "r": enc(F(1, 6))},
+        {"%d": -123456789, "g": [555555555, 2], "r": {"num": 987654321, "den": 2}},
+        {"%d": 3, "g": [3, 4], "r": enc(F(4, 6))},
     ]
     for node, plain in ((records, rows), (GroupedColumn(records, [1, 0, 2]), [rows[:1], [], rows[1:]])):
         expected = json.dumps(plain, sort_keys=True, indent=2) + "\n"
         for stand_in, text in stand_ins.items():
-            expected = expected.replace(f": {stand_in}", f": {text}")
+            expected = expected.replace(f" {stand_in}", f" {text}")
         assert to_json(node) == expected
 
 
@@ -264,6 +275,8 @@ def test_to_json_rejects_what_it_does_not_write():
             RationalColumn([0, bad], 3),
             RecordList({"k": [1, bad]}),
             RecordList({"k": GroupedColumn([1, bad], [0, 2])}),
+            GroupedColumn([1, bad], [1, 1]),
+            RecordList({"k": GroupedColumn([1, bad], [1, 1])}),
         ):
             with pytest.raises(TypeError):
                 to_json(doc)
@@ -277,6 +290,10 @@ def test_to_json_rejects_what_it_does_not_write():
         RecordList({"a": [1, 2], "b": RationalColumn([1], 2)})
     with pytest.raises(ValueError):
         GroupedColumn([1, 2, 3], [1, 1])
+    # a group size is exactly an int >= 0, whatever the sizes add up to
+    for sizes in ([-1, 4], [1.5, 1.5], [True, 2], [3, False], [F(3)], ["3"], [None, 3]):
+        with pytest.raises(ValueError):
+            GroupedColumn([1, 2, 3], sizes)
 
 
 def test_monomial_rows_reject_a_column_off_the_row():
@@ -311,17 +328,27 @@ def _monomial_rows(draw, length: int) -> MonomialRows:
 
 @st.composite
 def _columns(draw, length: int, depth: int):
-    kinds = ["ints", "rationals", "monomial"] + (["grouped", "records"] if depth < 2 else [])
-    kind = draw(st.sampled_from(kinds))
+    kinds = ["ints", "rationals", "monomial", "equal-width"]
+    kind = draw(st.sampled_from(kinds + (["grouped", "records"] if depth < 2 else [])))
     if kind == "ints":
         return draw(st.lists(_ints, min_size=length, max_size=length))
+    if kind == "equal-width":
+        # groups of one width over ints are written through one template
+        width = draw(st.integers(0, 3))
+        column = draw(st.lists(_ints, min_size=width * length, max_size=width * length))
+        return GroupedColumn(column, [width] * length)
     if kind == "rationals":
         return draw(_rational_columns(length))
     if kind == "monomial":
         return draw(_monomial_rows(length))
     if kind == "grouped":
-        # empty groups included
-        sizes = draw(st.lists(st.integers(0, 3), min_size=length, max_size=length))
+        # empty groups included, and groups of one width over any column
+        sizes = draw(
+            st.one_of(
+                st.lists(st.integers(0, 3), min_size=length, max_size=length),
+                st.integers(0, 3).map(lambda width: [width] * length),
+            )
+        )
         return GroupedColumn(draw(_columns(sum(sizes), depth + 1)), sizes)
     return draw(_record_lists(length, depth + 1))
 
@@ -372,6 +399,30 @@ def test_column_nodes_match_json_dumps(node, wrappers):
     for in_list in wrappers:
         doc, expected = ([0, doc], [0, expected]) if in_list else ({"k": doc, "z": []}, {"k": expected, "z": []})
     assert to_json(doc) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+def test_groupings_match_json_dumps():
+    # one template for groups of one width over ints, at the top and inside
+    # records; groups of several widths, or over a column node, are written
+    # as before
+    records = RecordList({"a": [1, 2, 3, 4], "r": RationalColumn([1, 2, 3, -4], 6)})
+    for node in (
+        GroupedColumn([1, -2, 3, 2**70], [2, 2]),
+        GroupedColumn([1, -2, 3, 2**70], [1, 0, 3]),
+        GroupedColumn([1, -2, 3, 2**70], [0, 2, 2]),
+        RecordList({"g": GroupedColumn([1, 2, 3], [2, 1]), "h": GroupedColumn([4, 5], [1, 1])}),
+        GroupedColumn((5, 6, 7), [1, 1, 1]),
+        GroupedColumn([], [0, 0, 0]),
+        RecordList({"g": GroupedColumn([], [0, 0])}),
+        RecordList({"%s": GroupedColumn([1, 2, 3, 4, 5, 6], [3, 3]), "z": GroupedColumn([], [0, 0])}),
+        GroupedColumn(records, [2, 2]),
+        GroupedColumn(RationalColumn([1, 2, 3, 4], 6), [2, 2]),
+        GroupedColumn(MonomialRows([1, 0], [0, 1]), [1, 1]),
+        RecordList(
+            {"g": GroupedColumn(records, [1, 1, 1, 1]), "h": GroupedColumn(RationalColumn([1, 2, 3, 4], 2), [1] * 4)}
+        ),
+    ):
+        assert to_json(node) == json.dumps(_expand(node), sort_keys=True, indent=2) + "\n"
 
 
 @settings(max_examples=60, deadline=None)
