@@ -5,16 +5,25 @@ terms — never as a float.  The payloads carry no such dicts: they hold
 ints over one denominator, as column nodes: :class:`RationalColumn` for a
 list of rationals, :class:`RecordList` for a list of same-keyed dicts
 stored by column, :class:`GroupedColumn` for a column cut into
-consecutive lists and :class:`MonomialRows` for the rows of a monomial
-matrix (A0 and g), each cut from one zero row.  Only the emitter writes
-the leaves, one template per rational column, per grouping of one width
-over ints, or per record with those templates inline and the gcd
-reduction done by column.  JSON output is canonical: sorted keys, a
-two-space indent and ASCII escapes, so that parse + re-serialize is
-byte-identical.  The module's own emitter writes it, byte-equal to
-``json.dumps(doc, sort_keys=True, indent=2)`` of the document with each
-node expanded to its lists and dicts; that ``indent`` would send CPython
-to its pure-Python encoder.  Strings go through the C
+consecutive lists, :class:`MonomialRows` for the rows of a monomial
+matrix (A0 and g), each cut from one zero row, and :class:`IndexList` for
+a list of indices written from a table of their texts, which the
+``filtrations`` payload makes once for all its index lists.  Only the
+emitter writes the leaves, each once, from one ``%``-template per
+rational column, per record, or per grouping of one width: a record's
+template holds the template of each of its columns, and the template of
+groups of one width holds that of its column's items as many times, so a
+``jordan`` class whose groups of blocks all have one count is one
+template.  Groups of several widths are joined from their items' texts.
+The gcd reduction is done by column; the ``spectrum`` payload computes
+gcd(v, D) once for its ``s``, ``sigma`` and ``alpha`` columns, whose
+numerators v, k*D - v and -v mod D share it.  JSON output is canonical:
+sorted keys, a two-space indent and ASCII escapes, so that parse +
+re-serialize is byte-identical.  The module's own emitter writes it,
+byte-equal to ``json.dumps(doc, sort_keys=True, indent=2)`` of the
+document with each node expanded to its lists and dicts; that ``indent``
+would send CPython to its pure-Python encoder.  An int is written in full
+even past CPython's int-to-text digit limit.  Strings go through the C
 escaper that ``json.encoder`` wraps, imported from ``_json`` so that a
 command does not load the ``json`` package; where ``_json`` is missing,
 as ``json.encoder`` does, it falls back to that module's pure-Python
@@ -48,20 +57,23 @@ except ImportError:
     from json.encoder import encode_basestring_ascii
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Sequence
+    from collections.abc import Sequence
     from typing import Union
 
-    Column = Union[list[int], "RationalColumn", "RecordList", "GroupedColumn", "MonomialRows"]
+    Column = Union[list[int], "RationalColumn", "RecordList", "GroupedColumn", "MonomialRows", "IndexList"]
 
 
 class RationalColumn:
     """The ints ``nums`` over one denominator ``den`` > 0.  In JSON, a list
-    of {"num": int, "den": int} leaves, each in lowest terms."""
+    of {"num": int, "den": int} leaves, each in lowest terms.  ``gcds``,
+    when given, holds gcd(num, den) of each num, for columns that share it."""
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("nums", "den", "gcds")
 
-    def __init__(self, nums: Sequence[int], den: int = 1) -> None:
-        self.nums, self.den = nums, den
+    def __init__(self, nums: Sequence[int], den: int = 1, gcds: Sequence[int] | None = None) -> None:
+        if gcds is not None and len(gcds) != len(nums):
+            raise ValueError("one gcd per num")
+        self.nums, self.den, self.gcds = nums, den, gcds
 
     def __len__(self) -> int:
         return len(self.nums)
@@ -72,9 +84,10 @@ class RationalColumn:
 
     def leaves(self, indent: str) -> tuple[str, list[list[int]]]:
         """The leaf template closed at ``indent``, then the reduced dens and nums."""
-        nums, den = self.nums, self.den
+        nums, den, gcds = self.nums, self.den, self.gcds
         _check_ints(nums)
-        gcds = list(map(gcd, nums, repeat(den)))
+        if gcds is None:
+            gcds = list(map(gcd, nums, repeat(den)))
         template = f'{{\n{indent}  "den": %d,\n{indent}  "num": %d\n{indent}}}'
         return template, [list(map(floordiv, repeat(den), gcds)), list(map(floordiv, nums, gcds))]
 
@@ -95,22 +108,19 @@ class RecordList:
         return len(next(iter(self.columns.values()), ()))
 
     def texts(self, indent: str) -> list[str]:
-        """The JSON text of each record, closed at ``indent``: one template,
-        holding a rational column's or an equal-width grouping's leaf
-        template, ``%d`` or ``%s``."""
+        """The JSON text of each record, closed at ``indent``."""
+        return _fill(*self.leaves(indent))
+
+    def leaves(self, indent: str) -> tuple[str, list[Sequence]]:
+        """The record template closed at ``indent``, holding the leaf
+        template of each column, then the streams that fill it."""
         inner = indent + "  "
         heads, streams = [], []
         for key, column in sorted(self.columns.items()):  # a non-str key is a TypeError
-            if type(column) in (RationalColumn, GroupedColumn) and (leaves := column.leaves(inner)):
-                spec, values = leaves
-            elif type(column) in _NODES:
-                spec, values = "%s", [column.texts(inner)]
-            else:
-                _check_ints(column)
-                spec, values = "%d", [column]
+            spec, values = _leaves(column, inner)
             heads.append(inner + encode_basestring_ascii(key).replace("%", "%%") + ": " + spec)
             streams += values
-        return _fill("{\n" + ",\n".join(heads) + "\n" + indent + "}", streams)
+        return "{\n" + ",\n".join(heads) + "\n" + indent + "}", streams
 
 
 class GroupedColumn:
@@ -120,7 +130,7 @@ class GroupedColumn:
     __slots__ = ("column", "sizes")
 
     def __init__(self, column: Column, sizes: Sequence[int]) -> None:
-        if any(type(size) is not int or size < 0 for size in sizes):
+        if sizes and (set(map(type, sizes)) != {int} or min(sizes) < 0):
             raise ValueError("a group size is not an int >= 0")
         if sum(sizes) != len(column):
             raise ValueError("group sizes do not add up to the column length")
@@ -130,23 +140,24 @@ class GroupedColumn:
         return len(self.sizes)
 
     def leaves(self, indent: str) -> tuple[str, list[Sequence]] | None:
-        """For groups of one width k over a list of ints: the group template
-        closed at ``indent`` and the k streams ``column[i::k]``; else None."""
-        column, sizes = self.column, self.sizes
-        if type(column) in _NODES or len(set(sizes)) != 1:
+        """For groups of one width k: the group template closed at
+        ``indent``, k copies of the column's leaf template, and the streams
+        ``stream[i::k]`` of the column's streams; else None."""
+        sizes = self.sizes
+        if len(set(sizes)) != 1:
             return None
-        _check_ints(column)
         k = sizes[0]
         if not k:  # no stream to zip: each group is "[]" through "%s"
             return "%s", [["[]"] * len(sizes)]
         inner = indent + "  "
-        template = "[\n" + inner + (",\n" + inner).join(["%d"] * k) + "\n" + indent + "]"
-        return template, [column[i::k] for i in range(k)]
+        leaf, streams = _leaves(self.column, inner)
+        template = "[\n" + inner + (",\n" + inner).join([leaf] * k) + "\n" + indent + "]"
+        return template, [stream[i::k] for i in range(k) for stream in streams]
 
     def texts(self, indent: str) -> list[str]:
         """The JSON text of each group, closed at ``indent``: one template
-        for groups of one width over ints, else the item texts of one pass
-        over the column."""
+        for groups of one width, else the item texts of one pass over the
+        column."""
         if leaves := self.leaves(indent):
             return _fill(*leaves)
         inner = indent + "  "
@@ -184,7 +195,29 @@ class MonomialRows:
         return [row[: (at := start + k * step)] + value + row[at + len(zero) :] for k in self.columns]
 
 
-_NODES = (RationalColumn, RecordList, GroupedColumn, MonomialRows)
+class IndexList:
+    """Indices into ``table``, which holds the text of each int in
+    ``range(len(table))``, made once for a payload.  In JSON, the list of
+    the indices."""
+
+    __slots__ = ("indices", "table")
+
+    def __init__(self, indices: Sequence[int], table: Sequence[str]) -> None:
+        self.indices, self.table = indices, table
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def texts(self, indent: str) -> list[str]:
+        """The text of each index; an index outside the table is an IndexError."""
+        indices = self.indices
+        _check_ints(indices)
+        if indices and min(indices) < 0:  # the table would wrap it
+            raise IndexError("a negative index")
+        return list(map(self.table.__getitem__, indices))
+
+
+_NODES = (RationalColumn, RecordList, GroupedColumn, MonomialRows, IndexList)
 
 
 def _check_ints(values: Sequence[int]) -> None:
@@ -193,13 +226,24 @@ def _check_ints(values: Sequence[int]) -> None:
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _texts(column: Column, indent: str) -> Iterable[str]:
-    # the JSON text of each value of a column, closed at indent; an int's
-    # text is made as it is read
+def _leaves(column: Column, indent: str) -> tuple[str, list[Sequence]]:
+    # the leaf template of a column's items closed at indent, and the streams
+    # that fill it: "%d" and the column for ints, a node's own template where
+    # it has one, else "%s" and the node's item texts
+    if type(column) in (RationalColumn, RecordList, GroupedColumn) and (leaves := column.leaves(indent)):
+        return leaves
+    if type(column) in _NODES:
+        return "%s", [column.texts(indent)]
+    _check_ints(column)
+    return "%d", [column]
+
+
+def _texts(column: Column, indent: str) -> Sequence[str]:
+    # the JSON text of each value of a column, closed at indent
     if type(column) in _NODES:
         return column.texts(indent)
     _check_ints(column)
-    return map(str, column)
+    return _int_texts(column)
 
 
 def _fill(template: str, streams: list[Sequence]) -> list[str]:
@@ -212,9 +256,21 @@ def _fill(template: str, streams: list[Sequence]) -> list[str]:
         return [template % tuple(_int_text(v) if type(v) is int else v for v in row) for row in zip(*streams)]
 
 
+def _int_texts(values: Sequence[int]) -> list[str]:
+    # str() of each int, through _int_text once one is past the digit limit
+    try:
+        return list(map(str, values))
+    except ValueError:
+        return list(map(_int_text, values))
+
+
 def _int_text(value: int) -> str:
-    # str(value), also past CPython's int-to-text digit limit: the digits in
-    # chunks of 4000, every chunk but the first zero-padded
+    # str(value), also past CPython's int-to-text digit limit: there the
+    # digits in chunks of 4000, every chunk but the first zero-padded
+    try:
+        return str(value)
+    except ValueError:
+        pass
     chunks, rest = [], abs(value)
     while rest >= 10**4000:
         rest, low = divmod(rest, 10**4000)
@@ -263,7 +319,7 @@ def _emit(value: Any, head: str, indent: str, out: list[str]) -> None:
     """
     kind = type(value)
     if kind is int:
-        out.append(head + str(value))
+        out.append(head + _int_text(value))
     elif kind is str:
         out.append(head + encode_basestring_ascii(value))
     elif kind is list or kind is dict or kind in _NODES:
@@ -280,7 +336,7 @@ def _emit(value: Any, head: str, indent: str, out: list[str]) -> None:
         elif kind in _NODES:  # head + the joined texts would copy them again
             out += (head, (",\n" + inner).join(value.texts(inner)))
         elif set(map(type, value)) == {int}:
-            out.append(head + (",\n" + inner).join(map(str, value)))
+            out += (head, (",\n" + inner).join(_int_texts(value)))
         else:
             for item in value:
                 _emit(item, head, inner, out)
@@ -294,10 +350,12 @@ def spectrum_payload(w: WeightSystem) -> dict[str, Any]:
     spec = spectrum_direct(w)
     d, scaled = spec.denominator, spec.scaled
     roots = _root_counts(spec)
+    # gcd(k*D - v, D) = gcd(-v mod D, D) = gcd(v, D): one gcd per index for s, sigma and alpha
+    gcds = list(map(gcd, scaled, repeat(d)))
     return {
-        "s": RationalColumn(scaled, d),
-        "sigma": RationalColumn(spec.sigma_scaled, d),
-        "alpha": RationalColumn([-v % d for v in scaled], d),
+        "s": RationalColumn(scaled, d, gcds),
+        "sigma": RationalColumn(spec.sigma_scaled, d, gcds),
+        "alpha": RationalColumn([-v % d for v in scaled], d, gcds),
         "spectral_polynomial": RecordList(
             {
                 "root": RationalColumn([x for x, _ in roots], d),
@@ -354,12 +412,13 @@ def jordan_payload(w: WeightSystem) -> dict[str, Any]:
 
 def filtrations_payload(w: WeightSystem) -> dict[str, Any]:
     report = saito_filtration(w)
+    table = list(map(str, range(w.mu)))  # the text of each index, made once
     payload: dict[str, Any] = {
-        name: {str(level): members for level, members in sets.items()}
+        name: {str(level): IndexList(members, table) for level, members in sets.items()}
         for name, sets in report.index_sets().items()
     }
-    payload["primitive"] = sorted(report.primitive)
-    payload["conjugation"] = list(report.conj)
+    payload["primitive"] = IndexList(sorted(report.primitive), table)
+    payload["conjugation"] = IndexList(report.conj, table)
     return payload
 
 

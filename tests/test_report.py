@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from weightspec import WeightSystem, enumerate_reflexive, make_weight_system, report, spectrum
 from weightspec.report import (
     GroupedColumn,
+    IndexList,
     MonomialRows,
     RationalColumn,
     RecordList,
@@ -109,6 +110,18 @@ def test_payloads_against_fraction_oracle_three_primes():
     _assert_payloads(WeightSystem((7, 11, 13)))
 
 
+def test_payloads_against_fraction_oracle_one_wide_class():
+    # mu 4000: 2,998 classes of one block and one class of 1,000 blocks, so
+    # the class records take the path for groups of several widths at the
+    # size of a session; no Frobenius payload, whose dense oracle would
+    # hold 16M entries
+    w = WeightSystem((1000, 1499, 1501))
+    s = [v for v, _, _ in ladder_triples(w)]
+    assert Counter(jordan_payload(w)["classes"].columns["blocks"].sizes) == {1: 2998, 1000: 1}
+    assert _document("spectrum", spectrum_payload(w), w) == expected_spectrum(s)
+    assert _document("jordan", jordan_payload(w), w) == expected_jordan(s)
+
+
 def _column(nums: list[int], den: int) -> list:
     return json.loads(to_json(RationalColumn(nums, den)))
 
@@ -160,29 +173,58 @@ def test_ints_past_the_digit_limit_are_written_in_full():
     assert to_json(RationalColumn(big, den)) == expected + "\n"
 
 
+def test_ints_past_the_digit_limit_are_written_in_full_in_documents():
+    # a scalar, a list item and an item of groups of several widths
+    big = 10**5000
+    text = _decimal(big)
+    for doc, expected in (
+        ({"a": big}, f'{{\n  "a": {text}\n}}'),
+        ({"a": -big}, f'{{\n  "a": -{text}\n}}'),
+        ({"a": [big, 1]}, f'{{\n  "a": [\n    {text},\n    1\n  ]\n}}'),
+        (GroupedColumn([big, 1], [1, 0, 1]), f"[\n  [\n    {text}\n  ],\n  [],\n  [\n    1\n  ]\n]"),
+    ):
+        assert to_json(doc) == expected + "\n"
+
+
 def test_ints_past_the_digit_limit_are_written_in_full_in_records():
-    # a numerator of 4,401 digits that reduces by 3 over 6, an int column
-    # and a group of one width past the limit, beside a key whose "%d" must
-    # stay as it is
+    # numerators of 4,401 digits that reduce by 3 over 6, an int column and
+    # a group of one width past the limit, beside a key whose "%d" must stay
+    # as it is; the records and the rationals also in groups of one width,
+    # whose template holds theirs, and of several widths
     big = 3 * 10**4400 + 3
+    rationals = RationalColumn([1, big, 4, -big], 6)
     records = RecordList(
         {
-            "%d": [1, -(10**4500), 3],
-            "g": GroupedColumn([0, 1, 7 * 10**4350, 2, 3, 4], [2, 2, 2]),
-            "r": RationalColumn([1, big, 4], 6),
+            "%d": [1, -(10**4500), 3, 4],
+            "g": GroupedColumn([0, 1, 7 * 10**4350, 2, 3, 4, 5, 6], [2, 2, 2, 2]),
+            "r": rationals,
         }
     )
     stand_ins = {
         987654321: _decimal(big // 3),
+        -987654321: _decimal(-big // 3),
         -123456789: _decimal(-(10**4500)),
         555555555: _decimal(7 * 10**4350),
     }
+    leaves = [enc(F(1, 6)), {"num": 987654321, "den": 2}, enc(F(4, 6)), {"num": -987654321, "den": 2}]
     rows = [
-        {"%d": 1, "g": [0, 1], "r": enc(F(1, 6))},
-        {"%d": -123456789, "g": [555555555, 2], "r": {"num": 987654321, "den": 2}},
-        {"%d": 3, "g": [3, 4], "r": enc(F(4, 6))},
+        {"%d": 1, "g": [0, 1], "r": leaves[0]},
+        {"%d": -123456789, "g": [555555555, 2], "r": leaves[1]},
+        {"%d": 3, "g": [3, 4], "r": leaves[2]},
+        {"%d": 4, "g": [5, 6], "r": leaves[3]},
     ]
-    for node, plain in ((records, rows), (GroupedColumn(records, [1, 0, 2]), [rows[:1], [], rows[1:]])):
+    for node, plain in (
+        (records, rows),
+        (GroupedColumn(records, [1, 0, 3]), [rows[:1], [], rows[1:]]),
+        (GroupedColumn(records, [1] * 4), [[row] for row in rows]),
+        (GroupedColumn(records, [2, 2]), [rows[:2], rows[2:]]),
+        (GroupedColumn(rationals, [1] * 4), [[leaf] for leaf in leaves]),
+        (GroupedColumn(rationals, [2, 2]), [leaves[:2], leaves[2:]]),
+        (
+            RecordList({"%s": GroupedColumn(records, [2, 2]), "%%": GroupedColumn(rationals, [2, 2])}),
+            [{"%s": rows[:2], "%%": leaves[:2]}, {"%s": rows[2:], "%%": leaves[2:]}],
+        ),
+    ):
         expected = json.dumps(plain, sort_keys=True, indent=2) + "\n"
         for stand_in, text in stand_ins.items():
             expected = expected.replace(f" {stand_in}", f" {text}")
@@ -285,15 +327,35 @@ def test_to_json_rejects_what_it_does_not_write():
     for leaves in ([0, True], [0, 1.5], RationalColumn([0, None])):
         with pytest.raises(TypeError):
             to_json(MonomialRows([1, 0], leaves))
-    # a record list's columns have one length, a grouping covers its column
+    # a record list's columns have one length, a grouping covers its
+    # column, a rational column has one gcd per num or none
     with pytest.raises(ValueError):
         RecordList({"a": [1, 2], "b": RationalColumn([1], 2)})
     with pytest.raises(ValueError):
         GroupedColumn([1, 2, 3], [1, 1])
+    with pytest.raises(ValueError):
+        RationalColumn([1, 2], 3, [1])
     # a group size is exactly an int >= 0, whatever the sizes add up to
     for sizes in ([-1, 4], [1.5, 1.5], [True, 2], [3, False], [F(3)], ["3"], [None, 3]):
         with pytest.raises(ValueError):
             GroupedColumn([1, 2, 3], sizes)
+
+
+def test_index_lists_reject_what_is_not_an_index():
+    # a bool or float is no index, and a table lookup would wrap a negative
+    # one: each is an error wherever the list is written, never a text
+    table = ["0", "1", "2"]
+    cases = [(True, TypeError), (False, TypeError), (1.0, TypeError), (-1, IndexError), (-3, IndexError), (3, IndexError)]
+    for bad, error in cases:
+        for doc in (
+            IndexList([0, bad], table),
+            {"k": IndexList([bad], table)},
+            RecordList({"k": IndexList([bad, 1], table)}),
+            GroupedColumn(IndexList([1, bad], table), [1, 1]),
+            GroupedColumn(IndexList([1, 2, bad], table), [2, 1]),
+        ):
+            with pytest.raises(error):
+                to_json(doc)
 
 
 def test_monomial_rows_reject_a_column_off_the_row():
@@ -327,8 +389,16 @@ def _monomial_rows(draw, length: int) -> MonomialRows:
 
 
 @st.composite
+def _index_lists(draw, length: int) -> IndexList:
+    # tables of one- and two-digit texts, each text written any number of times
+    table = list(map(str, range(draw(st.integers(min(length, 1), 30)))))
+    indices = st.lists(st.integers(0, max(len(table) - 1, 0)), min_size=length, max_size=length)
+    return IndexList(draw(indices), table)
+
+
+@st.composite
 def _columns(draw, length: int, depth: int):
-    kinds = ["ints", "rationals", "monomial", "equal-width"]
+    kinds = ["ints", "rationals", "monomial", "equal-width", "indices"]
     kind = draw(st.sampled_from(kinds + (["grouped", "records"] if depth < 2 else [])))
     if kind == "ints":
         return draw(st.lists(_ints, min_size=length, max_size=length))
@@ -341,6 +411,8 @@ def _columns(draw, length: int, depth: int):
         return draw(_rational_columns(length))
     if kind == "monomial":
         return draw(_monomial_rows(length))
+    if kind == "indices":
+        return draw(_index_lists(length))
     if kind == "grouped":
         # empty groups included, and groups of one width over any column
         sizes = draw(
@@ -375,6 +447,8 @@ def _expand(column):
         zero, value = _expand(column.leaves)
         width = len(column.columns)
         return [[value if k == at else zero for k in range(width)] for at in column.columns]
+    if isinstance(column, IndexList):
+        return list(column.indices)
     if isinstance(column, GroupedColumn):
         flat, groups = _expand(column.column), []
         for size in column.sizes:
@@ -386,6 +460,7 @@ def _expand(column):
 
 _nodes = st.one_of(
     st.integers(0, 5).flatmap(_rational_columns),
+    st.integers(0, 5).flatmap(_index_lists),
     st.integers(0, 4).flatmap(lambda length: _record_lists(length, 0)),
     st.integers(0, 4).flatmap(lambda length: _columns(length, 1)),
 )
